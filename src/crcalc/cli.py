@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _parallel
 from .coords import StructureMatrices, matrix_residual, project_admissible, vector_residual
 from .errors import ConfigError, CrcalcError, Diverged, SingularMatrix, Unidentifiable
 from .hessian import assemble, hessian_quad, second_order_predict
@@ -593,11 +592,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        _parallel.thread_count()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     try:
         raw = load_config(args.config) if args.config else {}
         cfg = build_run_config(

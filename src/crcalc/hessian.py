@@ -134,10 +134,12 @@ def hessian_quad(field: ScalarField, p, step: float | None = None) -> HessianQua
     """Curvature blocks of a real field at a point.
 
     Uses the field's analytic second derivatives when present
-    (symmetry enforced at 1e-8 relative).  Otherwise each conjugated
-    first-derivative row, analytic or differenced, is differenced once
-    more with a relative step of eps**(1/4), and the blocks are
-    symmetrized with the looser 1e-4 allowance.
+    (symmetry enforced at 1e-8 relative).  Otherwise the conjugated
+    row (df/dz)^H, analytic or differenced, is differenced once more
+    with a relative step of eps**(1/4), giving the blocks A and B.  A
+    real field has df/dconj = conj(df/dz), so the other two blocks are
+    C = conj(B) and D = conj(A) without a second differencing.  The
+    blocks are symmetrized with the looser 1e-4 allowance.
 
     Raises
     ------
@@ -160,12 +162,8 @@ def hessian_quad(field: ScalarField, p, step: float | None = None) -> HessianQua
         raise ValueError("step must be positive")
 
     dz_conj = VectorField(n, lambda w: np.conj(cogradients(field, w).dz), name=f"d({field.name})/dz^H")
-    dzbar_conj = VectorField(
-        n, lambda w: np.conj(cogradients(field, w).dzbar), name=f"d({field.name})/dconj^H"
-    )
     ju = cogradients_fd(dz_conj, z, step=base)
-    jv = cogradients_fd(dzbar_conj, z, step=base)
-    return _finish_quad(ju.jz, ju.jzbar, jv.jz, jv.jzbar, SYM_TOL_FD, field.name)
+    return _finish_quad(ju.jz, ju.jzbar, np.conj(ju.jzbar), np.conj(ju.jz), SYM_TOL_FD, field.name)
 
 
 def quad_from_matrix(hc: np.ndarray, tol: float = _INVARIANT_TOL) -> HessianQuad:

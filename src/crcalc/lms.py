@@ -243,8 +243,8 @@ def simulate(
     Raises
     ------
     Diverged
-        If the estimate norm passes 1e9; the partial result rides on
-        the exception.
+        If the estimate norm passes 1e9 or is not finite; the partial
+        result rides on the exception.
     """
     xi, eta = draw_signals(model, steps, a_ref=a_ref)
     target = wiener_solution(model)
@@ -265,7 +265,8 @@ def simulate(
         err_power[k] = power
         smoothed[k] = running
         mis.append(_misalignment(state.a_hat, target))
-        if float(np.linalg.norm(state.a_hat)) > DIVERGENCE_NORM:
+        norm = float(np.linalg.norm(state.a_hat))
+        if not norm <= DIVERGENCE_NORM:
             partial = SimulationResult(
                 a_hat=state.a_hat,
                 wiener=target,
@@ -274,7 +275,7 @@ def simulate(
                 smoothed_error_power=smoothed[: k + 1],
                 steps=k + 1,
             )
-            raise Diverged(f"estimate norm passed {DIVERGENCE_NORM:.0e} at step {k}", trace=partial)
+            raise Diverged(f"estimate norm {norm:.3e} is not within {DIVERGENCE_NORM:.0e} at step {k}", trace=partial)
     return SimulationResult(
         a_hat=state.a_hat,
         wiener=target,

@@ -8,27 +8,23 @@ with a Hermitian positive definite weight W.  Both derivative blocks of
 the model enter through the m x 2n compound jacobian G = [jz, jzbar].
 The raw normal matrix G^H W G is not an admissible curvature matrix,
 but its admissible projection is, and that projection is the
-Gauss-Newton Hessian.  The full Newton Hessian subtracts one projected
-curvature correction per residual component; the corrections vanish for
-models linear in (z, conj(z)) and at zero residual.
+Gauss-Newton Hessian.  The full Newton Hessian subtracts the projected
+derivative of one weighted row, (W e) @ conj(G), differenced once with
+the weight held fixed; that correction vanishes for models linear in
+(z, conj(z)) and at zero residual.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import thread_count
 from .coords import DimensionError, as_complex_vector, project_admissible, swap
 from .hessian import FD_SECOND_STEP, HessianQuad, quad_from_matrix
-from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients, cogradients_fd
+from .wirtinger import ScalarField, VectorField, WirtingerPair, cogradients, cogradients_fd
 
 _WEIGHT_TOL = 1e-10
-
-#: Residual count at which the curvature corrections go parallel.
-_PARALLEL_MIN = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,52 +167,28 @@ def gauss_newton_blocks(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]
     return gn[:n, :n], gn[:n, n:]
 
 
-def _curvature_correction(problem: LsqProblem, z: np.ndarray, i: int, we_i: complex, step: float) -> np.ndarray:
-    """Projected second-derivative correction of residual component i."""
-    n = z.shape[0]
-
-    def conj_jac_row(w: np.ndarray) -> np.ndarray:
-        pair = cogradients(problem.g, w)
-        return np.conj(np.concatenate([pair.jz[i], pair.jzbar[i]]))
-
-    row_field = VectorField(2 * n, conj_jac_row, name=f"component {i} jacobian row")
-    jac = cogradients_fd(row_field, z, step=step)
-    a_i = np.hstack([jac.jz, jac.jzbar])
-    return project_admissible(a_i * we_i)
-
-
 def newton_hessian(problem: LsqProblem, p, step: float | None = None) -> np.ndarray:
     """Full 2n x 2n curvature of the loss in conjugate coordinates.
 
-    Subtracts one projected curvature correction per residual component
-    from the Gauss-Newton Hessian.  Each correction differences the
-    component's conjugated jacobian row once (relative step eps**(1/4)),
-    so models with analytic jacobians that are linear in (z, conj(z))
-    get exactly zero correction.  The estimate is re-Hermitized and
-    re-projected before returning, so its block invariants hold exactly.
-
-    Component corrections are independent; with many components they
-    are computed on a thread pool sized by ``CRCALC_THREADS``, with a
-    fixed summation order either way.
+    The second-order term sum_i (W e)_i d conj(G_i) is linear in the
+    residual components, so with ``we = W e`` held fixed at the point a
+    single weighted row ``we @ conj(G(w))`` is differenced once
+    (relative step eps**(1/4)), and its admissible projection is
+    subtracted from the Gauss-Newton Hessian.  Models with analytic
+    jacobians that are linear in (z, conj(z)) get exactly zero
+    correction.  The estimate is re-Hermitized and re-projected before
+    returning, so its block invariants hold exactly.
     """
     z = as_complex_vector(p)
     h = FD_SECOND_STEP if step is None else float(step)
-    gn = gauss_newton_hessian(problem, z)
     we = problem.w @ residual(problem, z)
-
-    def one(i: int) -> np.ndarray:
-        return _curvature_correction(problem, z, i, complex(we[i]), h)
-
-    workers = thread_count()
-    if problem.m >= _PARALLEL_MIN and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            corrections = list(pool.map(one, range(problem.m)))
-    else:
-        corrections = [one(i) for i in range(problem.m)]
-
-    total = gn
-    for corr in corrections:
-        total = total - corr
+    weighted_row = VectorField(
+        2 * z.shape[0],
+        lambda w: we @ np.conj(compound_jacobian(problem, w).matrix),
+        name="weighted conjugate jacobian row",
+    )
+    jac = cogradients_fd(weighted_row, z, step=h)
+    total = gauss_newton_hessian(problem, z) - project_admissible(np.hstack([jac.jz, jac.jzbar]))
     total = 0.5 * (total + total.conj().T)
     return project_admissible(total)
 

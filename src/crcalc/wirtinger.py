@@ -182,10 +182,12 @@ class VectorField:
         return value
 
 
-def _fd_blocks(call: Callable[[np.ndarray], np.ndarray], z: np.ndarray, base: float):
-    """Central-difference jz and jzbar of a vector-valued callable."""
+def _fd_blocks(call: Callable[[np.ndarray], np.ndarray], z: np.ndarray, base: float, m: int):
+    """Central-difference jz and jzbar of a callable with m outputs.
+
+    Only the 4n probes are evaluated, never the centre point itself.
+    """
     n = z.shape[0]
-    m = call(z).shape[0]
     jz = np.empty((m, n), dtype=complex)
     jzbar = np.empty((m, n), dtype=complex)
     for i in range(n):
@@ -223,10 +225,10 @@ def cogradients_fd(field, p, step: float | None = None):
     z = as_complex_vector(p)
     if isinstance(field, ScalarField):
         call = lambda w: np.array([field(w)])
-        jz, jzbar = _fd_blocks(call, z, base)
+        jz, jzbar = _fd_blocks(call, z, base, 1)
         return WirtingerPair(jz[0], jzbar[0])
     if isinstance(field, VectorField):
-        jz, jzbar = _fd_blocks(field, z, base)
+        jz, jzbar = _fd_blocks(field, z, base, field.m)
         return JacobianPair(jz, jzbar)
     raise TypeError(f"expected a ScalarField or VectorField, got {type(field).__name__}")
 

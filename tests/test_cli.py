@@ -143,12 +143,6 @@ class TestOptimizeCommand:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_bad_thread_env_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setenv("CRCALC_THREADS", "zero")
-        code = main(["optimize"])
-        assert code == 1
-        assert "CRCALC_THREADS" in capsys.readouterr().err
-
     def test_polynomial_problem_runs(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -215,6 +209,14 @@ class TestLmsCommand:
         )
         code = main(["lms", "--config", cfg])
         assert code == 3
+
+    def test_non_finite_estimate_is_not_success(self, tmp_path, capsys):
+        # An infinite input power makes every estimate NaN from the
+        # first step; that must end as a failure, never as exit 0.
+        cfg = write_config(tmp_path, {"lms": {"r_diag": [float("inf"), 1.0, 1.0, 1.0]}})
+        code = main(["lms", "--config", cfg])
+        assert code != 0
+        assert "nan" not in capsys.readouterr().out.lower()
 
 
 class TestDeterminism:

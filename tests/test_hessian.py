@@ -74,6 +74,24 @@ class TestFrozenSecondDerivatives:
             assert np.abs(got.hzz - quad.hzz).max() <= 1e-5 * scale
             assert np.abs(got.hzbz - quad.hzbz).max() <= 1e-5 * scale
 
+    def test_differenced_path_differences_one_row(self):
+        # Only (df/dz)^H is differenced: 4n row evaluations, the other
+        # two blocks follow by conjugation.
+        rng = RNG(62)
+        n = 3
+        field, quad = random_quadratic_loss(rng, n)
+        calls = []
+
+        def counted(z):
+            calls.append(1)
+            return field.cogradient_fn(z)
+
+        rows_only = ScalarField(field.fn, cogradient_fn=counted, name="analytic rows only")
+        got = hessian_quad(rows_only, random_complex_vector(rng, n))
+        assert len(calls) == 4 * n
+        assert np.abs(got.hzz - quad.hzz).max() <= 1e-6
+        assert np.abs(got.hzbz - quad.hzbz).max() <= 1e-6
+
 
 class TestQuadValidation:
     def test_invariants_enforced_on_construction(self):

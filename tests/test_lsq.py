@@ -183,19 +183,27 @@ class TestNewton:
         assert np.abs(got - expected).max() <= 1e-9
 
     def test_matches_real_space_oracle_on_random_problems(self):
+        # Each draw is checked with the analytic model and with the same
+        # model differenced, which nests two differencing levels.  The
+        # last draw has many residual components.
         rng = RNG(87)
+        draws = []
         for _ in range(8):
             n = int(rng.integers(1, 3))
             m = int(rng.integers(1, 4))
-            problem = random_problem(rng, n, m, scale=0.3)
-            z = random_complex_vector(rng, n, scale=0.4)
-            hn = newton_hessian(problem, z)
+            draws.append((random_problem(rng, n, m, scale=0.3), random_complex_vector(rng, n, scale=0.4)))
+        draws.append((random_problem(rng, 2, 20, scale=0.3), random_complex_vector(rng, 2, scale=0.4)))
+        for problem, z in draws:
+            n, m = z.shape[0], problem.m
             hrr = real_fd_hessian(
                 lambda r: loss(problem, r[:n] + 1j * r[n:]), z_to_r(z)
             )
             oracle = complex_from_real(hrr)
             scale = max(1.0, float(np.abs(oracle).max()))
-            assert np.abs(hn - oracle).max() <= 1e-4 * scale
+            plain = VectorField(m, problem.g.fn, name="differenced model")
+            for model in (problem.g, plain):
+                hn = newton_hessian(LsqProblem(model, problem.y, problem.w), z)
+                assert np.abs(hn - oracle).max() <= 1e-4 * scale
 
     def test_result_is_hermitian_and_admissible(self):
         rng = RNG(88)
@@ -239,15 +247,23 @@ class TestNewton:
         np.testing.assert_allclose(quad.hzz, hn[:2, :2], atol=1e-12)
         np.testing.assert_allclose(quad.hzbz, hn[:2, 2:], atol=1e-12)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_jacobian_evaluations_do_not_grow_with_m(self):
+        # One Gauss-Newton jacobian plus the 4n probes of one
+        # differenced weighted row, whatever the residual count.
         rng = RNG(92)
-        problem = random_problem(rng, 2, 20, scale=0.2)
-        z = random_complex_vector(rng, 2, scale=0.3)
-        monkeypatch.delenv("CRCALC_THREADS", raising=False)
-        serial = newton_hessian(problem, z)
-        monkeypatch.setenv("CRCALC_THREADS", "4")
-        threaded = newton_hessian(problem, z)
-        np.testing.assert_array_equal(serial, threaded)
+        n = 2
+        for m in (3, 40):
+            problem = random_problem(rng, n, m, scale=0.2)
+            analytic = problem.g.jacobian_fn
+            calls = []
+
+            def counted(z, _inner=analytic):
+                calls.append(1)
+                return _inner(z)
+
+            g = VectorField(m, problem.g.fn, jacobian_fn=counted, name="counted model")
+            newton_hessian(LsqProblem(g, problem.y, problem.w), random_complex_vector(rng, n, scale=0.3))
+            assert len(calls) == 4 * n + 1
 
 
 class TestSwapConsistency:
