@@ -19,6 +19,7 @@ failed check), 3 divergence or a singular or unidentifiable model.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -62,16 +63,28 @@ def _fmt_complex(z: complex) -> str:
     return f"{re:.12g}{sign}{abs(im):.12g}j"
 
 
+def _finite(convert, value, path: str):
+    """``convert(value)``, rejecting NaN, infinities and integers too large for a float."""
+    try:
+        number = convert(value)
+    except OverflowError:
+        number = None
+    if number is None or not cmath.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
 def _parse_complex(value, path: str) -> complex:
     if isinstance(value, bool):
         raise ConfigError(f"{path}: expected a complex scalar, got a boolean")
     if isinstance(value, (int, float)):
-        return complex(value)
+        return _finite(complex, value, path)
     if isinstance(value, str):
         try:
-            return complex(value.replace(" ", ""))
+            parsed = complex(value.replace(" ", ""))
         except ValueError:
             raise ConfigError(f"{path}: cannot parse {value!r}, expected 'a+bj'") from None
+        return _finite(complex, parsed, path)
     raise ConfigError(f"{path}: expected a complex scalar, got {type(value).__name__}")
 
 
@@ -84,18 +97,13 @@ def _parse_complex_list(value, path: str) -> np.ndarray:
 def _parse_real_list(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}[{i}]: expected a real number")
-        out.append(float(v))
-    return np.array(out)
+    return np.array([_parse_real(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
 def _parse_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a real number")
-    return float(value)
+    return _finite(float, value, path)
 
 
 def _parse_int(value, path: str) -> int:
@@ -393,11 +401,11 @@ def _write_optimize_trace(path: str, trace, n: int) -> None:
 
 
 def _write_lms_trace(path: str, sim) -> None:
+    # CSV as csv.writer writes it (rows end in \r\n); no field ever needs quoting.
+    rows = zip(range(1, sim.steps + 1), sim.smoothed_error_power.tolist(), sim.misalignment[1:].tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "err_power_smoothed", "misalignment"])
-        for k in range(sim.steps):
-            writer.writerow([str(k + 1), _fmt(sim.smoothed_error_power[k]), _fmt(sim.misalignment[k + 1])])
+        fh.write("step,err_power_smoothed,misalignment\r\n")
+        fh.writelines(f"{k},{p:.17g},{m:.17g}\r\n" for k, p, m in rows)
 
 
 def _final_quad(target, z):

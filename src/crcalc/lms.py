@@ -209,10 +209,10 @@ class SimulationResult:
     steps: int
 
 
-def _misalignment(a_hat: np.ndarray, target: np.ndarray) -> float:
-    dist = float(np.linalg.norm(a_hat - target))
-    norm = float(np.linalg.norm(target))
-    return dist / norm if norm > 0.0 else dist
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex matrix, with no temporary of its size."""
+    flat = rows.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def simulate(
@@ -240,47 +240,62 @@ def simulate(
     a0 : array-like, optional
         Initial estimate, zero by default.
 
+    Notes
+    -----
+    The loop runs the :func:`lms_step` recursion on plain arrays and
+    visits the same estimates bit for bit; misalignment and error power
+    are computed from the stored history after it.
+
     Raises
     ------
     Diverged
         If the estimate norm passes 1e9 or is not finite; the partial
         result rides on the exception.
     """
+    if not step_size > 0.0:
+        raise ValueError("step_size must be positive")
     xi, eta = draw_signals(model, steps, a_ref=a_ref)
     target = wiener_solution(model)
-    state = LmsState(
-        np.zeros(model.n, dtype=complex) if a0 is None else as_complex_vector(a0),
-        step_size=step_size,
-        decay=decay,
-    )
-    mis = [_misalignment(state.a_hat, target)]
-    err_power = np.empty(steps)
-    smoothed = np.empty(steps)
+    a = np.zeros(model.n, dtype=complex) if a0 is None else as_complex_vector(a0)
+    if a.shape != (model.n,):
+        raise DimensionError("input and filter lengths differ")
+    mu = step_size / (np.arange(steps) + 1) if decay else np.full(steps, float(step_size))
+    estimates = np.empty((steps + 1, model.n), dtype=complex)
+    estimates[0] = a
+    errors = np.empty(steps, dtype=complex)
+    # Past a divergence the estimate overflows; the first bad step is
+    # found and reported below, so the overflow itself is expected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x = xi[k]
+            err = eta[k] - np.vdot(a, x)
+            errors[k] = err
+            a = estimates[k + 1] = a + mu[k] * (x * np.conj(err))
+        norms = _row_norms(estimates[1:])
+        bad = np.flatnonzero(~(norms <= DIVERGENCE_NORM))
+        done = int(bad[0]) + 1 if bad.size else steps
+        a_hat = estimates[done].copy()
+        # In place, so the history is the only array of its size.
+        offsets = estimates[: done + 1]
+        offsets -= target
+        dist = _row_norms(offsets)
+        err_power = np.abs(errors[:done]) ** 2
+    target_norm = float(np.linalg.norm(target))
+    misalignment = dist / target_norm if target_norm > 0.0 else dist
+    smoothed = np.empty(done)
     running = 0.0
-    for k in range(steps):
-        err = complex(eta[k]) - complex(np.conj(state.a_hat) @ xi[k])
-        state = lms_step(state, xi[k], eta[k])
-        power = abs(err) ** 2
+    for k, power in enumerate(err_power.tolist()):
         running = power if k == 0 else (1.0 - ERROR_SMOOTHING) * running + ERROR_SMOOTHING * power
-        err_power[k] = power
         smoothed[k] = running
-        mis.append(_misalignment(state.a_hat, target))
-        norm = float(np.linalg.norm(state.a_hat))
-        if not norm <= DIVERGENCE_NORM:
-            partial = SimulationResult(
-                a_hat=state.a_hat,
-                wiener=target,
-                misalignment=np.array(mis),
-                error_power=err_power[: k + 1],
-                smoothed_error_power=smoothed[: k + 1],
-                steps=k + 1,
-            )
-            raise Diverged(f"estimate norm {norm:.3e} is not within {DIVERGENCE_NORM:.0e} at step {k}", trace=partial)
-    return SimulationResult(
-        a_hat=state.a_hat,
+    result = SimulationResult(
+        a_hat=a_hat,
         wiener=target,
-        misalignment=np.array(mis),
+        misalignment=misalignment,
         error_power=err_power,
         smoothed_error_power=smoothed,
-        steps=steps,
+        steps=done,
     )
+    if bad.size:
+        norm = float(norms[done - 1])
+        raise Diverged(f"estimate norm {norm:.3e} is not within {DIVERGENCE_NORM:.0e} at step {done - 1}", trace=result)
+    return result

@@ -55,6 +55,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="r_diag"):
             build_run_config({"problem": {"name": "lms"}, "lms": {"r_diag": [1.0, 0.0, 1.0, 1.0]}})
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("lms", {"lms": {"step_size": float("nan")}}),
+            ("optimize", {"problem": {"name": "example2", "noise_var": float("nan")}}),
+            ("lms", {"lms": {"noise_var": float("inf")}}),
+            ("lms", {"lms": {"r_diag": [float("inf"), 1.0, 1.0, 1.0]}}),
+            ("lms", {"lms": {"a_ref": ["nan", "0", "0", "0"]}}),
+            ("optimize", {"problem": {"z0": "nan"}}),
+            ("optimize", {"problem": {"alpha": float("-inf")}}),
+            ("lms", {"lms": {"step_size": 10**400}}),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+
     def test_polynomial_lengths_must_agree(self):
         payload = {
             "problem": {
@@ -209,11 +228,13 @@ class TestLmsCommand:
         )
         code = main(["lms", "--config", cfg])
         assert code == 3
+        assert capsys.readouterr().err.strip().endswith("at step 4")
 
     def test_non_finite_estimate_is_not_success(self, tmp_path, capsys):
-        # An infinite input power makes every estimate NaN from the
-        # first step; that must end as a failure, never as exit 0.
-        cfg = write_config(tmp_path, {"lms": {"r_diag": [float("inf"), 1.0, 1.0, 1.0]}})
+        # A finite input power of 1e300 overflows the estimate norm to
+        # infinity on the first step; that must end as a failure, never
+        # as exit 0.
+        cfg = write_config(tmp_path, {"lms": {"r_diag": [1e300, 1.0, 1.0, 1.0]}})
         code = main(["lms", "--config", cfg])
         assert code != 0
         assert "nan" not in capsys.readouterr().out.lower()

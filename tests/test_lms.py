@@ -14,6 +14,7 @@ from crcalc import (
     simulate,
     wiener_solution,
 )
+from crcalc.lms import DIVERGENCE_NORM
 
 RNG = np.random.default_rng
 
@@ -183,6 +184,20 @@ class TestSimulation:
         assert partial is not None
         assert partial.steps < 2000
 
+    def test_divergence_trace_stops_at_first_estimate_past_the_bound(self):
+        model, _ = toeplitz_model(noise_var=0.0, seed=2)
+        with pytest.raises(Diverged, match="at step 3$") as info:
+            simulate(model, steps=2000, step_size=50.0)
+        partial = info.value.trace
+        estimates = iterated_estimates(model, 2000, 50.0)
+        norms = np.linalg.norm(estimates[:5], axis=1)
+        assert np.all(norms[:4] <= DIVERGENCE_NORM) and norms[4] > DIVERGENCE_NORM
+        assert partial.steps == 4
+        np.testing.assert_array_equal(partial.a_hat, estimates[4])
+        assert partial.misalignment.shape == (5,)
+        assert partial.error_power.shape == partial.smoothed_error_power.shape == (4,)
+        assert np.all(np.isfinite(partial.misalignment))
+
     def test_stability_threshold_bounds_the_mean_recursion(self):
         # The expected update is a - alpha (R a - p); iterating it just
         # below the threshold contracts to the Wiener solution and just
@@ -203,3 +218,40 @@ class TestSimulation:
         model, _ = toeplitz_model(noise_var=0.0, seed=4)
         result = simulate(model, steps=4000, step_size=0.05)
         assert result.misalignment[-1] < 1e-2 * result.misalignment[0]
+
+
+def iterated_estimates(model, steps, step_size, decay=False, a_ref=None, a0=None):
+    """Every estimate visited by ``lms_step`` on the ``draw_signals`` inputs."""
+    xi, eta = draw_signals(model, steps, a_ref=a_ref)
+    state = LmsState(
+        np.zeros(model.n, dtype=complex) if a0 is None else a0, step_size=step_size, decay=decay
+    )
+    visited = [state.a_hat]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            state = lms_step(state, xi[k], eta[k])
+            visited.append(state.a_hat)
+    return np.array(visited)
+
+
+class TestSimulationMatchesSingleSteps:
+    @pytest.mark.parametrize("decay", [False, True])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_estimate_is_iterated_lms_step(self, decay, given):
+        model, a_ref = toeplitz_model(noise_var=0.1, seed=31)
+        kwargs = {}
+        if given:
+            rng = RNG(5)
+            kwargs = dict(
+                a_ref=a_ref + 0.1 * rng.standard_normal(3),
+                a0=rng.standard_normal(3) + 1j * rng.standard_normal(3),
+            )
+        result = simulate(model, steps=400, step_size=0.3, decay=decay, **kwargs)
+        estimates = iterated_estimates(model, 400, 0.3, decay=decay, **kwargs)
+        np.testing.assert_array_equal(result.a_hat, estimates[-1])
+        wiener = wiener_solution(model)
+        expected = np.linalg.norm(estimates - wiener, axis=1) / np.linalg.norm(wiener)
+        np.testing.assert_allclose(result.misalignment, expected, rtol=1e-14)
+        xi, eta = draw_signals(model, 400, a_ref=kwargs.get("a_ref"))
+        errors = np.array([eta[k] - np.conj(estimates[k]) @ xi[k] for k in range(400)])
+        np.testing.assert_allclose(result.error_power, np.abs(errors) ** 2, rtol=1e-14)
