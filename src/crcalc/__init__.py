@@ -60,6 +60,7 @@ from .hessian import (
     complex_from_real,
     hessian_quad,
     quad_from_matrix,
+    real_hessian,
     second_order_predict,
 )
 from .lms import (

@@ -375,9 +375,12 @@ def _build_signal_model(cfg: RunConfig) -> SignalModel:
     lm = cfg.lms
     if lm is None:
         raise ConfigError("the lms section is required for this command")
-    return SignalModel.from_reference(
-        np.diag(lm.r_diag), lm.a_ref, noise_var=lm.noise_var, seed=lm.seed
-    )
+    try:
+        return SignalModel.from_reference(
+            np.diag(lm.r_diag), lm.a_ref, noise_var=lm.noise_var, seed=lm.seed
+        )
+    except ValueError as exc:
+        raise ConfigError(f"lms: {exc}") from None
 
 
 def _write_optimize_trace(path: str, trace, n: int) -> None:

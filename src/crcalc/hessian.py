@@ -80,6 +80,22 @@ class HessianQuad:
             float(np.max(np.abs(self.hzbzb - np.conj(self.hzz)))),
         )
 
+    def check_invariants(self) -> None:
+        """Raise :class:`RelationViolation` if the block constraints fail.
+
+        The allowance is 1e-8 relative to the larger of the top blocks.
+        """
+        resid = self.invariant_residual()
+        scale = max(
+            1.0,
+            float(np.max(np.abs(self.hzz), initial=0.0)),
+            float(np.max(np.abs(self.hzbz), initial=0.0)),
+        )
+        if resid > _INVARIANT_TOL * scale:
+            raise RelationViolation(
+                f"curvature blocks violate their invariants, residual {resid:.3e}"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class AssembledHessians:
@@ -183,12 +199,31 @@ def quad_from_matrix(hc: np.ndarray, tol: float = _INVARIANT_TOL) -> HessianQuad
     return HessianQuad(hc[:n, :n], hc[:n, n:], hc[n:, :n], hc[n:, n:])
 
 
+def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:
+    """Real-coordinate Hessian of an admissible curvature matrix.
+
+    For M = [[A, B], [conj(B), conj(A)]] the congruence J^H M J with the
+    coordinate-change matrix is
+
+        2 [[Re(A + B), -Im(A - B)], [Im(A + B), Re(A - B)]],
+
+    built here from the top blocks A = ``hzz`` and B = ``hzbz`` alone.
+    It is symmetric when A is Hermitian and B symmetric, and its
+    eigenvalues are twice those of M, so the two share their condition
+    number and their definiteness.
+    """
+    total = hzz + hzbz
+    diff = hzz - hzbz
+    return 2.0 * np.block([[total.real, -diff.imag], [total.imag, diff.real]])
+
+
 def assemble(quad: HessianQuad) -> AssembledHessians:
     """Build the three 2n x 2n representations from curvature blocks.
 
-    The real-coordinate Hessian is produced by the congruence with the
-    coordinate-change matrix, applied blockwise; its imaginary residue
-    must stay below 1e-10 (relative) before truncation.
+    The real-coordinate Hessian is :func:`real_hessian` of the top
+    blocks.  The congruence of the full matrix would carry an imaginary
+    part wherever the bottom blocks stray from conj(B), conj(A); that
+    residue must stay below 1e-10 (relative).
 
     Raises
     ------
@@ -196,31 +231,22 @@ def assemble(quad: HessianQuad) -> AssembledHessians:
         If the blocks violate their invariants, or the real-coordinate
         form fails to come out real.
     """
-    resid = quad.invariant_residual()
-    scale = max(
-        1.0,
-        float(np.max(np.abs(quad.hzz), initial=0.0)),
-        float(np.max(np.abs(quad.hzbz), initial=0.0)),
-    )
-    if resid > _INVARIANT_TOL * scale:
-        raise RelationViolation(
-            f"curvature blocks violate their invariants, residual {resid:.3e}"
-        )
+    quad.check_invariants()
     a, b, c, d = quad.hzz, quad.hzbz, quad.hzzb, quad.hzbzb
     hc = np.block([[a, b], [c, d]])
-    hc_real = swap_rows(hc)
-    hrr_c = np.block(
-        [
-            [a + b + c + d, 1j * (a - b + c - d)],
-            [1j * (c + d - a - b), a - b - c + d],
-        ]
+    hrr = real_hessian(a, b)
+    # J^H hc J exceeds hrr by J^H [[0, 0], [ec, ed]] J, with ec, ed the
+    # strays of the bottom blocks; the entries of that excess are
+    # ec + ed, i(ec - ed), i(ec + ed) and ed - ec.
+    ec, ed = c - np.conj(b), d - np.conj(a)
+    imag = max(
+        float(np.max(np.abs(part))) for s in (ec + ed, ec - ed) for part in (s.real, s.imag)
     )
-    imag = float(np.max(np.abs(hrr_c.imag)))
-    if imag > _IMAG_TOL * max(1.0, float(np.max(np.abs(hrr_c)))):
+    if imag > _IMAG_TOL * max(1.0, float(np.max(np.abs(hrr)))):
         raise RelationViolation(
             f"real-coordinate Hessian has imaginary residue {imag:.3e}"
         )
-    return AssembledHessians(hc_complex=hc, hc_real=hc_real, hrr=hrr_c.real)
+    return AssembledHessians(hc_complex=hc, hc_real=swap_rows(hc), hrr=hrr)
 
 
 def complex_from_real(hrr: np.ndarray) -> np.ndarray:

@@ -62,6 +62,8 @@ class SignalModel:
             raise DimensionError(f"covariance has shape {r.shape}, expected ({self.n}, {self.n})")
         if p.shape != (self.n,):
             raise DimensionError(f"cross moment has shape {p.shape}, expected ({self.n},)")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p)) and np.isfinite(self.noise_var)):
+            raise ValueError("covariance, cross moment and noise_var must be finite")
         scale = max(1.0, float(np.max(np.abs(r), initial=0.0)))
         if float(np.max(np.abs(r - r.conj().T))) > _MOMENT_TOL * scale:
             raise ValueError("covariance must be Hermitian")
@@ -80,11 +82,14 @@ class SignalModel:
         """Model whose Wiener solution is exactly ``a_ref``.
 
         Sets p = R a_ref, which is the cross moment produced by the
-        reference eta = a_ref^H xi + noise.
+        reference eta = a_ref^H xi + noise.  A product that is not
+        finite is rejected by the model's own validation.
         """
         a = as_complex_vector(a_ref)
         r = np.asarray(r_matrix, dtype=complex)
-        return cls(n=a.shape[0], r_matrix=r, p=r @ a, noise_var=noise_var, seed=seed)
+        with np.errstate(invalid="ignore", over="ignore"):
+            p = r @ a
+        return cls(n=a.shape[0], r_matrix=r, p=p, noise_var=noise_var, seed=seed)
 
     @classmethod
     def white(cls, a_ref, noise_var: float = 0.0, seed: int = 0) -> "SignalModel":

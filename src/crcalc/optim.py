@@ -20,21 +20,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coords import as_complex_vector, matrix_residual, swap
+from .coords import as_complex_vector, matrix_residual
 from .errors import (
     DimensionError,
     Diverged,
     InadmissibleQ,
+    NonFiniteEvaluation,
     SingularMatrix,
     SingularQ,
 )
-from .hessian import HessianQuad, assemble, hessian_quad
+from .hessian import HessianQuad, hessian_quad, real_hessian
 from .lsq import (
     LsqProblem,
     gauss_newton_blocks,
     gauss_newton_hessian,
     loss as lsq_loss,
     loss_pair,
+    newton_hessian,
     newton_quad,
 )
 from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients
@@ -56,7 +58,7 @@ DEFAULT_STEP_SIZE = {
     "quasi_gauss_newton": 1.0,
 }
 
-#: Loss level treated as numerically divergent.
+#: Loss growth above the starting loss treated as numerical divergence.
 DIVERGENCE_LOSS = 1e12
 
 _COND_LIMIT = 1.0 / np.finfo(float).eps
@@ -209,6 +211,12 @@ class _Objective:
             return newton_quad(self.problem, z)
         return hessian_quad(self.field, z)
 
+    def newton_matrix(self, z) -> np.ndarray:
+        if self.problem is not None:
+            return newton_hessian(self.problem, z)
+        quad = hessian_quad(self.field, z)
+        return np.block([[quad.hzz, quad.hzbz], [quad.hzzb, quad.hzbzb]])
+
     def gauss_matrix(self, z) -> np.ndarray:
         if self.problem is None:
             raise ValueError("Gauss-Newton scalings need a least-squares problem")
@@ -234,7 +242,7 @@ def _scaling_matrix(objective: _Objective, z: np.ndarray, strategy: QStrategy) -
     if kind == "identity":
         m = np.eye(2 * n, dtype=complex)
     elif kind == "newton":
-        m = assemble(objective.quad(z)).hc_complex
+        m = objective.newton_matrix(z)
     elif kind == "quasi_newton":
         quad = objective.quad(z)
         m = _block_diag(quad.hzz, quad.hzbzb)
@@ -252,9 +260,12 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     """Scaled descent direction in conjugate coordinates, at unit step.
 
     Returns the admissible vector delta_c = -inv(M) (d loss / d c)^H
-    together with diagnostics of the scaling M: positive definiteness
-    (by attempted Cholesky), a condition estimate, and the first-order
-    loss change predicted for a unit step.
+    together with diagnostics of the scaling M: positive definiteness,
+    the 2-norm condition number, and the first-order loss change
+    predicted for a unit step.  Definiteness and condition come from
+    the eigenvalues of the real-coordinate form J^H M J, which are
+    twice those of M, and the step is solved there in real arithmetic
+    as delta_c = J delta_r.
 
     Raises
     ------
@@ -266,9 +277,13 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     """
     objective = target if isinstance(target, _Objective) else _Objective(target)
     z = as_complex_vector(p)
-    pair = objective.pair(z)
-    grad_c = np.conj(np.concatenate([pair.dz, pair.dzbar]))
+    return _descent_step(objective, z, objective.pair(z), strategy)
 
+
+def _descent_step(
+    objective: _Objective, z: np.ndarray, pair: WirtingerPair, strategy: QStrategy
+) -> tuple[np.ndarray, StepDiagnostics]:
+    """:func:`descent_step` from a derivative row already evaluated at z."""
     m = _scaling_matrix(objective, z, strategy)
     scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
     resid = matrix_residual(m)
@@ -276,31 +291,34 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
         raise InadmissibleQ(
             f"{strategy.kind} scaling violates the pairing constraint, residual {resid:.3e}"
         )
+    n = z.shape[0]
+    hrr = real_hessian(m[:n, :n], m[:n, n:])
     try:
-        np.linalg.cholesky(m)
-        positive_definite = True
-    except np.linalg.LinAlgError:
-        positive_definite = False
-    condition = float(np.linalg.cond(m))
+        eigs = np.linalg.eigvalsh(hrr)
+    except np.linalg.LinAlgError as exc:
+        raise SingularQ(f"{strategy.kind} scaling is singular; add damping") from exc
+    magnitudes = np.abs(eigs)
+    smallest = float(magnitudes.min())
+    condition = float(magnitudes.max()) / smallest if smallest > 0.0 else float("inf")
     if not np.isfinite(condition) or condition > _COND_LIMIT:
         raise SingularQ(
             f"{strategy.kind} scaling is numerically singular "
             f"(condition {condition:.3e}); add damping"
         )
+    # The derivative row in real coordinates, (d loss / d c) J.
+    row_r = np.concatenate([(pair.dz + pair.dzbar).real, (pair.dzbar - pair.dz).imag])
     try:
-        delta_c = -np.linalg.solve(m, grad_c)
+        delta_r = np.linalg.solve(hrr, -row_r)
     except np.linalg.LinAlgError as exc:
         raise SingularQ(f"{strategy.kind} scaling is singular; add damping") from exc
-    # The exact solution pairs conjugate halves; strip solver rounding.
-    delta_c = 0.5 * (delta_c + swap(np.conj(delta_c)))
-    predicted = float(np.real(np.conj(grad_c) @ delta_c))
+    delta_z = delta_r[:n] + 1j * delta_r[n:]
     diag = StepDiagnostics(
         kind=strategy.kind,
-        positive_definite=positive_definite,
+        positive_definite=bool(eigs[0] > 0.0),
         condition=condition,
-        predicted_decrease=predicted,
+        predicted_decrease=float(row_r @ delta_r),
     )
-    return delta_c, diag
+    return np.concatenate([delta_z, np.conj(delta_z)]), diag
 
 
 def newton_update_z(quad: HessianQuad, pair: WirtingerPair) -> np.ndarray:
@@ -356,13 +374,16 @@ def minimize(
     config : OptimizerConfig
         Step size, iteration and tolerance controls.  With Armijo
         backtracking enabled the recorded loss sequence is
-        non-increasing.
+        non-increasing, and a trial point whose loss is not finite is
+        rejected like any other trial that fails the decrease test.
 
     Raises
     ------
     Diverged
-        If the loss exceeds 1e12 or turns non-finite; the partial trace
-        rides on the exception.
+        If the loss is not finite at the starting point, or an accepted
+        step's loss is not finite or exceeds the starting loss by more
+        than 1e12, so adding a constant to the loss changes nothing;
+        the partial trace rides on the exception.
     """
     objective = _Objective(target)
     z = as_complex_vector(z0)
@@ -385,8 +406,9 @@ def minimize(
         )
 
     loss_here = objective.loss(z)
-    if not np.isfinite(loss_here) or loss_here > DIVERGENCE_LOSS:
+    if not np.isfinite(loss_here):
         raise Diverged(f"loss {loss_here!r} at the starting point", trace=trace)
+    loss_limit = loss_here + DIVERGENCE_LOSS
 
     reason = "max_iters"
     converged = False
@@ -403,9 +425,8 @@ def minimize(
         if k == config.max_iters:
             record(k, z, loss_here, grad_norm, 0.0, None)
             break
-        delta_c, diag = descent_step(objective, z, strategy)
-        n = z.shape[0]
-        delta_z = delta_c[:n]
+        delta_c, diag = _descent_step(objective, z, pair, strategy)
+        delta_z = delta_c[: z.shape[0]]
         direction_slope = 2.0 * float(np.real(pair.dz @ delta_z))
 
         alpha = alpha0
@@ -413,8 +434,8 @@ def minimize(
             accepted = False
             for _ in range(_MAX_BACKTRACKS):
                 candidate = z + alpha * delta_z
-                loss_new = objective.loss(candidate)
-                if np.isfinite(loss_new) and loss_new <= loss_here + config.armijo_c1 * alpha * direction_slope:
+                loss_new = _trial_loss(objective, candidate)
+                if loss_new <= loss_here + config.armijo_c1 * alpha * direction_slope:
                     accepted = True
                     break
                 alpha *= config.armijo_beta
@@ -424,9 +445,9 @@ def minimize(
                 break
         else:
             candidate = z + alpha * delta_z
-            loss_new = objective.loss(candidate)
+            loss_new = _trial_loss(objective, candidate)
 
-        if not np.isfinite(loss_new) or loss_new > DIVERGENCE_LOSS:
+        if not loss_new <= loss_limit:
             record(k, z, loss_here, grad_norm, float(np.linalg.norm(alpha * delta_z)), diag)
             raise Diverged(f"loss reached {loss_new!r} at iteration {k}", trace=trace)
 
@@ -446,17 +467,36 @@ def minimize(
     )
 
 
+def _trial_loss(objective: _Objective, z: np.ndarray) -> float:
+    """Loss at a line-search trial point, inf where it is not finite.
+
+    An overshooting trial may overflow, so numpy's floating-point
+    warnings are silenced; the non-finite value they announce fails
+    every comparison the caller makes.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return objective.loss(z)
+    except NonFiniteEvaluation:
+        return float("inf")
+
+
 def check_minimum(quad: HessianQuad, tol: float = 1e-10) -> str:
     """Classify a stationary point from its curvature blocks.
 
     Returns one of ``"local_min"``, ``"saddle_or_max"``,
-    ``"indefinite"``, or ``"singular"``.  This is the one place the
-    package eigendecomposes a curvature matrix; any eigenvalue within
-    ``tol`` of zero, relative to the spectral radius, reports
-    ``"singular"``.
+    ``"indefinite"``, or ``"singular"``.  The eigenvalues are those of
+    the real-coordinate Hessian, twice those of the complex form, so
+    their signs are the same; any eigenvalue within ``tol`` of zero,
+    relative to the spectral radius, reports ``"singular"``.
+
+    Raises
+    ------
+    RelationViolation
+        If the blocks violate their invariants.
     """
-    hc = assemble(quad).hc_complex
-    eigs = np.linalg.eigvalsh(hc)
+    quad.check_invariants()
+    eigs = np.linalg.eigvalsh(real_hessian(quad.hzz, quad.hzbz))
     radius = float(np.max(np.abs(eigs), initial=0.0))
     if radius == 0.0 or float(np.min(np.abs(eigs))) <= tol * radius:
         return "singular"

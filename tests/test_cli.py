@@ -66,6 +66,7 @@ class TestConfigParsing:
             ("optimize", {"problem": {"z0": "nan"}}),
             ("optimize", {"problem": {"alpha": float("-inf")}}),
             ("lms", {"lms": {"step_size": 10**400}}),
+            ("lms", {"lms": {"r_diag": [1e300, 1.0, 1.0, 1.0], "a_ref": ["1e300", "0", "0", "0"]}}),
         ],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, command, payload):

@@ -238,6 +238,16 @@ class TestAssembledRelations:
         with pytest.raises(RelationViolation):
             assemble(quad)
 
+    def test_assemble_rejects_an_imaginary_real_form(self):
+        # Bottom blocks 1e-9 away from conj(top): inside the 1e-8
+        # invariant allowance, but the real-coordinate congruence of
+        # the full matrix keeps an imaginary part above 1e-10.
+        stray = 1e-9j * np.eye(2)
+        quad = HessianQuad(np.eye(2), np.zeros((2, 2)), stray, np.eye(2))
+        assert quad.invariant_residual() <= 1e-8
+        with pytest.raises(RelationViolation, match="imaginary residue"):
+            assemble(quad)
+
 
 class TestSecondOrderPrediction:
     REPRESENTATIONS = ("z", "c-complex", "c-real", "r")

@@ -52,6 +52,14 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             SignalModel(1, np.eye(1), np.zeros(1, dtype=complex), noise_var=-0.1)
 
+    def test_moments_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            SignalModel.from_reference(np.diag([np.inf, 1, 1, 1]), [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="finite"):
+            SignalModel(2, np.eye(2), np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            SignalModel(1, np.eye(1), np.zeros(1, dtype=complex), noise_var=np.inf)
+
 
 class TestClosedForms:
     def test_wiener_solution_recovers_reference(self):

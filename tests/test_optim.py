@@ -10,7 +10,9 @@ from crcalc import (
     JacobianPair,
     LsqProblem,
     OptimizerConfig,
+    PolynomialParams,
     QStrategy,
+    RelationViolation,
     ScalarField,
     SingularQ,
     VectorField,
@@ -18,17 +20,23 @@ from crcalc import (
     assemble,
     check_minimum,
     descent_step,
+    gauss_newton_hessian,
     hessian_quad,
     is_admissible_vector,
     lagrangian,
+    loss_pair,
     minimize,
+    newton_hessian,
     newton_update_z,
+    polynomial_field,
     stationarity_residual,
+    vector_residual,
 )
 from ._oracles import (
     quartic_norm_field,
     random_complex_matrix,
     random_complex_vector,
+    random_poly_vector_field,
     random_quadratic_loss,
 )
 
@@ -171,6 +179,91 @@ class TestDescentStep:
         np.testing.assert_allclose(delta_c, -np.concatenate([0.5 * a, 0.5 * np.conj(a)]), atol=1e-12)
 
 
+def random_polynomial(rng, n):
+    """Separable polynomial with nonzero conj_diag, and its dense curvature.
+
+    Each component's eigenvalues c - |d| and c + |d| keep |d| at least
+    30% away from c, so the draws are definite or indefinite but never
+    close to singular.
+    """
+    c = 0.5 + rng.random(n)
+    ratio = np.where(rng.random(n) < 0.5, rng.uniform(0.1, 0.7, n), rng.uniform(1.3, 2.0, n))
+    d = c * ratio * np.exp(2j * np.pi * rng.random(n))
+    params = PolynomialParams(c, d, random_complex_vector(rng, n))
+    hc = np.block([[np.diag(c), np.diag(np.conj(d))], [np.diag(d), np.diag(c)]]).astype(complex)
+    return polynomial_field(params), hc
+
+
+def gate_draws():
+    """(target, z, strategy, dense scaling M, conjugate gradient) draws."""
+    rng = RNG(110)
+    for _ in range(12):
+        n = int(rng.integers(1, 7))
+        field, hc = random_polynomial(rng, n)
+        z = random_complex_vector(rng, n)
+        pair = field.cogradient_fn(z)
+        for damping in (0.0, 0.3):
+            m = hc + damping * np.eye(2 * n)
+            yield field, z, QStrategy("newton", damping), m, np.conj(np.concatenate([pair.dz, pair.dzbar]))
+    for _ in range(6):
+        n = int(rng.integers(1, 4))
+        m_obs = int(rng.integers(2 * n, 4 * n + 3))
+        problem = LsqProblem(random_poly_vector_field(rng, n, m_obs), random_complex_vector(rng, m_obs))
+        z = random_complex_vector(rng, n, scale=0.5)
+        pair = loss_pair(problem, z)
+        grad_c = np.conj(np.concatenate([pair.dz, pair.dzbar]))
+        for kind, build in (("newton", newton_hessian), ("gauss_newton", gauss_newton_hessian)):
+            for damping in (0.0, 0.3):
+                m = build(problem, z) + damping * np.eye(2 * n)
+                yield problem, z, QStrategy(kind, damping), m, grad_c
+
+
+class TestDescentGates:
+    """The step and its diagnostics against dense complex linear algebra."""
+
+    def test_step_solves_the_complex_system(self):
+        for target, z, strategy, m, grad_c in gate_draws():
+            delta_c, _ = descent_step(target, z, strategy)
+            expected = -np.linalg.solve(m, grad_c)
+            assert np.linalg.norm(delta_c - expected) <= 1e-10 * np.linalg.norm(expected)
+            assert vector_residual(delta_c) <= 1e-12 * max(1.0, float(np.max(np.abs(delta_c))))
+
+    def test_condition_is_the_two_norm_condition(self):
+        for target, z, strategy, m, _ in gate_draws():
+            _, diag = descent_step(target, z, strategy)
+            expected = np.linalg.cond(m)
+            assert abs(diag.condition - expected) <= 1e-8 * expected
+
+    def test_definiteness_agrees_with_cholesky(self):
+        checked = 0
+        for target, z, strategy, m, _ in gate_draws():
+            eigs = np.abs(np.linalg.eigvalsh(m))
+            if eigs.min() <= 1e-6 * eigs.max():
+                continue
+            try:
+                np.linalg.cholesky(m)
+                expected = True
+            except np.linalg.LinAlgError:
+                expected = False
+            _, diag = descent_step(target, z, strategy)
+            assert diag.positive_definite == expected
+            checked += 1
+        assert checked >= 40
+
+    def test_singular_limit_sits_at_inverse_eps(self):
+        # Eigenvalues c_k of the scaling: a ratio of 1e17 is past
+        # 1 / eps (about 4.5e15), a ratio of 1e13 is not.
+        z = np.array([1.0 + 1.0j, -0.5 + 0.2j])
+        b = np.array([1.0 + 0j, 1.0j])
+        zero = np.zeros(2, dtype=complex)
+        singular = polynomial_field(PolynomialParams(np.array([1.0, 1e-17]), zero, b))
+        with pytest.raises(SingularQ):
+            descent_step(singular, z, QStrategy("newton"))
+        solvable = polynomial_field(PolynomialParams(np.array([1.0, 1e-13]), zero, b))
+        _, diag = descent_step(solvable, z, QStrategy("newton"))
+        assert diag.condition == pytest.approx(1e13, rel=1e-12)
+
+
 class TestNewtonUpdate:
     def test_matches_full_block_solve(self):
         rng = RNG(103)
@@ -256,6 +349,63 @@ class TestMinimize:
             minimize(field, np.array([2.0 + 0j]), QStrategy(kind="identity"), config)
         assert len(info.value.trace) >= 1
 
+    def test_derivative_row_is_evaluated_once_per_iterate(self):
+        calls = []
+        inner = modulus_squared_field()
+
+        def cograd(z):
+            calls.append(1)
+            return inner.cogradient_fn(z)
+
+        field = ScalarField(inner.fn, cogradient_fn=cograd, name="counted |z|^2")
+        result = minimize(
+            field,
+            np.array([1.0 + 1.0j, -0.5j]),
+            QStrategy(kind="identity"),
+            OptimizerConfig(step_size=0.4),
+        )
+        assert result.converged
+        assert result.iterations > 10
+        assert len(calls) == result.iterations + 1
+
+    def test_armijo_backs_off_from_a_non_finite_trial(self):
+        # The first trial lands near z = -3.6e12, where exp(|z|^2)
+        # overflows; the line search must shrink the step, not raise.
+        def fn(z):
+            return float(np.exp(np.real(np.conj(z) @ z)))
+
+        def cograd(z):
+            dz = np.conj(z) * np.exp(np.real(np.conj(z) @ z))
+            return WirtingerPair(dz, np.conj(dz))
+
+        field = ScalarField(fn, cogradient_fn=cograd, name="exp |z|^2")
+        z0 = np.array([5.0 + 0j])
+        result = minimize(field, z0, QStrategy(kind="identity"), OptimizerConfig(step_size=10.0))
+        assert result.converged
+        assert abs(result.z[0]) <= 1e-8
+        with pytest.raises(Diverged):
+            minimize(
+                field,
+                z0,
+                QStrategy(kind="identity"),
+                OptimizerConfig(step_size=10.0, backtracking="off"),
+            )
+
+    def test_outcome_does_not_depend_on_a_constant_offset(self):
+        rng = RNG(107)
+        n = 4
+        c = 1.0 + rng.random(n)
+        d = 0.5 * c * np.exp(2j * np.pi * rng.random(n))
+        b = random_complex_vector(rng, n)
+        z0 = random_complex_vector(rng, n, scale=3.0)
+        results = [
+            minimize(polynomial_field(PolynomialParams(c, d, b, constant)), z0, QStrategy("newton"))
+            for constant in (0.0, 1e13)
+        ]
+        assert all(result.converged for result in results)
+        assert results[0].iterations == results[1].iterations
+        np.testing.assert_allclose(results[1].z, results[0].z, rtol=0.0, atol=1e-9)
+
     def test_cusp_minimum_fails_the_line_search(self):
         # |z - 1| is already minimal at 1, but the claimed derivative row
         # insists on moving; no step length can then satisfy Armijo.
@@ -286,6 +436,26 @@ class TestStationaryClassification:
         flat = HessianQuad(np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]),
                            np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]))
         assert check_minimum(flat) == "singular"
+
+    def test_matches_the_complex_eigenvalues(self):
+        rng = RNG(108)
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            _, quad = random_quadratic_loss(rng, n, scale=1.0)
+            eigs = np.linalg.eigvalsh(assemble(quad).hc_complex)
+            if np.all(eigs > 0.0):
+                expected = "local_min"
+            elif np.all(eigs < 0.0):
+                expected = "saddle_or_max"
+            else:
+                expected = "indefinite"
+            assert check_minimum(quad) == expected
+
+    def test_rejects_blocks_that_break_their_invariants(self):
+        one = np.array([[1.0 + 0j]])
+        zero = np.zeros((1, 1), dtype=complex)
+        with pytest.raises(RelationViolation):
+            check_minimum(HessianQuad(one, zero, zero, 2.0 * one))
 
 
 class TestLagrangian:
