@@ -419,6 +419,10 @@ def _final_quad(target, z):
 
 def cmd_optimize(cfg: RunConfig) -> int:
     target, z0, _ = _build_target(cfg)
+    if cfg.strategy.kind.endswith("gauss_newton") and not isinstance(target, LsqProblem):
+        raise ConfigError(
+            f"algorithm.kind: {cfg.strategy.kind} needs a least-squares problem (example2)"
+        )
     result = minimize(target, z0, cfg.strategy, cfg.optimizer)
     if cfg.out_path:
         _write_optimize_trace(cfg.out_path, result.trace, z0.shape[0])

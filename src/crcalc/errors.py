@@ -16,7 +16,7 @@ class InadmissibleVector(CrcalcError, ValueError):
 
 
 class InadmissibleQ(CrcalcError, ValueError):
-    """A descent scaling matrix fails the block pairing constraint."""
+    """A descent scaling's top blocks (A, B) are not A Hermitian, B symmetric."""
 
 
 class SingularMatrix(CrcalcError):

@@ -12,15 +12,21 @@ the top and bottom halves of delta_c conjugates of each other, so the
 iteration never leaves the set of valid conjugate-coordinate vectors,
 and positive definiteness of M is what makes the predicted first-order
 change nonpositive for every gradient.
+
+Every admissible M has the form [[A, B], [conj(B), conj(A)]], so a
+scaling travels from its builder to the solver as the top-block pair
+(A, B) alone; the bottom pair is conjugate by construction and M is
+never assembled.  What is checked is what the real-coordinate solve
+relies on: A Hermitian and B symmetric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import as_complex_vector, matrix_residual
+from .coords import as_complex_vector
 from .errors import (
     DimensionError,
     Diverged,
@@ -33,11 +39,9 @@ from .hessian import HessianQuad, hessian_quad, real_hessian
 from .lsq import (
     LsqProblem,
     gauss_newton_blocks,
-    gauss_newton_hessian,
     loss as lsq_loss,
     loss_pair,
     newton_hessian,
-    newton_quad,
 )
 from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients
 
@@ -206,54 +210,36 @@ class _Objective:
             return loss_pair(self.problem, z)
         return cogradients(self.field, z)
 
-    def quad(self, z) -> HessianQuad:
-        if self.problem is not None:
-            return newton_quad(self.problem, z)
-        return hessian_quad(self.field, z)
-
-    def newton_matrix(self, z) -> np.ndarray:
-        if self.problem is not None:
-            return newton_hessian(self.problem, z)
-        quad = hessian_quad(self.field, z)
-        return np.block([[quad.hzz, quad.hzbz], [quad.hzzb, quad.hzbzb]])
-
-    def gauss_matrix(self, z) -> np.ndarray:
+    def newton_blocks(self, z) -> tuple[np.ndarray, np.ndarray]:
         if self.problem is None:
-            raise ValueError("Gauss-Newton scalings need a least-squares problem")
-        return gauss_newton_hessian(self.problem, z)
+            quad = hessian_quad(self.field, z)
+            return quad.hzz, quad.hzbz
+        hc, n = newton_hessian(self.problem, z), z.shape[0]
+        return hc[:n, :n], hc[:n, n:]
 
-    def gauss_blocks(self, z):
+    def gauss_blocks(self, z) -> tuple[np.ndarray, np.ndarray]:
         if self.problem is None:
             raise ValueError("Gauss-Newton scalings need a least-squares problem")
         return gauss_newton_blocks(self.problem, z)
 
 
-def _block_diag(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    n = top.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = top
-    out[n:, n:] = bottom
-    return out
-
-
-def _scaling_matrix(objective: _Objective, z: np.ndarray, strategy: QStrategy) -> np.ndarray:
+def _scaling_blocks(
+    objective: _Objective, z: np.ndarray, strategy: QStrategy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top blocks (A, B) of the scaling M = [[A, B], [conj(B), conj(A)]]."""
     n = z.shape[0]
     kind = strategy.kind
     if kind == "identity":
-        m = np.eye(2 * n, dtype=complex)
-    elif kind == "newton":
-        m = objective.newton_matrix(z)
-    elif kind == "quasi_newton":
-        quad = objective.quad(z)
-        m = _block_diag(quad.hzz, quad.hzbzb)
-    elif kind == "gauss_newton":
-        m = objective.gauss_matrix(z)
+        a, b = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+    elif kind.endswith("gauss_newton"):
+        a, b = objective.gauss_blocks(z)
     else:
-        uzz, _ = objective.gauss_blocks(z)
-        m = _block_diag(uzz, np.conj(uzz))
+        a, b = objective.newton_blocks(z)
+    if kind.startswith("quasi_"):
+        b = np.zeros((n, n), dtype=complex)
     if strategy.damping > 0.0:
-        m = m + strategy.damping * np.eye(2 * n)
-    return m
+        a = a + strategy.damping * np.eye(n)
+    return a, b
 
 
 def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarray, StepDiagnostics]:
@@ -270,12 +256,14 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     Raises
     ------
     InadmissibleQ
-        If the scaling violates the block pairing constraint.
+        If the top blocks (A, B) of the scaling are not A Hermitian and
+        B symmetric to 1e-9 relative; the bottom pair is their
+        conjugate by construction.
     SingularQ
         If the scaling cannot be solved against; damping in the
         strategy is the usual fix.
     """
-    objective = target if isinstance(target, _Objective) else _Objective(target)
+    objective = _Objective(target)
     z = as_complex_vector(p)
     return _descent_step(objective, z, objective.pair(z), strategy)
 
@@ -284,15 +272,16 @@ def _descent_step(
     objective: _Objective, z: np.ndarray, pair: WirtingerPair, strategy: QStrategy
 ) -> tuple[np.ndarray, StepDiagnostics]:
     """:func:`descent_step` from a derivative row already evaluated at z."""
-    m = _scaling_matrix(objective, z, strategy)
-    scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
-    resid = matrix_residual(m)
+    a, b = _scaling_blocks(objective, z, strategy)
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    resid = max(float(np.max(np.abs(a - a.conj().T))), float(np.max(np.abs(b - b.T))))
     if resid > _Q_ADMISSIBLE_TOL * scale:
         raise InadmissibleQ(
-            f"{strategy.kind} scaling violates the pairing constraint, residual {resid:.3e}"
+            f"{strategy.kind} scaling is not Hermitian admissible "
+            f"(A Hermitian, B symmetric), residual {resid:.3e}"
         )
     n = z.shape[0]
-    hrr = real_hessian(m[:n, :n], m[:n, n:])
+    hrr = real_hessian(a, b)
     try:
         eigs = np.linalg.eigvalsh(hrr)
     except np.linalg.LinAlgError as exc:

@@ -180,6 +180,31 @@ class TestOptimizeCommand:
         assert code == 0
         assert "status: converged" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["gauss_newton", "quasi_gauss_newton"])
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"name": "example1"},
+            {
+                "name": "custom-polynomial",
+                "quad_diag": [2.0, 3.0, 1.0, 4.0],
+                "conj_diag": ["0.5+0.5j", "0.25-0.1j", "0.1j", "-1"],
+                "linear": ["1-1j", "-0.5+0.3j", "2", "0.5j"],
+                "z0": ["2+2j", "-1+1j", "0", "1"],
+            },
+        ],
+    )
+    def test_gauss_newton_on_a_field_is_a_config_error(self, tmp_path, problem, kind):
+        cfg = write_config(tmp_path, {"problem": problem, "algorithm": {"kind": kind}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "crcalc.cli", "optimize", "--config", cfg],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: algorithm.kind")
+
 
 class TestCheckCommand:
     def test_example_checks_pass(self, tmp_path, capsys):

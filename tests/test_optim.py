@@ -7,6 +7,7 @@ from crcalc import (
     DimensionError,
     Diverged,
     HessianQuad,
+    InadmissibleQ,
     JacobianPair,
     LsqProblem,
     OptimizerConfig,
@@ -32,6 +33,7 @@ from crcalc import (
     stationarity_residual,
     vector_residual,
 )
+from crcalc import optim
 from ._oracles import (
     quartic_norm_field,
     random_complex_matrix,
@@ -194,28 +196,53 @@ def random_polynomial(rng, n):
     return polynomial_field(params), hc
 
 
+def block_diagonal_part(m):
+    """The quasi scaling diag(A, conj(A)) of a dense admissible M."""
+    n = m.shape[0] // 2
+    out = np.zeros_like(m, dtype=complex)
+    out[:n, :n] = m[:n, :n]
+    out[n:, n:] = np.conj(m[:n, :n])
+    return out
+
+
 def gate_draws():
-    """(target, z, strategy, dense scaling M, conjugate gradient) draws."""
+    """(target, z, strategy, dense scaling M, conjugate gradient) draws.
+
+    Every strategy kind the target admits, with and without damping.
+    """
     rng = RNG(110)
+    draws = []
     for _ in range(12):
         n = int(rng.integers(1, 7))
         field, hc = random_polynomial(rng, n)
         z = random_complex_vector(rng, n)
         pair = field.cogradient_fn(z)
-        for damping in (0.0, 0.3):
-            m = hc + damping * np.eye(2 * n)
-            yield field, z, QStrategy("newton", damping), m, np.conj(np.concatenate([pair.dz, pair.dzbar]))
+        dense = {
+            "identity": np.eye(2 * n, dtype=complex),
+            "newton": hc,
+            "quasi_newton": block_diagonal_part(hc),
+        }
+        draws.append((field, z, dense, np.conj(np.concatenate([pair.dz, pair.dzbar]))))
     for _ in range(6):
         n = int(rng.integers(1, 4))
         m_obs = int(rng.integers(2 * n, 4 * n + 3))
         problem = LsqProblem(random_poly_vector_field(rng, n, m_obs), random_complex_vector(rng, m_obs))
         z = random_complex_vector(rng, n, scale=0.5)
         pair = loss_pair(problem, z)
-        grad_c = np.conj(np.concatenate([pair.dz, pair.dzbar]))
-        for kind, build in (("newton", newton_hessian), ("gauss_newton", gauss_newton_hessian)):
+        newton, gauss = newton_hessian(problem, z), gauss_newton_hessian(problem, z)
+        dense = {
+            "identity": np.eye(2 * n, dtype=complex),
+            "newton": newton,
+            "quasi_newton": block_diagonal_part(newton),
+            "gauss_newton": gauss,
+            "quasi_gauss_newton": block_diagonal_part(gauss),
+        }
+        draws.append((problem, z, dense, np.conj(np.concatenate([pair.dz, pair.dzbar]))))
+    for target, z, dense, grad_c in draws:
+        n = z.shape[0]
+        for kind, m in dense.items():
             for damping in (0.0, 0.3):
-                m = build(problem, z) + damping * np.eye(2 * n)
-                yield problem, z, QStrategy(kind, damping), m, grad_c
+                yield target, z, QStrategy(kind, damping), m + damping * np.eye(2 * n), grad_c
 
 
 class TestDescentGates:
@@ -262,6 +289,43 @@ class TestDescentGates:
         solvable = polynomial_field(PolynomialParams(np.array([1.0, 1e-13]), zero, b))
         _, diag = descent_step(solvable, z, QStrategy("newton"))
         assert diag.condition == pytest.approx(1e13, rel=1e-12)
+
+
+class _FixedNewtonBlocks(optim._Objective):
+    """A target whose Newton scaling is the given top-block pair."""
+
+    def __init__(self, field, a, b):
+        super().__init__(field)
+        self.blocks = (a, b)
+
+    def newton_blocks(self, z):
+        return self.blocks
+
+
+class TestScalingGate:
+    """InadmissibleQ fires on the top blocks: A Hermitian, B symmetric."""
+
+    A = np.array([[3.0, 1.0 + 1.0j], [1.0 - 1.0j, 2.0]])
+    B = np.array([[0.5, 0.2j], [0.2j, 0.1 - 0.3j]])
+
+    def step(self, a, b):
+        objective = _FixedNewtonBlocks(modulus_squared_field(), a, b)
+        z = np.array([1.0 + 2.0j, -0.5 + 0j])
+        return optim._descent_step(objective, z, objective.pair(z), QStrategy("newton"))
+
+    def perturbed(self, rel):
+        # The gate's scale is the largest entry, 3.
+        kick = np.array([[0.0, rel * 3.0], [0.0, 0.0]])
+        return [(self.A + kick, self.B), (self.A, self.B + kick)]
+
+    def test_asymmetry_past_the_tolerance_is_rejected(self):
+        for a, b in self.perturbed(1e-6):
+            with pytest.raises(InadmissibleQ):
+                self.step(a, b)
+
+    def test_rounding_level_asymmetry_is_accepted(self):
+        for a, b in self.perturbed(1e-13):
+            self.step(a, b)
 
 
 class TestNewtonUpdate:
