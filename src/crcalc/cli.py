@@ -349,15 +349,21 @@ def _build_example(cfg: RunConfig) -> Example1Problem:
 
 
 def _build_target(cfg: RunConfig):
-    """Target object, start point, and an optional closed-form solver."""
+    """Target object, its loss as a field, start point, and a closed-form solver.
+
+    The field is the target itself unless the target is a least-squares
+    problem, which is read through its loss field.
+    """
     if cfg.problem_name == "example1":
         prob = _build_example(cfg)
-        return example1_loss_field(prob), np.array([cfg.example.z0]), lambda: np.array(
+        field = example1_loss_field(prob)
+        return field, field, np.array([cfg.example.z0]), lambda: np.array(
             [example1_closed_form(prob)]
         )
     if cfg.problem_name == "example2":
         prob = _build_example(cfg)
-        return example2_as_lsq(prob), np.array([cfg.example.z0]), lambda: np.array(
+        lsq = example2_as_lsq(prob)
+        return lsq, loss_field(lsq), np.array([cfg.example.z0]), lambda: np.array(
             [example1_closed_form(prob)]
         )
     if cfg.problem_name == "custom-polynomial":
@@ -367,7 +373,8 @@ def _build_target(cfg: RunConfig):
             linear=cfg.poly.linear,
             constant=cfg.poly.constant,
         )
-        return polynomial_field(params), cfg.poly.z0.copy(), lambda: polynomial_stationary_point(params)
+        field = polynomial_field(params)
+        return field, field, cfg.poly.z0.copy(), lambda: polynomial_stationary_point(params)
     raise ConfigError(f"problem {cfg.problem_name!r} is not an optimization target; use the lms subcommand")
 
 
@@ -411,14 +418,8 @@ def _write_lms_trace(path: str, sim) -> None:
         fh.writelines(f"{k},{p:.17g},{m:.17g}\r\n" for k, p, m in rows)
 
 
-def _final_quad(target, z):
-    if isinstance(target, LsqProblem):
-        return hessian_quad(loss_field(target), z)
-    return hessian_quad(target, z)
-
-
 def cmd_optimize(cfg: RunConfig) -> int:
-    target, z0, _ = _build_target(cfg)
+    target, field, z0, _ = _build_target(cfg)
     if cfg.strategy.kind.endswith("gauss_newton") and not isinstance(target, LsqProblem):
         raise ConfigError(
             f"algorithm.kind: {cfg.strategy.kind} needs a least-squares problem (example2)"
@@ -426,7 +427,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     result = minimize(target, z0, cfg.strategy, cfg.optimizer)
     if cfg.out_path:
         _write_optimize_trace(cfg.out_path, result.trace, z0.shape[0])
-    classification = check_minimum(_final_quad(target, result.z))
+    classification = check_minimum(hessian_quad(field, result.z))
     if not cfg.quiet:
         coords = ", ".join(_fmt_complex(v) for v in result.z)
         print(f"problem: {cfg.problem_name}")
@@ -453,8 +454,7 @@ class _Check:
 
 
 def _optimization_checks(cfg: RunConfig) -> list[_Check]:
-    target, z0, closed_form = _build_target(cfg)
-    field = loss_field(target) if isinstance(target, LsqProblem) else target
+    target, field, z0, closed_form = _build_target(cfg)
     n = z0.shape[0]
     rng = np.random.default_rng(cfg.check_seed)
     points = [z0] + [

@@ -23,6 +23,8 @@ ADMISSIBLE_TOL = 1e-9
 
 _COND_LIMIT = 1.0 / np.finfo(float).eps
 
+_HERMITIAN_TOL = 1e-10
+
 
 def as_complex_vector(value) -> np.ndarray:
     """Coerce a point-like value to a 1-D complex128 array.
@@ -42,6 +44,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.setflags(write=False)
     return out
+
+
+def _hpd_cholesky(m: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of a Hermitian positive definite matrix.
+
+    The Hermitian residual must not exceed 1e-10 relative to the
+    largest entry (at least 1); ``what`` names the matrix in the
+    ValueError raised otherwise, or when the factorization fails.
+    """
+    scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
+    if float(np.max(np.abs(m - m.conj().T))) > _HERMITIAN_TOL * scale:
+        raise ValueError(f"{what} must be Hermitian")
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{what} must be positive definite") from exc
 
 
 def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,13 +296,7 @@ class MetricTensor:
         om = np.asarray(self.omega, dtype=complex)
         if om.ndim != 2 or om.shape[0] != om.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {om.shape}")
-        scale = max(1.0, float(np.max(np.abs(om), initial=0.0)))
-        if float(np.max(np.abs(om - om.conj().T))) > 1e-10 * scale:
-            raise ValueError("metric must be Hermitian")
-        try:
-            np.linalg.cholesky(om)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("metric must be positive definite") from exc
+        _hpd_cholesky(om, "metric")
         object.__setattr__(self, "omega", _frozen(om))
 
     @classmethod

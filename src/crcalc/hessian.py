@@ -146,7 +146,7 @@ def _finish_quad(a, b, c, d, tol: float, context: str) -> HessianQuad:
     return HessianQuad(hzz, hzbz, hzzb, hzbzb, presym_residual=resid)
 
 
-def hessian_quad(field: ScalarField, p, step: float | None = None) -> HessianQuad:
+def hessian_quad(field: ScalarField, p) -> HessianQuad:
     """Curvature blocks of a real field at a point.
 
     Uses the field's analytic second derivatives when present
@@ -173,24 +173,24 @@ def hessian_quad(field: ScalarField, p, step: float | None = None) -> HessianQua
         return _finish_quad(
             quad.hzz, quad.hzbz, quad.hzzb, quad.hzbzb, SYM_TOL_ANALYTIC, field.name
         )
-    base = FD_SECOND_STEP if step is None else float(step)
-    if base <= 0.0:
-        raise ValueError("step must be positive")
 
     dz_conj = VectorField(n, lambda w: np.conj(cogradients(field, w).dz), name=f"d({field.name})/dz^H")
-    ju = cogradients_fd(dz_conj, z, step=base)
+    ju = cogradients_fd(dz_conj, z, step=FD_SECOND_STEP)
     return _finish_quad(ju.jz, ju.jzbar, np.conj(ju.jzbar), np.conj(ju.jz), SYM_TOL_FD, field.name)
 
 
-def quad_from_matrix(hc: np.ndarray, tol: float = _INVARIANT_TOL) -> HessianQuad:
-    """Slice a Hermitian admissible 2n x 2n matrix into curvature blocks."""
+def quad_from_matrix(hc: np.ndarray) -> HessianQuad:
+    """Slice a Hermitian admissible 2n x 2n matrix into curvature blocks.
+
+    The Hermitian and pairing residuals must not exceed 1e-8 relative.
+    """
     hc = np.asarray(hc, dtype=complex)
     if hc.ndim != 2 or hc.shape[0] != hc.shape[1] or hc.shape[0] % 2:
         raise DimensionError(f"expected an even square matrix, got shape {hc.shape}")
     scale = max(1.0, float(np.max(np.abs(hc), initial=0.0)))
     herm = float(np.max(np.abs(hc - hc.conj().T)))
     adm = matrix_residual(hc)
-    if herm > tol * scale or adm > tol * scale:
+    if herm > _INVARIANT_TOL * scale or adm > _INVARIANT_TOL * scale:
         raise RelationViolation(
             f"matrix is not a curvature assembly: hermitian residual {herm:.3e}, "
             f"pairing residual {adm:.3e}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import DimensionError, as_complex_vector
+from .coords import DimensionError, _hpd_cholesky, as_complex_vector
 from .errors import Diverged, SingularMatrix
 
 #: Estimate norm beyond which a run is declared divergent.
@@ -27,8 +27,6 @@ DIVERGENCE_NORM = 1e9
 
 #: Smoothing weight for the reported error-power average.
 ERROR_SMOOTHING = 0.05
-
-_MOMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +62,7 @@ class SignalModel:
             raise DimensionError(f"cross moment has shape {p.shape}, expected ({self.n},)")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p)) and np.isfinite(self.noise_var)):
             raise ValueError("covariance, cross moment and noise_var must be finite")
-        scale = max(1.0, float(np.max(np.abs(r), initial=0.0)))
-        if float(np.max(np.abs(r - r.conj().T))) > _MOMENT_TOL * scale:
-            raise ValueError("covariance must be Hermitian")
-        try:
-            chol = np.linalg.cholesky(r)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance must be positive definite") from exc
+        chol = _hpd_cholesky(r, "covariance")
         if not self.noise_var >= 0.0:
             raise ValueError("noise_var must be nonnegative")
         object.__setattr__(self, "r_matrix", r)

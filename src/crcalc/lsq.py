@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import DimensionError, as_complex_vector, project_admissible, swap
+from .coords import DimensionError, _hpd_cholesky, as_complex_vector, project_admissible, swap
 from .hessian import FD_SECOND_STEP, HessianQuad, quad_from_matrix
 from .wirtinger import ScalarField, VectorField, WirtingerPair, cogradients, cogradients_fd
-
-_WEIGHT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +84,7 @@ class LsqProblem:
         w = np.eye(self.g.m) if self.w is None else np.asarray(self.w, dtype=complex)
         if w.shape != (self.g.m, self.g.m):
             raise DimensionError(f"weight has shape {w.shape}, expected square of size {self.g.m}")
-        scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
-        if float(np.max(np.abs(w - w.conj().T))) > _WEIGHT_TOL * scale:
-            raise ValueError("weight must be Hermitian")
-        try:
-            np.linalg.cholesky(w)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("weight must be positive definite") from exc
+        _hpd_cholesky(w, "weight")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "w", w)
 
@@ -167,7 +159,7 @@ def gauss_newton_blocks(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]
     return gn[:n, :n], gn[:n, n:]
 
 
-def newton_hessian(problem: LsqProblem, p, step: float | None = None) -> np.ndarray:
+def newton_hessian(problem: LsqProblem, p) -> np.ndarray:
     """Full 2n x 2n curvature of the loss in conjugate coordinates.
 
     The second-order term sum_i (W e)_i d conj(G_i) is linear in the
@@ -180,22 +172,21 @@ def newton_hessian(problem: LsqProblem, p, step: float | None = None) -> np.ndar
     returning, so its block invariants hold exactly.
     """
     z = as_complex_vector(p)
-    h = FD_SECOND_STEP if step is None else float(step)
     we = problem.w @ residual(problem, z)
     weighted_row = VectorField(
         2 * z.shape[0],
         lambda w: we @ np.conj(compound_jacobian(problem, w).matrix),
         name="weighted conjugate jacobian row",
     )
-    jac = cogradients_fd(weighted_row, z, step=h)
+    jac = cogradients_fd(weighted_row, z, step=FD_SECOND_STEP)
     total = gauss_newton_hessian(problem, z) - project_admissible(np.hstack([jac.jz, jac.jzbar]))
     total = 0.5 * (total + total.conj().T)
     return project_admissible(total)
 
 
-def newton_quad(problem: LsqProblem, p, step: float | None = None) -> HessianQuad:
+def newton_quad(problem: LsqProblem, p) -> HessianQuad:
     """The Newton Hessian sliced into curvature blocks."""
-    return quad_from_matrix(newton_hessian(problem, p, step=step))
+    return quad_from_matrix(newton_hessian(problem, p))
 
 
 def loss_field(problem: LsqProblem, name: str | None = None) -> ScalarField:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .coords import as_complex_vector
 from .errors import (
+    ConfigError,
     DimensionError,
     Diverged,
     InadmissibleQ,
@@ -36,13 +37,7 @@ from .errors import (
     SingularQ,
 )
 from .hessian import HessianQuad, hessian_quad, real_hessian
-from .lsq import (
-    LsqProblem,
-    gauss_newton_blocks,
-    loss as lsq_loss,
-    loss_pair,
-    newton_hessian,
-)
+from .lsq import LsqProblem, gauss_newton_blocks, loss_field
 from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients
 
 STRATEGY_KINDS = (
@@ -68,6 +63,7 @@ DIVERGENCE_LOSS = 1e12
 _COND_LIMIT = 1.0 / np.finfo(float).eps
 _Q_ADMISSIBLE_TOL = 1e-9
 _MAX_BACKTRACKS = 60
+_SINGULAR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -185,46 +181,24 @@ class MinimizeResult:
     trace: IterationTrace
 
 
-class _Objective:
-    """Uniform view of a ScalarField or LsqProblem target."""
+def _as_field(target, strategy: QStrategy) -> ScalarField:
+    """The loss of ``target`` as a scalar field, checked against ``strategy``.
 
-    def __init__(self, target):
-        if isinstance(target, LsqProblem):
-            self.problem = target
-            self.field = None
-            self.name = "least-squares loss"
-        elif isinstance(target, ScalarField):
-            self.problem = None
-            self.field = target
-            self.name = target.name
-        else:
-            raise TypeError(f"expected a ScalarField or LsqProblem, got {type(target).__name__}")
-
-    def loss(self, z) -> float:
-        if self.problem is not None:
-            return lsq_loss(self.problem, z)
-        return self.field(z)
-
-    def pair(self, z) -> WirtingerPair:
-        if self.problem is not None:
-            return loss_pair(self.problem, z)
-        return cogradients(self.field, z)
-
-    def newton_blocks(self, z) -> tuple[np.ndarray, np.ndarray]:
-        if self.problem is None:
-            quad = hessian_quad(self.field, z)
-            return quad.hzz, quad.hzbz
-        hc, n = newton_hessian(self.problem, z), z.shape[0]
-        return hc[:n, :n], hc[:n, n:]
-
-    def gauss_blocks(self, z) -> tuple[np.ndarray, np.ndarray]:
-        if self.problem is None:
-            raise ValueError("Gauss-Newton scalings need a least-squares problem")
-        return gauss_newton_blocks(self.problem, z)
+    A least-squares problem is read through :func:`~crcalc.lsq.loss_field`;
+    a Gauss-Newton scaling needs one, so asking for it on a plain field
+    is a configuration error.
+    """
+    if isinstance(target, LsqProblem):
+        return loss_field(target)
+    if not isinstance(target, ScalarField):
+        raise TypeError(f"expected a ScalarField or LsqProblem, got {type(target).__name__}")
+    if strategy.kind.endswith("gauss_newton"):
+        raise ConfigError(f"{strategy.kind} scalings need a least-squares problem")
+    return target
 
 
 def _scaling_blocks(
-    objective: _Objective, z: np.ndarray, strategy: QStrategy
+    target, field: ScalarField, z: np.ndarray, strategy: QStrategy
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top blocks (A, B) of the scaling M = [[A, B], [conj(B), conj(A)]]."""
     n = z.shape[0]
@@ -232,9 +206,10 @@ def _scaling_blocks(
     if kind == "identity":
         a, b = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
     elif kind.endswith("gauss_newton"):
-        a, b = objective.gauss_blocks(z)
+        a, b = gauss_newton_blocks(target, z)
     else:
-        a, b = objective.newton_blocks(z)
+        quad = hessian_quad(field, z)
+        a, b = quad.hzz, quad.hzbz
     if kind.startswith("quasi_"):
         b = np.zeros((n, n), dtype=complex)
     if strategy.damping > 0.0:
@@ -262,22 +237,26 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     SingularQ
         If the scaling cannot be solved against; damping in the
         strategy is the usual fix.
+    ConfigError
+        If a Gauss-Newton kind is asked of a target that is not a
+        least-squares problem; raised before anything is evaluated.
     """
-    objective = _Objective(target)
+    field = _as_field(target, strategy)
     z = as_complex_vector(p)
-    return _descent_step(objective, z, objective.pair(z), strategy)
+    pair = cogradients(field, z)
+    a, b = _scaling_blocks(target, field, z, strategy)
+    return _descent_step(z, pair, a, b, strategy.kind)
 
 
 def _descent_step(
-    objective: _Objective, z: np.ndarray, pair: WirtingerPair, strategy: QStrategy
+    z: np.ndarray, pair: WirtingerPair, a: np.ndarray, b: np.ndarray, kind: str
 ) -> tuple[np.ndarray, StepDiagnostics]:
-    """:func:`descent_step` from a derivative row already evaluated at z."""
-    a, b = _scaling_blocks(objective, z, strategy)
+    """:func:`descent_step` from the derivative row and scaling blocks at z."""
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     resid = max(float(np.max(np.abs(a - a.conj().T))), float(np.max(np.abs(b - b.T))))
     if resid > _Q_ADMISSIBLE_TOL * scale:
         raise InadmissibleQ(
-            f"{strategy.kind} scaling is not Hermitian admissible "
+            f"{kind} scaling is not Hermitian admissible "
             f"(A Hermitian, B symmetric), residual {resid:.3e}"
         )
     n = z.shape[0]
@@ -285,13 +264,13 @@ def _descent_step(
     try:
         eigs = np.linalg.eigvalsh(hrr)
     except np.linalg.LinAlgError as exc:
-        raise SingularQ(f"{strategy.kind} scaling is singular; add damping") from exc
+        raise SingularQ(f"{kind} scaling is singular; add damping") from exc
     magnitudes = np.abs(eigs)
     smallest = float(magnitudes.min())
     condition = float(magnitudes.max()) / smallest if smallest > 0.0 else float("inf")
     if not np.isfinite(condition) or condition > _COND_LIMIT:
         raise SingularQ(
-            f"{strategy.kind} scaling is numerically singular "
+            f"{kind} scaling is numerically singular "
             f"(condition {condition:.3e}); add damping"
         )
     # The derivative row in real coordinates, (d loss / d c) J.
@@ -299,10 +278,10 @@ def _descent_step(
     try:
         delta_r = np.linalg.solve(hrr, -row_r)
     except np.linalg.LinAlgError as exc:
-        raise SingularQ(f"{strategy.kind} scaling is singular; add damping") from exc
+        raise SingularQ(f"{kind} scaling is singular; add damping") from exc
     delta_z = delta_r[:n] + 1j * delta_r[n:]
     diag = StepDiagnostics(
-        kind=strategy.kind,
+        kind=kind,
         positive_definite=bool(eigs[0] > 0.0),
         condition=condition,
         predicted_decrease=float(row_r @ delta_r),
@@ -373,8 +352,11 @@ def minimize(
         step's loss is not finite or exceeds the starting loss by more
         than 1e12, so adding a constant to the loss changes nothing;
         the partial trace rides on the exception.
+    ConfigError
+        If a Gauss-Newton kind is asked of a target that is not a
+        least-squares problem; raised before anything is evaluated.
     """
-    objective = _Objective(target)
+    field = _as_field(target, strategy)
     z = as_complex_vector(z0)
     trace = IterationTrace()
     alpha0 = config.step_size if config.step_size is not None else DEFAULT_STEP_SIZE[strategy.kind]
@@ -394,7 +376,7 @@ def minimize(
             )
         )
 
-    loss_here = objective.loss(z)
+    loss_here = _trial_loss(field, z)
     if not np.isfinite(loss_here):
         raise Diverged(f"loss {loss_here!r} at the starting point", trace=trace)
     loss_limit = loss_here + DIVERGENCE_LOSS
@@ -404,7 +386,7 @@ def minimize(
     iterations = 0
     grad_norm = float("nan")
     for k in range(config.max_iters + 1):
-        pair = objective.pair(z)
+        pair = cogradients(field, z)
         grad_norm = float(np.max(np.abs(pair.dz), initial=0.0))
         if grad_norm <= config.grad_tol:
             record(k, z, loss_here, grad_norm, 0.0, None)
@@ -414,7 +396,8 @@ def minimize(
         if k == config.max_iters:
             record(k, z, loss_here, grad_norm, 0.0, None)
             break
-        delta_c, diag = _descent_step(objective, z, pair, strategy)
+        a, b = _scaling_blocks(target, field, z, strategy)
+        delta_c, diag = _descent_step(z, pair, a, b, strategy.kind)
         delta_z = delta_c[: z.shape[0]]
         direction_slope = 2.0 * float(np.real(pair.dz @ delta_z))
 
@@ -423,7 +406,7 @@ def minimize(
             accepted = False
             for _ in range(_MAX_BACKTRACKS):
                 candidate = z + alpha * delta_z
-                loss_new = _trial_loss(objective, candidate)
+                loss_new = _trial_loss(field, candidate)
                 if loss_new <= loss_here + config.armijo_c1 * alpha * direction_slope:
                     accepted = True
                     break
@@ -434,7 +417,7 @@ def minimize(
                 break
         else:
             candidate = z + alpha * delta_z
-            loss_new = _trial_loss(objective, candidate)
+            loss_new = _trial_loss(field, candidate)
 
         if not loss_new <= loss_limit:
             record(k, z, loss_here, grad_norm, float(np.linalg.norm(alpha * delta_z)), diag)
@@ -456,27 +439,27 @@ def minimize(
     )
 
 
-def _trial_loss(objective: _Objective, z: np.ndarray) -> float:
-    """Loss at a line-search trial point, inf where it is not finite.
+def _trial_loss(field: ScalarField, z: np.ndarray) -> float:
+    """Loss at the start or a line-search trial point, inf where it is not finite.
 
-    An overshooting trial may overflow, so numpy's floating-point
-    warnings are silenced; the non-finite value they announce fails
-    every comparison the caller makes.
+    A far-off point may overflow, so numpy's floating-point warnings
+    are silenced; the non-finite value they announce fails every
+    comparison the caller makes.
     """
     try:
         with np.errstate(all="ignore"):
-            return objective.loss(z)
+            return field(z)
     except NonFiniteEvaluation:
         return float("inf")
 
 
-def check_minimum(quad: HessianQuad, tol: float = 1e-10) -> str:
+def check_minimum(quad: HessianQuad) -> str:
     """Classify a stationary point from its curvature blocks.
 
     Returns one of ``"local_min"``, ``"saddle_or_max"``,
     ``"indefinite"``, or ``"singular"``.  The eigenvalues are those of
     the real-coordinate Hessian, twice those of the complex form, so
-    their signs are the same; any eigenvalue within ``tol`` of zero,
+    their signs are the same; any eigenvalue within 1e-10 of zero,
     relative to the spectral radius, reports ``"singular"``.
 
     Raises
@@ -487,7 +470,7 @@ def check_minimum(quad: HessianQuad, tol: float = 1e-10) -> str:
     quad.check_invariants()
     eigs = np.linalg.eigvalsh(real_hessian(quad.hzz, quad.hzbz))
     radius = float(np.max(np.abs(eigs), initial=0.0))
-    if radius == 0.0 or float(np.min(np.abs(eigs))) <= tol * radius:
+    if radius == 0.0 or float(np.min(np.abs(eigs))) <= _SINGULAR_TOL * radius:
         return "singular"
     if np.all(eigs > 0.0):
         return "local_min"

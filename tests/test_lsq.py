@@ -115,15 +115,20 @@ class TestLossAndDerivatives:
 
     def test_loss_field_bridges_to_generic_machinery(self):
         rng = RNG(83)
-        problem = random_problem(rng, 2, 3)
-        z = random_complex_vector(rng, 2, scale=0.5)
-        field = loss_field(problem)
-        assert field(z) == pytest.approx(loss(problem, z))
-        pair = cogradients(field, z)
-        np.testing.assert_allclose(pair.dz, loss_pair(problem, z).dz, atol=1e-14)
-        quad = hessian_quad(field, z)
-        expected = newton_quad(problem, z)
-        np.testing.assert_allclose(quad.hzz, expected.hzz, atol=1e-12)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 6))
+            problem = random_problem(rng, n, m)
+            z = random_complex_vector(rng, n, scale=0.5)
+            field = loss_field(problem)
+            assert field(z) == loss(problem, z)
+            pair = cogradients(field, z)
+            np.testing.assert_array_equal(pair.dz, loss_pair(problem, z).dz)
+            # The optimiser reads Newton blocks through this path; it must not round.
+            quad = hessian_quad(field, z)
+            hc = newton_hessian(problem, z)
+            np.testing.assert_array_equal(quad.hzz, hc[:n, :n])
+            np.testing.assert_array_equal(quad.hzbz, hc[:n, n:])
 
 
 class TestGaussNewton:

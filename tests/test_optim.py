@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crcalc import (
+    CrcalcError,
     DimensionError,
     Diverged,
     HessianQuad,
@@ -20,11 +21,13 @@ from crcalc import (
     WirtingerPair,
     assemble,
     check_minimum,
+    cogradients,
     descent_step,
     gauss_newton_hessian,
     hessian_quad,
     is_admissible_vector,
     lagrangian,
+    loss_field,
     loss_pair,
     minimize,
     newton_hessian,
@@ -105,9 +108,23 @@ class TestConfigValidation:
             OptimizerConfig(armijo_beta=1.0)
 
     def test_gauss_strategies_need_residual_structure(self):
-        field = modulus_squared_field()
-        with pytest.raises(ValueError):
-            descent_step(field, np.array([1.0 + 0j]), QStrategy(kind="gauss_newton"))
+        calls = []
+
+        def fn(z):
+            calls.append(z)
+            return float(np.real(np.vdot(z, z)))
+
+        field = ScalarField(fn, name="counted |z|^2")
+        z0 = np.array([1.0 + 0j])
+        for kind in ("gauss_newton", "quasi_gauss_newton"):
+            for run in (
+                lambda: descent_step(field, z0, QStrategy(kind=kind)),
+                lambda: minimize(field, z0, QStrategy(kind=kind)),
+            ):
+                with pytest.raises(ValueError) as info:
+                    run()
+                assert isinstance(info.value, CrcalcError)
+        assert calls == []
 
 
 class TestDescentStep:
@@ -291,17 +308,6 @@ class TestDescentGates:
         assert diag.condition == pytest.approx(1e13, rel=1e-12)
 
 
-class _FixedNewtonBlocks(optim._Objective):
-    """A target whose Newton scaling is the given top-block pair."""
-
-    def __init__(self, field, a, b):
-        super().__init__(field)
-        self.blocks = (a, b)
-
-    def newton_blocks(self, z):
-        return self.blocks
-
-
 class TestScalingGate:
     """InadmissibleQ fires on the top blocks: A Hermitian, B symmetric."""
 
@@ -309,9 +315,9 @@ class TestScalingGate:
     B = np.array([[0.5, 0.2j], [0.2j, 0.1 - 0.3j]])
 
     def step(self, a, b):
-        objective = _FixedNewtonBlocks(modulus_squared_field(), a, b)
         z = np.array([1.0 + 2.0j, -0.5 + 0j])
-        return optim._descent_step(objective, z, objective.pair(z), QStrategy("newton"))
+        pair = cogradients(modulus_squared_field(), z)
+        return optim._descent_step(z, pair, a, b, "newton")
 
     def perturbed(self, rel):
         # The gate's scale is the largest entry, 3.
@@ -412,6 +418,15 @@ class TestMinimize:
         with pytest.raises(Diverged) as info:
             minimize(field, np.array([2.0 + 0j]), QStrategy(kind="identity"), config)
         assert len(info.value.trace) >= 1
+
+    def test_non_finite_starting_loss_diverges_for_every_target(self):
+        problem = linear_lsq_problem(RNG(108), n=1)
+        zero = np.zeros(1, dtype=complex)
+        poly = polynomial_field(PolynomialParams(np.array([1.0]), zero, np.array([1.0 + 0j])))
+        z0 = np.array([1e200 + 0j])
+        for target in (poly, loss_field(problem), problem):
+            with pytest.raises(Diverged, match="loss inf at the starting point"):
+                minimize(target, z0, QStrategy(kind="newton"))
 
     def test_derivative_row_is_evaluated_once_per_iterate(self):
         calls = []
@@ -538,7 +553,7 @@ class TestLagrangian:
         z = random_complex_vector(rng, 1)
         expected = float(np.real(np.conj(z) @ z)) + float(np.real(np.conj(lam) @ (z - w0)))
         assert lag(z) == pytest.approx(expected)
-        from crcalc import cogradients, cogradients_fd
+        from crcalc import cogradients_fd
 
         exact = cogradients(lag, z)
         fd = cogradients_fd(ScalarField(lag.fn, name="fd view"), z)
