@@ -59,7 +59,6 @@ from .hessian import (
     assemble,
     complex_from_real,
     hessian_quad,
-    quad_from_matrix,
     real_hessian,
     second_order_predict,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import DimensionError, as_complex_vector, matrix_residual, swap_rows
+from .coords import DimensionError, as_complex_vector, swap_rows
 from .errors import RelationViolation, SymmetryViolation
 from .wirtinger import ScalarField, VectorField, cogradients, cogradients_fd
 
@@ -177,26 +177,6 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
     dz_conj = VectorField(n, lambda w: np.conj(cogradients(field, w).dz), name=f"d({field.name})/dz^H")
     ju = cogradients_fd(dz_conj, z, step=FD_SECOND_STEP)
     return _finish_quad(ju.jz, ju.jzbar, np.conj(ju.jzbar), np.conj(ju.jz), SYM_TOL_FD, field.name)
-
-
-def quad_from_matrix(hc: np.ndarray) -> HessianQuad:
-    """Slice a Hermitian admissible 2n x 2n matrix into curvature blocks.
-
-    The Hermitian and pairing residuals must not exceed 1e-8 relative.
-    """
-    hc = np.asarray(hc, dtype=complex)
-    if hc.ndim != 2 or hc.shape[0] != hc.shape[1] or hc.shape[0] % 2:
-        raise DimensionError(f"expected an even square matrix, got shape {hc.shape}")
-    scale = max(1.0, float(np.max(np.abs(hc), initial=0.0)))
-    herm = float(np.max(np.abs(hc - hc.conj().T)))
-    adm = matrix_residual(hc)
-    if herm > _INVARIANT_TOL * scale or adm > _INVARIANT_TOL * scale:
-        raise RelationViolation(
-            f"matrix is not a curvature assembly: hermitian residual {herm:.3e}, "
-            f"pairing residual {adm:.3e}"
-        )
-    n = hc.shape[0] // 2
-    return HessianQuad(hc[:n, :n], hc[:n, n:], hc[n:, :n], hc[n:, n:])
 
 
 def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:

@@ -12,6 +12,11 @@ Gauss-Newton Hessian.  The full Newton Hessian subtracts the projected
 derivative of one weighted row, (W e) @ conj(G), differenced once with
 the weight held fixed; that correction vanishes for models linear in
 (z, conj(z)) and at zero residual.
+
+Both curvatures are built as their top blocks (A, B) only: an
+admissible matrix is [[A, B], [conj(B), conj(A)]], so the projection
+needs just the top blocks of the matrix it projects.  The dense
+2n x 2n forms are views assembled from those blocks.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import DimensionError, _hpd_cholesky, as_complex_vector, project_admissible, swap
-from .hessian import FD_SECOND_STEP, HessianQuad, quad_from_matrix
+from .coords import DimensionError, _hpd_cholesky, as_complex_vector, swap
+from .hessian import FD_SECOND_STEP, HessianQuad
 from .wirtinger import ScalarField, VectorField, WirtingerPair, cogradients, cogradients_fd
 
 
@@ -105,9 +110,15 @@ def compound_jacobian(problem: LsqProblem, p) -> CompoundJacobian:
 
 
 def loss(problem: LsqProblem, p) -> float:
-    """Half the weighted squared residual; real by Hermitian symmetry of W."""
+    """Half the weighted squared residual; real by Hermitian symmetry of W.
+
+    The form is nonnegative, so where it overflows on a finite residual
+    the loss is inf.
+    """
     e = residual(problem, p)
-    return 0.5 * float(np.real(np.conj(e) @ problem.w @ e))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 0.5 * float(np.real(np.conj(e) @ problem.w @ e))
+    return value if np.isfinite(value) else float("inf")
 
 
 def loss_cogradient(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]:
@@ -136,57 +147,69 @@ def loss_pair(problem: LsqProblem, p) -> WirtingerPair:
     return WirtingerPair(row[:n], row[n:])
 
 
-def gauss_newton_hessian(problem: LsqProblem, p) -> np.ndarray:
-    """Admissible projection of the normal matrix G^H W G.
+def _projected_blocks(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top blocks of the admissible projection (M + S conj(M) S) / 2."""
+    return 0.5 * (mat[:n, :n] + np.conj(mat[n:, n:])), 0.5 * (mat[:n, n:] + np.conj(mat[n:, :n]))
 
-    Hermitian and positive semidefinite; positive definite whenever G
-    has full column rank.  Agrees with the raw normal matrix on every
-    admissible variation even though the raw matrix itself is not
-    admissible.
-    """
-    gmat = compound_jacobian(problem, p).matrix
-    return project_admissible(gmat.conj().T @ problem.w @ gmat)
+
+def _dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.block([[a, b], [np.conj(b), np.conj(a)]])
 
 
 def gauss_newton_blocks(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]:
     """Top blocks (U_zz, U_zbz) of the Gauss-Newton Hessian.
 
-    The bottom row of blocks is determined by conjugation, so these two
-    carry the whole matrix.
+    They are the top blocks of the admissible projection of the normal
+    matrix G^H W G, formed once.  The bottom row of blocks is their
+    conjugate, so these two carry the whole matrix.
     """
-    gn = gauss_newton_hessian(problem, p)
-    n = gn.shape[0] // 2
-    return gn[:n, :n], gn[:n, n:]
+    jac = compound_jacobian(problem, p)
+    return _projected_blocks(jac.matrix.conj().T @ problem.w @ jac.matrix, jac.n)
 
 
-def newton_hessian(problem: LsqProblem, p) -> np.ndarray:
-    """Full 2n x 2n curvature of the loss in conjugate coordinates.
+def gauss_newton_hessian(problem: LsqProblem, p) -> np.ndarray:
+    """Admissible projection of the normal matrix G^H W G, dense 2n x 2n.
+
+    Assembled from :func:`gauss_newton_blocks`.  Hermitian and positive
+    semidefinite; positive definite whenever G has full column rank.
+    Agrees with the raw normal matrix on every admissible variation even
+    though the raw matrix itself is not admissible.
+    """
+    return _dense(*gauss_newton_blocks(problem, p))
+
+
+def newton_quad(problem: LsqProblem, p) -> HessianQuad:
+    """Curvature blocks of the loss in conjugate coordinates.
 
     The second-order term sum_i (W e)_i d conj(G_i) is linear in the
     residual components, so with ``we = W e`` held fixed at the point a
     single weighted row ``we @ conj(G(w))`` is differenced once
-    (relative step eps**(1/4)), and its admissible projection is
-    subtracted from the Gauss-Newton Hessian.  Models with analytic
-    jacobians that are linear in (z, conj(z)) get exactly zero
-    correction.  The estimate is re-Hermitized and re-projected before
-    returning, so its block invariants hold exactly.
+    (relative step eps**(1/4)), and the top blocks of its admissible
+    projection are subtracted from the Gauss-Newton blocks.  Models with
+    analytic jacobians that are linear in (z, conj(z)) get exactly zero
+    correction.  A is then Hermitized and B symmetrized, so the block
+    invariants hold exactly.
     """
     z = as_complex_vector(p)
+    n = z.shape[0]
     we = problem.w @ residual(problem, z)
     weighted_row = VectorField(
-        2 * z.shape[0],
+        2 * n,
         lambda w: we @ np.conj(compound_jacobian(problem, w).matrix),
         name="weighted conjugate jacobian row",
     )
     jac = cogradients_fd(weighted_row, z, step=FD_SECOND_STEP)
-    total = gauss_newton_hessian(problem, z) - project_admissible(np.hstack([jac.jz, jac.jzbar]))
-    total = 0.5 * (total + total.conj().T)
-    return project_admissible(total)
+    gn_a, gn_b = gauss_newton_blocks(problem, z)
+    corr_a, corr_b = _projected_blocks(np.hstack([jac.jz, jac.jzbar]), n)
+    a, b = gn_a - corr_a, gn_b - corr_b
+    a, b = 0.5 * (a + a.conj().T), 0.5 * (b + b.T)
+    return HessianQuad(a, b, np.conj(b), np.conj(a))
 
 
-def newton_quad(problem: LsqProblem, p) -> HessianQuad:
-    """The Newton Hessian sliced into curvature blocks."""
-    return quad_from_matrix(newton_hessian(problem, p))
+def newton_hessian(problem: LsqProblem, p) -> np.ndarray:
+    """Full 2n x 2n curvature of the loss: the :func:`newton_quad` blocks, dense."""
+    quad = newton_quad(problem, p)
+    return _dense(quad.hzz, quad.hzbz)
 
 
 def loss_field(problem: LsqProblem, name: str | None = None) -> ScalarField:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from crcalc.hessian import HessianQuad
-from crcalc.wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair
+from crcalc.hessian import FD_SECOND_STEP, HessianQuad
+from crcalc.lsq import compound_jacobian, residual
+from crcalc.wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients_fd
 
 
 def dense_j(n: int) -> np.ndarray:
@@ -204,3 +205,28 @@ def random_complex_vector(rng: np.random.Generator, n: int, scale: float = 1.0) 
 
 def random_complex_matrix(rng: np.random.Generator, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
     return scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+
+
+def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton and Newton curvature of a least-squares loss, built 2n x 2n.
+
+    The dense recipe the block-wise library path must reproduce bit for
+    bit: project the normal matrix G^H W G onto the admissible set with
+    the dense swap S; subtract the projection of the weighted row
+    (W e) @ conj(G(w)), differenced once with W e held fixed; Hermitize;
+    project again.  The model jacobian and the differencing are the
+    package's own, so both sides start from the same bits.
+    """
+    s = dense_s(z.shape[0])
+
+    def project(m):
+        return 0.5 * (m + s @ np.conj(m) @ s)
+
+    gmat = compound_jacobian(problem, z).matrix
+    gauss = project(gmat.conj().T @ problem.w @ gmat)
+    we = problem.w @ residual(problem, z)
+    row = VectorField(2 * z.shape[0], lambda w: we @ np.conj(compound_jacobian(problem, w).matrix))
+    jac = cogradients_fd(row, z, step=FD_SECOND_STEP)
+    newton = gauss - project(np.hstack([jac.jz, jac.jzbar]))
+    newton = 0.5 * (newton + newton.conj().T)
+    return gauss, project(newton)

@@ -219,6 +219,42 @@ class TestCheckCommand:
         with open(out) as fh:
             assert fh.read().strip() == stdout.strip()
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {
+                "name": "custom-polynomial",
+                "quad_diag": [2.0, 3.0],
+                "conj_diag": ["0.5+0.5j", "0.25-0.1j"],
+                "linear": ["1-1j", "-0.5+0.3j"],
+                "z0": ["1e200", "0"],
+            },
+            {"name": "example2", "z0": "1e200"},
+            {"name": "example2", "z0": "1e308"},
+        ],
+    )
+    def test_overflowing_start_fails_checks_and_still_reports(self, tmp_path, problem):
+        # The loss overflows at the start (at 1e308 the differenced
+        # curvature too), so the checks that evaluate it read FAIL; the
+        # rest of the report is still produced.
+        cfg = write_config(tmp_path, {"problem": problem})
+        proc = subprocess.run(
+            [sys.executable, "-m", "crcalc.cli", "check", "--config", cfg],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "FAIL" in proc.stdout
+        assert proc.stdout.splitlines()[-1].endswith("checks passed")
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unidentifiable_closed_form_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"problem": {"alpha": "1+0j", "beta": "1+0j"}})
+        code = main(["check", "--config", cfg])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_lms_checks_pass(self, tmp_path, capsys):
         # The lms problem routes to moment checks instead.
         cfg = write_config(tmp_path, {"problem": {"name": "lms"}})

@@ -13,7 +13,6 @@ from crcalc import (
     complex_from_real,
     hessian_quad,
     is_admissible_matrix,
-    quad_from_matrix,
     second_order_predict,
 )
 from ._oracles import (
@@ -146,19 +145,6 @@ class TestQuadValidation:
         )
         with pytest.raises(SymmetryViolation):
             hessian_quad(field, np.array([1.0 + 0j]))
-
-    def test_quad_from_matrix_round_trip(self):
-        rng = RNG(62)
-        quad = random_quad(rng, 3)
-        hc = assemble(quad).hc_complex
-        back = quad_from_matrix(hc)
-        np.testing.assert_allclose(back.hzz, quad.hzz, atol=1e-12)
-        np.testing.assert_allclose(back.hzbz, quad.hzbz, atol=1e-12)
-
-    def test_quad_from_matrix_rejects_non_hermitian(self):
-        bad = np.arange(16, dtype=complex).reshape(4, 4)
-        with pytest.raises(RelationViolation):
-            quad_from_matrix(bad)
 
 
 class TestAssembledRelations:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crcalc import (
+    Example1Problem,
     JacobianPair,
     LsqProblem,
     VectorField,
@@ -11,6 +14,7 @@ from crcalc import (
     cogradients_fd,
     compound_jacobian,
     complex_from_real,
+    example2_as_lsq,
     gauss_newton_blocks,
     gauss_newton_hessian,
     hessian_quad,
@@ -22,10 +26,13 @@ from crcalc import (
     loss_pair,
     newton_hessian,
     newton_quad,
+    real_hessian,
     residual,
     swap,
 )
 from ._oracles import (
+    dense_j,
+    dense_lsq_curvature,
     dense_s,
     random_complex_matrix,
     random_complex_vector,
@@ -50,6 +57,26 @@ def random_problem(rng, n, m, holomorphic=False, scale=0.4):
     w_half = random_complex_matrix(rng, m, m, scale=0.3)
     w = w_half @ w_half.conj().T + np.eye(m)
     return LsqProblem(g, y, w)
+
+
+@st.composite
+def nonlinear_problems(draw):
+    """A random nonlinear LsqProblem and a point.
+
+    The model is analytic or differenced, the weight the identity or a
+    dense Hermitian positive definite matrix.
+    """
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    g = random_poly_vector_field(rng, n, m, scale=0.4)
+    if draw(st.booleans()):
+        g = VectorField(m, g.fn, name="differenced model")
+    w = None
+    if draw(st.booleans()):
+        w_half = random_complex_matrix(rng, m, m, scale=0.3)
+        w = w_half @ w_half.conj().T + np.eye(m)
+    return LsqProblem(g, random_complex_vector(rng, m), w), random_complex_vector(rng, n, scale=0.5)
 
 
 class TestProblemConstruction:
@@ -79,6 +106,15 @@ class TestLossAndDerivatives:
         # e = 2 - 1 = 1 at z = 1, so the loss is 1/2.
         assert loss(problem, np.array([1.0 + 0j])) == pytest.approx(0.5)
         np.testing.assert_allclose(residual(problem, np.array([1.0 + 0j])), [1.0])
+
+    def test_overflowing_form_is_infinite(self):
+        # The residual is finite but e^H W e overflows; the form is
+        # nonnegative, so the loss is inf, not NaN.
+        problem = example2_as_lsq(
+            Example1Problem.synthesize(1 + 1j, 0.3 - 0.2j, 2 - 1j, 0.05, 50, 0)
+        )
+        assert np.all(np.isfinite(residual(problem, [1e200])))
+        assert loss(problem, [1e200]) == np.inf
 
     def test_compound_jacobian_layout(self):
         rng = RNG(80)
@@ -269,6 +305,46 @@ class TestNewton:
             g = VectorField(m, problem.g.fn, jacobian_fn=counted, name="counted model")
             newton_hessian(LsqProblem(g, problem.y, problem.w), random_complex_vector(rng, n, scale=0.3))
             assert len(calls) == 4 * n + 1
+
+
+class TestCurvatureBlockProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(nonlinear_problems())
+    def test_blocks_equal_the_dense_recipe(self, draw):
+        problem, z = draw
+        n = z.shape[0]
+        gauss, newton = dense_lsq_curvature(problem, z)
+        a, b = gauss_newton_blocks(problem, z)
+        np.testing.assert_array_equal(a, gauss[:n, :n])
+        np.testing.assert_array_equal(b, gauss[:n, n:])
+        np.testing.assert_array_equal(gauss_newton_hessian(problem, z), gauss)
+        quad = newton_quad(problem, z)
+        for got, want in zip(
+            (quad.hzz, quad.hzbz, quad.hzzb, quad.hzbzb),
+            (newton[:n, :n], newton[:n, n:], newton[n:, :n], newton[n:, n:]),
+        ):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(newton_hessian(problem, z), newton)
+
+    @settings(derandomize=True, deadline=None)
+    @given(nonlinear_problems())
+    def test_loss_field_reads_the_newton_blocks_unchanged(self, draw):
+        problem, z = draw
+        got = hessian_quad(loss_field(problem), z)
+        want = newton_quad(problem, z)
+        for name in ("hzz", "hzbz", "hzzb", "hzbzb"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @settings(derandomize=True, deadline=None)
+    @given(nonlinear_problems())
+    def test_real_gauss_newton_is_the_real_normal_matrix(self, draw):
+        # Gr = G J maps real steps to model changes, so the real-coordinate
+        # Gauss-Newton Hessian is Re(Gr^H W Gr).
+        problem, z = draw
+        gr = compound_jacobian(problem, z).matrix @ dense_j(z.shape[0])
+        want = np.real(gr.conj().T @ problem.w @ gr)
+        got = real_hessian(*gauss_newton_blocks(problem, z))
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
 
 
 class TestSwapConsistency:
