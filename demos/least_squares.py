@@ -58,7 +58,7 @@ g = VectorField(3, model_fn, jacobian_fn=model_jac, name="curved model")
 
 # Ground truth and consistent observations make a zero-residual problem.
 z_true = np.array([0.8 - 0.2j, -0.4 + 0.6j])
-w = np.diag([1.0, 2.0, 0.5]).astype(complex)
+w = [1.0, 2.0, 0.5]  # the diagonal of W
 problem = LsqProblem(g, g(z_true), w)
 
 z = np.array([0.5 + 0.1j, 0.1 + 0.2j])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import DimensionError, as_complex_vector, swap_rows
-from .errors import RelationViolation, SymmetryViolation
+from .errors import NonFiniteEvaluation, RelationViolation, SymmetryViolation
 from .wirtinger import ScalarField, VectorField, cogradients, cogradients_fd
 
 #: Relative step for differencing first-derivative rows a second time.
@@ -84,8 +84,13 @@ class HessianQuad:
         """Raise :class:`RelationViolation` if the block constraints fail.
 
         The allowance is 1e-8 relative to the larger of the top blocks.
+        Non-finite blocks satisfy no constraint and raise
+        :class:`NonFiniteEvaluation` instead.
         """
-        resid = self.invariant_residual()
+        with np.errstate(invalid="ignore", over="ignore"):
+            resid = self.invariant_residual()
+        if not np.isfinite(resid):
+            raise NonFiniteEvaluation("curvature blocks are not finite")
         scale = max(
             1.0,
             float(np.max(np.abs(self.hzz), initial=0.0)),
@@ -132,7 +137,12 @@ def _symmetrize(a, b, c, d):
 
 
 def _finish_quad(a, b, c, d, tol: float, context: str) -> HessianQuad:
-    hzz, hzbz, hzzb, hzbzb, resid = _symmetrize(a, b, c, d)
+    with np.errstate(invalid="ignore", over="ignore"):
+        hzz, hzbz, hzzb, hzbzb, resid = _symmetrize(a, b, c, d)
+    # A NaN or infinite entry in any raw block makes the residual
+    # non-finite, and a NaN residual would pass the tolerance test.
+    if not np.isfinite(resid):
+        raise NonFiniteEvaluation(f"{context}: curvature blocks are not finite")
     scale = max(
         1.0,
         float(np.max(np.abs(hzz), initial=0.0)),
@@ -163,6 +173,8 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
         If the raw blocks sit farther from the symmetrized ones than
         the applicable tolerance, which signals inconsistent analytic
         derivatives or a rough field.
+    NonFiniteEvaluation
+        If a raw block holds NaN or infinity.
     """
     z = as_complex_vector(p)
     n = z.shape[0]
@@ -210,6 +222,8 @@ def assemble(quad: HessianQuad) -> AssembledHessians:
     RelationViolation
         If the blocks violate their invariants, or the real-coordinate
         form fails to come out real.
+    NonFiniteEvaluation
+        If a block holds NaN or infinity.
     """
     quad.check_invariants()
     a, b, c, d = quad.hzz, quad.hzbz, quad.hzzb, quad.hzbzb

@@ -4,7 +4,12 @@ The loss is half the weighted squared residual
 
     loss(z) = (y - g(z))^H W (y - g(z)) / 2
 
-with a Hermitian positive definite weight W.  Both derivative blocks of
+with a Hermitian positive definite weight W, kept by its structure: a
+positive real scalar (W = w I), a positive real diagonal, or a dense
+Hermitian positive definite m x m matrix.  The loss, its derivative row
+and both curvatures touch W only through three products, W e, e^H W e
+and G^H W G, so a scalar or diagonal weight costs O(m) and no m x m
+array is formed.  Both derivative blocks of
 the model enter through the m x 2n compound jacobian G = [jz, jzbar].
 The raw normal matrix G^H W G is not an admissible curvature matrix,
 but its admissible projection is, and that projection is the
@@ -22,6 +27,7 @@ needs just the top blocks of the matrix it projects.  The dense
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +66,70 @@ class CompoundJacobian:
 
 
 @dataclass(frozen=True, eq=False)
+class _Weight:
+    """A least-squares weight W, stored by its structure.
+
+    ``values`` is a positive real scalar (0-d, W = values I), a positive
+    real diagonal (1-d) or a dense Hermitian positive definite matrix
+    (2-d).  The three products follow the order of the dense ones, so a
+    scalar or diagonal gives the same bits as the matrix it stands for:
+    the dense products only add exact zeros.
+    """
+
+    values: np.ndarray
+
+    @classmethod
+    def build(cls, w, m: int) -> "_Weight":
+        """Validate ``w`` for m residuals at the cost its structure allows.
+
+        A scalar or diagonal must be real, finite and positive, O(m); a
+        dense matrix must be m x m, Hermitian to 1e-10 (relative) and
+        admit a Cholesky factorization.
+        """
+        if w is None:
+            return cls(np.asarray(1.0))
+        values = np.asarray(w)
+        if values.ndim == 2:
+            values = values.astype(complex, copy=False)
+            if values.shape != (m, m):
+                raise DimensionError(f"weight has shape {values.shape}, expected square of size {m}")
+            _hpd_cholesky(values, "weight")
+            return cls(values)
+        if values.shape not in ((), (m,)):
+            raise DimensionError(f"weight has shape {values.shape}, expected (), ({m},) or ({m}, {m})")
+        if np.any(np.imag(values) != 0.0):
+            raise ValueError("a scalar or diagonal weight must be real")
+        values = np.real(values).astype(float)
+        if not np.all(np.isfinite(values) & (values > 0.0)):
+            raise ValueError("a scalar or diagonal weight must be finite and positive")
+        return cls(values)
+
+    def apply(self, e: np.ndarray) -> np.ndarray:
+        """W e."""
+        if self.values.ndim == 2:
+            return self.values @ e
+        return self.values * e
+
+    def form(self, e: np.ndarray) -> complex:
+        """e^H W e, real up to rounding."""
+        if self.values.ndim == 2:
+            return np.conj(e) @ self.values @ e
+        return (np.conj(e) * self.values) @ e
+
+    def congruence(self, g: np.ndarray) -> np.ndarray:
+        """G^H W G."""
+        gh = g.conj().T
+        if self.values.ndim == 2:
+            return gh @ self.values @ g
+        return (gh * self.values) @ g
+
+    def dense(self, m: int) -> np.ndarray:
+        """W as a complex m x m matrix."""
+        if self.values.ndim == 2:
+            return self.values
+        return np.diag(np.broadcast_to(self.values, (m,)).astype(complex))
+
+
 class LsqProblem:
     """Data, model, and weight of a weighted least-squares fit.
 
@@ -69,33 +139,44 @@ class LsqProblem:
         Model map from C^n to C^m.
     y : ndarray
         Observations, length m.
-    w : ndarray, optional
-        Hermitian positive definite weight, m x m.  Identity when
-        omitted.  Validated once here: the Hermitian residual must not
-        exceed 1e-10 (relative) and a Cholesky factorization must
-        succeed.
+    w : float, ndarray, optional
+        Hermitian positive definite weight, in one of three forms, each
+        validated once here at the cost its structure allows:
+
+        - a real scalar (0-d), the weight w I: finite and positive;
+        - a real vector of length m, the diagonal of W: every entry
+          finite and positive;
+        - an m x m matrix: the Hermitian residual must not exceed 1e-10
+          (relative) and a Cholesky factorization must succeed.
+
+        The scalar 1 (identity) when omitted.  A scalar or diagonal is
+        never expanded to m x m by the loss, the derivative row or the
+        curvatures.
+
+    Attributes
+    ----------
+    w : ndarray
+        The weight as a dense complex m x m matrix, built on first read
+        and cached; the least-squares functions do not read it.
     """
 
-    g: VectorField
-    y: np.ndarray
-    w: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.g, VectorField):
+    def __init__(self, g: VectorField, y, w=None):
+        if not isinstance(g, VectorField):
             raise TypeError("the model must be a VectorField")
-        y = np.atleast_1d(np.asarray(self.y, dtype=complex))
-        if y.shape != (self.g.m,):
-            raise DimensionError(f"observations have shape {y.shape}, expected ({self.g.m},)")
-        w = np.eye(self.g.m) if self.w is None else np.asarray(self.w, dtype=complex)
-        if w.shape != (self.g.m, self.g.m):
-            raise DimensionError(f"weight has shape {w.shape}, expected square of size {self.g.m}")
-        _hpd_cholesky(w, "weight")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "w", w)
+        y = np.atleast_1d(np.asarray(y, dtype=complex))
+        if y.shape != (g.m,):
+            raise DimensionError(f"observations have shape {y.shape}, expected ({g.m},)")
+        self.g = g
+        self.y = y
+        self._weight = _Weight.build(w, g.m)
 
     @property
     def m(self) -> int:
         return self.g.m
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self._weight.dense(self.m)
 
 
 def residual(problem: LsqProblem, p) -> np.ndarray:
@@ -117,7 +198,7 @@ def loss(problem: LsqProblem, p) -> float:
     """
     e = residual(problem, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = 0.5 * float(np.real(np.conj(e) @ problem.w @ e))
+        value = 0.5 * float(np.real(problem._weight.form(e)))
     return value if np.isfinite(value) else float("inf")
 
 
@@ -135,7 +216,7 @@ def loss_cogradient(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]:
     """
     e = residual(problem, p)
     gmat = compound_jacobian(problem, p).matrix
-    b = -(gmat.conj().T @ (problem.w @ e))
+    b = -(gmat.conj().T @ problem._weight.apply(e))
     grad = 0.5 * (b + swap(np.conj(b)))
     return np.conj(grad), grad
 
@@ -164,7 +245,7 @@ def gauss_newton_blocks(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]
     conjugate, so these two carry the whole matrix.
     """
     jac = compound_jacobian(problem, p)
-    return _projected_blocks(jac.matrix.conj().T @ problem.w @ jac.matrix, jac.n)
+    return _projected_blocks(problem._weight.congruence(jac.matrix), jac.n)
 
 
 def gauss_newton_hessian(problem: LsqProblem, p) -> np.ndarray:
@@ -192,7 +273,7 @@ def newton_quad(problem: LsqProblem, p) -> HessianQuad:
     """
     z = as_complex_vector(p)
     n = z.shape[0]
-    we = problem.w @ residual(problem, z)
+    we = problem._weight.apply(residual(problem, z))
     weighted_row = VectorField(
         2 * n,
         lambda w: we @ np.conj(compound_jacobian(problem, w).matrix),

@@ -466,6 +466,9 @@ def check_minimum(quad: HessianQuad) -> str:
     ------
     RelationViolation
         If the blocks violate their invariants.
+    NonFiniteEvaluation
+        If a block holds NaN or infinity; such blocks have no
+        classification.
     """
     quad.check_invariants()
     eigs = np.linalg.eigvalsh(real_hessian(quad.hzz, quad.hzbz))

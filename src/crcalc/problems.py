@@ -168,8 +168,9 @@ def example2_as_lsq(problem: Example1Problem) -> LsqProblem:
     """The same estimation posed as a weighted least-squares fit.
 
     The model broadcasts alpha z + beta conj(z) across all m samples
-    and the weight is I/m, so the least-squares loss equals the
-    averaged loss exactly.  The model is linear in (z, conj(z)) with
+    and the weight is the scalar 1/m (W = I/m, never formed as a
+    matrix), so the least-squares loss equals the averaged loss
+    exactly.  The model is linear in (z, conj(z)) with
     constant analytic jacobians, hence its Newton and Gauss-Newton
     Hessians coincide and one unit Newton step lands on the minimizer.
     """
@@ -183,7 +184,7 @@ def example2_as_lsq(problem: Example1Problem) -> LsqProblem:
         jacobian_fn=lambda z: JacobianPair(alpha * ones, beta * ones),
         name="broadcast scalar model",
     )
-    return LsqProblem(g=g, y=problem.samples, w=np.eye(m) / m)
+    return LsqProblem(g=g, y=problem.samples, w=1.0 / m)
 
 
 @dataclass(frozen=True, eq=False)

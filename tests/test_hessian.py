@@ -6,6 +6,7 @@ import pytest
 from crcalc import (
     AssembledHessians,
     HessianQuad,
+    NonFiniteEvaluation,
     RelationViolation,
     ScalarField,
     SymmetryViolation,
@@ -145,6 +146,20 @@ class TestQuadValidation:
         )
         with pytest.raises(SymmetryViolation):
             hessian_quad(field, np.array([1.0 + 0j]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_analytic_blocks_are_rejected(self, bad):
+        # A NaN symmetry residual passes the tolerance test, so the
+        # blocks must be rejected for being non-finite, not classified.
+        field = ScalarField(
+            lambda z: float(np.real(np.conj(z) @ z)),
+            hessian_fn=lambda z: HessianQuad([[bad]], [[0.0]], [[0.0]], [[bad]]),
+            name="non-finite curvature",
+        )
+        with pytest.raises(NonFiniteEvaluation):
+            hessian_quad(field, np.array([1.0 + 0j]))
+        with pytest.raises(NonFiniteEvaluation):
+            assemble(HessianQuad([[bad]], [[0.0]], [[0.0]], [[bad]]))
 
 
 class TestAssembledRelations:

@@ -1,11 +1,15 @@
 """Weighted residual losses and their curvature approximations."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crcalc import (
+    DimensionError,
     Example1Problem,
     JacobianPair,
     LsqProblem,
@@ -30,6 +34,7 @@ from crcalc import (
     residual,
     swap,
 )
+from crcalc import coords, lsq
 from ._oracles import (
     dense_j,
     dense_lsq_curvature,
@@ -59,12 +64,16 @@ def random_problem(rng, n, m, holomorphic=False, scale=0.4):
     return LsqProblem(g, y, w)
 
 
+WEIGHT_KINDS = ("identity", "scalar", "diagonal", "dense")
+
+
 @st.composite
-def nonlinear_problems(draw):
+def nonlinear_problems(draw, weights=WEIGHT_KINDS):
     """A random nonlinear LsqProblem and a point.
 
-    The model is analytic or differenced, the weight the identity or a
-    dense Hermitian positive definite matrix.
+    The model is analytic or differenced.  The weight is drawn from
+    ``weights``: the default identity, a positive scalar, a positive
+    diagonal, or a dense Hermitian positive definite matrix.
     """
     rng = RNG(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 4))
@@ -72,8 +81,13 @@ def nonlinear_problems(draw):
     g = random_poly_vector_field(rng, n, m, scale=0.4)
     if draw(st.booleans()):
         g = VectorField(m, g.fn, name="differenced model")
+    kind = draw(st.sampled_from(weights))
     w = None
-    if draw(st.booleans()):
+    if kind == "scalar":
+        w = float(rng.uniform(0.1, 3.0))
+    elif kind == "diagonal":
+        w = rng.uniform(0.1, 3.0, m)
+    elif kind == "dense":
         w_half = random_complex_matrix(rng, m, m, scale=0.3)
         w = w_half @ w_half.conj().T + np.eye(m)
     return LsqProblem(g, random_complex_vector(rng, m), w), random_complex_vector(rng, n, scale=0.5)
@@ -99,6 +113,53 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             LsqProblem(g, np.zeros(3, dtype=complex))
 
+    @pytest.mark.parametrize("w", [0.0, -1.0, np.nan, np.inf, 1.0 + 1.0j])
+    def test_scalar_weight_must_be_real_finite_and_positive(self, w):
+        g = VectorField(2, lambda z: z)
+        with pytest.raises(ValueError) as info:
+            LsqProblem(g, np.zeros(2, dtype=complex), w)
+        assert not isinstance(info.value, DimensionError)
+
+    @pytest.mark.parametrize("w", [[1.0, -1.0], [1.0, np.nan]])
+    def test_diagonal_weight_must_be_finite_and_positive(self, w):
+        g = VectorField(2, lambda z: z)
+        with pytest.raises(ValueError) as info:
+            LsqProblem(g, np.zeros(2, dtype=complex), np.array(w))
+        assert not isinstance(info.value, DimensionError)
+
+    def test_diagonal_weight_length_checked(self):
+        g = VectorField(2, lambda z: z)
+        with pytest.raises(DimensionError):
+            LsqProblem(g, np.zeros(2, dtype=complex), np.ones(3))
+
+    def test_dense_view_of_structured_weights(self):
+        sample = Example1Problem.synthesize(1 + 1j, 0.3 - 0.2j, 2 - 1j, 0.05, 7, 0)
+        np.testing.assert_array_equal(example2_as_lsq(sample).w, np.eye(7) / 7)
+        g = VectorField(3, lambda z: np.concatenate([z, z, z]))
+        np.testing.assert_array_equal(LsqProblem(g, np.zeros(3)).w, np.eye(3))
+        diagonal = LsqProblem(g, np.zeros(3), [1.0, 2.0, 0.5])
+        np.testing.assert_array_equal(diagonal.w, np.diag([1.0, 2.0, 0.5]))
+
+    def test_structured_weights_skip_the_dense_check(self, monkeypatch):
+        # Neither the I/m weight of example2 nor the default identity is
+        # expanded to m x m or factored when the problem is built.
+        def refuse(*args):
+            raise AssertionError("a structured weight was Cholesky-checked")
+
+        monkeypatch.setattr(lsq, "_hpd_cholesky", refuse)
+        monkeypatch.setattr(coords, "_hpd_cholesky", refuse)
+        m = 1000
+        sample = Example1Problem.synthesize(1 + 1j, 0.3 - 0.2j, 2 - 1j, 0.05, m, 0)
+        g = VectorField(m, lambda z: np.full(m, z[0]))
+        tracemalloc.start()
+        try:
+            example2_as_lsq(sample)
+            LsqProblem(g, np.zeros(m))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m
+
 
 class TestLossAndDerivatives:
     def test_frozen_scalar_loss(self):
@@ -115,6 +176,13 @@ class TestLossAndDerivatives:
         )
         assert np.all(np.isfinite(residual(problem, [1e200])))
         assert loss(problem, [1e200]) == np.inf
+
+    def test_overflowing_scalar_weight_is_infinite(self):
+        g = VectorField(2, lambda z: z, name="identity model")
+        problem = LsqProblem(g, np.array([1e5, -2e5 + 1j]), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert loss(problem, np.zeros(2)) == np.inf
 
     def test_compound_jacobian_layout(self):
         rng = RNG(80)
@@ -345,6 +413,22 @@ class TestCurvatureBlockProperties:
         want = np.real(gr.conj().T @ problem.w @ gr)
         got = real_hessian(*gauss_newton_blocks(problem, z))
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+
+    @settings(derandomize=True, deadline=None)
+    @given(nonlinear_problems(weights=("identity", "scalar", "diagonal")))
+    def test_structured_weight_matches_its_dense_matrix(self, draw):
+        # The structured products only drop the exact zeros of the
+        # dense ones, so every result agrees bit for bit.
+        problem, z = draw
+        dense = LsqProblem(problem.g, problem.y, problem.w)
+        np.testing.assert_array_equal(loss(problem, z), loss(dense, z))
+        for got, want in zip(loss_cogradient(problem, z), loss_cogradient(dense, z)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(gauss_newton_blocks(problem, z), gauss_newton_blocks(dense, z)):
+            np.testing.assert_array_equal(got, want)
+        got, want = newton_quad(problem, z), newton_quad(dense, z)
+        for name in ("hzz", "hzbz", "hzzb", "hzbzb"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestSwapConsistency:

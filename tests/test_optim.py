@@ -536,6 +536,11 @@ class TestStationaryClassification:
         with pytest.raises(RelationViolation):
             check_minimum(HessianQuad(one, zero, zero, 2.0 * one))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_blocks(self, bad):
+        with pytest.raises(CrcalcError):
+            check_minimum(HessianQuad([[bad]], [[0.0]], [[0.0]], [[bad]]))
+
 
 class TestLagrangian:
     def test_value_and_derivatives(self):
