@@ -2,18 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crcalc import (
     AssembledHessians,
     HessianQuad,
     NonFiniteEvaluation,
+    PolynomialParams,
+    QStrategy,
     RelationViolation,
     ScalarField,
+    SingularQ,
     SymmetryViolation,
     assemble,
+    cogradients,
     complex_from_real,
+    descent_step,
     hessian_quad,
     is_admissible_matrix,
+    is_admissible_vector,
+    newton_update_z,
+    polynomial_field,
     second_order_predict,
 )
 from ._oracles import (
@@ -290,3 +300,91 @@ class TestSecondOrderPrediction:
         field = quartic_norm_field(with_analytic=True)
         with pytest.raises(ValueError):
             second_order_predict(field, np.array([1.0 + 0j]), np.array([0.1 + 0j]), representation="polar")
+
+
+@st.composite
+def curvature_fields(draw):
+    """A real field with hand-derived derivatives, a point and a step.
+
+    The field is a random separable polynomial or a random quadratic
+    loss in n = 1 to 6 unknowns.  Its curvature comes from its analytic
+    blocks or, with those dropped, from differencing its rows.
+    """
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        params = PolynomialParams(
+            rng.uniform(-2.0, 2.0, n),
+            random_complex_vector(rng, n),
+            random_complex_vector(rng, n),
+            float(rng.standard_normal()),
+        )
+        field = polynomial_field(params)
+    else:
+        field, _ = random_quadratic_loss(rng, n)
+    if draw(st.booleans()):
+        field = ScalarField(field.fn, cogradient_fn=field.cogradient_fn, name="differenced curvature")
+    return field, random_complex_vector(rng, n), random_complex_vector(rng, n)
+
+
+def _top_scale(quad):
+    return max(1.0, float(np.abs(quad.hzz).max()), float(np.abs(quad.hzbz).max()))
+
+
+class TestIdentityProperties:
+    """The paper's identities over random fields, points and steps."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(curvature_fields())
+    def test_blocks_satisfy_their_invariants(self, draw):
+        field, z, _ = draw
+        quad = hessian_quad(field, z)
+        assert quad.invariant_residual() <= 1e-12 * _top_scale(quad)
+
+    @settings(derandomize=True, deadline=None)
+    @given(curvature_fields())
+    def test_four_representations_agree(self, draw):
+        field, z, delta = draw
+        values = [
+            second_order_predict(field, z, delta, representation=rep)
+            for rep in TestSecondOrderPrediction.REPRESENTATIONS
+        ]
+        assert max(values) - min(values) <= 1e-10 * max(1.0, max(abs(v) for v in values))
+
+    @settings(derandomize=True, deadline=None)
+    @given(curvature_fields())
+    def test_real_eigenvalues_are_twice_the_complex_ones(self, draw):
+        field, z, _ = draw
+        built = assemble(hessian_quad(field, z))
+        ev_r = np.sort(np.linalg.eigvalsh(built.hrr))
+        ev_c = np.sort(np.linalg.eigvalsh(built.hc_complex))
+        assert np.abs(ev_r - 2.0 * ev_c).max() <= 1e-10 * max(1.0, float(np.abs(ev_r).max()))
+
+    @settings(derandomize=True, deadline=None)
+    @given(curvature_fields())
+    def test_newton_update_matches_the_dense_solve(self, draw):
+        field, z, _ = draw
+        quad = hessian_quad(field, z)
+        hc = assemble(quad).hc_complex
+        # The update eliminates through the conjugate block, so both it
+        # and the full matrix must be safely invertible.
+        assume(np.linalg.cond(hc) < 1e6 and np.linalg.cond(quad.hzz) < 1e6)
+        pair = cogradients(field, z)
+        rhs = np.concatenate([np.conj(pair.dz), np.conj(pair.dzbar)])
+        expected = -np.linalg.solve(hc, rhs)[: z.shape[0]]
+        got = newton_update_z(quad, pair)
+        assert np.abs(got - expected).max() <= 1e-8 * max(1.0, float(np.abs(expected).max()))
+
+    @settings(derandomize=True, deadline=None)
+    @given(curvature_fields(), st.sampled_from(("identity", "newton", "quasi_newton")))
+    def test_rows_and_steps_are_conjugate_pairs(self, draw, kind):
+        field, z, _ = draw
+        pair = cogradients(field, z)
+        np.testing.assert_array_equal(pair.dzbar, np.conj(pair.dz))
+        try:
+            delta_c, _ = descent_step(field, z, QStrategy(kind=kind))
+        except SingularQ:
+            assume(False)
+        n = z.shape[0]
+        np.testing.assert_array_equal(delta_c[n:], np.conj(delta_c[:n]))
+        assert is_admissible_vector(delta_c)
