@@ -6,17 +6,19 @@ and conj(z).  Writing A = Hzz, B = Hzbz, C = Hzzb, D = Hzbzb:
 
     A is Hermitian, B is symmetric, C = conj(B), D = conj(A).
 
-Three equivalent 2n x 2n assemblies are used downstream: the Hermitian
-form [[A, B], [C, D]] in conjugate coordinates, its row-swapped
-symmetric sibling, and the real-coordinate Hessian, related by the
-congruence with the coordinate-change matrix.  All three encode the
-same quadratic form, so second-order predictions agree across them to
+So the top pair (A, B) is the whole curvature: :class:`HessianQuad`
+stores only that pair and reads C and D off it.  Three equivalent
+2n x 2n assemblies are used downstream: the Hermitian form
+[[A, B], [C, D]] in conjugate coordinates, its row-swapped symmetric
+sibling, and the real-coordinate Hessian, related by the congruence
+with the coordinate-change matrix.  All three encode the same
+quadratic form, so second-order predictions agree across them to
 rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -33,51 +35,60 @@ SYM_TOL_FD = 1e-4
 #: Pre-symmetrization residual allowance for analytic blocks.
 SYM_TOL_ANALYTIC = 1e-8
 
-_IMAG_TOL = 1e-10
 _INVARIANT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class HessianQuad:
-    """The four curvature blocks of a real field, already symmetrized.
+    """The curvature of a real field, carried as its two top blocks.
 
     Attributes
     ----------
-    hzz, hzbz, hzzb, hzbzb : ndarray
-        Blocks d/dz (df/dz)^H, d/dconj (df/dz)^H, d/dz (df/dconj)^H,
-        and d/dconj (df/dconj)^H, each n x n.
+    hzz, hzbz : ndarray
+        Blocks A = d/dz (df/dz)^H and B = d/dconj (df/dz)^H, each n x n.
+    hzzb, hzbzb : ndarray
+        The bottom blocks d/dz (df/dconj)^H = conj(B) and
+        d/dconj (df/dconj)^H = conj(A), read off the top pair.
     presym_residual : float
         Infinity-norm distance between the raw blocks and the
-        symmetrized ones, recorded by :func:`hessian_quad`.
+        symmetrized ones, recorded by :func:`hessian_quad`.  Keyword
+        only.
     """
 
     hzz: np.ndarray
     hzbz: np.ndarray
-    hzzb: np.ndarray
-    hzbzb: np.ndarray
+    _: KW_ONLY
     presym_residual: float = 0.0
 
     def __post_init__(self):
-        blocks = []
-        for name in ("hzz", "hzbz", "hzzb", "hzbzb"):
-            blk = np.atleast_2d(np.asarray(getattr(self, name), dtype=complex))
-            blocks.append(blk)
-            object.__setattr__(self, name, blk)
-        shape = blocks[0].shape
-        if shape[0] != shape[1] or any(b.shape != shape for b in blocks):
+        hzz = np.atleast_2d(np.asarray(self.hzz, dtype=complex))
+        hzbz = np.atleast_2d(np.asarray(self.hzbz, dtype=complex))
+        if hzz.shape[0] != hzz.shape[1] or hzbz.shape != hzz.shape:
             raise DimensionError("curvature blocks must be square and share a shape")
+        object.__setattr__(self, "hzz", hzz)
+        object.__setattr__(self, "hzbz", hzbz)
 
     @property
     def n(self) -> int:
         return self.hzz.shape[0]
 
+    @property
+    def hzzb(self) -> np.ndarray:
+        return np.conj(self.hzbz)
+
+    @property
+    def hzbzb(self) -> np.ndarray:
+        return np.conj(self.hzz)
+
+    def dense(self) -> np.ndarray:
+        """The Hermitian 2n x 2n form [[A, B], [conj(B), conj(A)]]."""
+        return np.block([[self.hzz, self.hzbz], [self.hzzb, self.hzbzb]])
+
     def invariant_residual(self) -> float:
-        """Worst violation of the four block constraints, infinity norm."""
+        """Worst violation of A Hermitian and B symmetric, infinity norm."""
         return max(
             float(np.max(np.abs(self.hzz - self.hzz.conj().T))),
             float(np.max(np.abs(self.hzbz - self.hzbz.T))),
-            float(np.max(np.abs(self.hzzb - np.conj(self.hzbz)))),
-            float(np.max(np.abs(self.hzbzb - np.conj(self.hzz)))),
         )
 
     def check_invariants(self) -> None:
@@ -122,23 +133,20 @@ class AssembledHessians:
         return self.hc_complex.shape[0] // 2
 
 
-def _symmetrize(a, b, c, d):
-    hzz = 0.25 * (a + a.conj().T + np.conj(d) + d.T)
-    hzbz = 0.25 * (b + b.T + np.conj(c) + c.conj().T)
-    hzzb = np.conj(hzbz)
-    hzbzb = np.conj(hzz)
-    resid = max(
-        float(np.max(np.abs(a - hzz))),
-        float(np.max(np.abs(b - hzbz))),
-        float(np.max(np.abs(c - hzzb))),
-        float(np.max(np.abs(d - hzbzb))),
-    )
-    return hzz, hzbz, hzzb, hzbzb, resid
-
-
-def _finish_quad(a, b, c, d, tol: float, context: str) -> HessianQuad:
+def _finish_quad(blocks, n: int, tol: float, context: str) -> HessianQuad:
+    """Symmetrize raw blocks (A, B, C, D) into the top pair of an admissible curvature."""
+    a, b, c, d = (np.atleast_2d(np.asarray(blk, dtype=complex)) for blk in blocks)
+    if any(blk.shape != (n, n) for blk in (a, b, c, d)):
+        raise DimensionError(f"{context}: curvature blocks must be {n} x {n}")
     with np.errstate(invalid="ignore", over="ignore"):
-        hzz, hzbz, hzzb, hzbzb, resid = _symmetrize(a, b, c, d)
+        hzz = 0.25 * (a + a.conj().T + np.conj(d) + d.T)
+        hzbz = 0.25 * (b + b.T + np.conj(c) + c.conj().T)
+        resid = max(
+            float(np.max(np.abs(a - hzz))),
+            float(np.max(np.abs(b - hzbz))),
+            float(np.max(np.abs(c - np.conj(hzbz)))),
+            float(np.max(np.abs(d - np.conj(hzz)))),
+        )
     # A NaN or infinite entry in any raw block makes the residual
     # non-finite, and a NaN residual would pass the tolerance test.
     if not np.isfinite(resid):
@@ -153,14 +161,16 @@ def _finish_quad(a, b, c, d, tol: float, context: str) -> HessianQuad:
             f"{context}: raw curvature blocks violate symmetry, "
             f"residual {resid:.3e} exceeds {tol * scale:.3e}"
         )
-    return HessianQuad(hzz, hzbz, hzzb, hzbzb, presym_residual=resid)
+    return HessianQuad(hzz, hzbz, presym_residual=resid)
 
 
 def hessian_quad(field: ScalarField, p) -> HessianQuad:
     """Curvature blocks of a real field at a point.
 
-    Uses the field's analytic second derivatives when present
-    (symmetry enforced at 1e-8 relative).  Otherwise the conjugated
+    Uses the field's analytic second derivatives when present, given
+    by its ``hessian_fn`` as a :class:`HessianQuad` or as four raw
+    blocks (A, B, C, D); symmetry is enforced at 1e-8 relative.
+    Otherwise the conjugated
     row (df/dz)^H, analytic or differenced, is differenced once more
     with a relative step of eps**(1/4), giving the blocks A and B.  A
     real field has df/dconj = conj(df/dz), so the other two blocks are
@@ -175,20 +185,20 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
         derivatives or a rough field.
     NonFiniteEvaluation
         If a raw block holds NaN or infinity.
+    DimensionError
+        If an analytic block is not n x n at a point of length n.
     """
     z = as_complex_vector(p)
     n = z.shape[0]
     if field.hessian_fn is not None:
-        quad = field.hessian_fn(z)
-        if not isinstance(quad, HessianQuad):
-            quad = HessianQuad(*quad)
-        return _finish_quad(
-            quad.hzz, quad.hzbz, quad.hzzb, quad.hzbzb, SYM_TOL_ANALYTIC, field.name
-        )
+        blocks = field.hessian_fn(z)
+        if isinstance(blocks, HessianQuad):
+            blocks = (blocks.hzz, blocks.hzbz, blocks.hzzb, blocks.hzbzb)
+        return _finish_quad(blocks, n, SYM_TOL_ANALYTIC, field.name)
 
     dz_conj = VectorField(n, lambda w: np.conj(cogradients(field, w).dz), name=f"d({field.name})/dz^H")
     ju = cogradients_fd(dz_conj, z, step=FD_SECOND_STEP)
-    return _finish_quad(ju.jz, ju.jzbar, np.conj(ju.jzbar), np.conj(ju.jz), SYM_TOL_FD, field.name)
+    return _finish_quad((ju.jz, ju.jzbar, np.conj(ju.jzbar), np.conj(ju.jz)), n, SYM_TOL_FD, field.name)
 
 
 def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:
@@ -212,43 +222,29 @@ def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:
 def assemble(quad: HessianQuad) -> AssembledHessians:
     """Build the three 2n x 2n representations from curvature blocks.
 
-    The real-coordinate Hessian is :func:`real_hessian` of the top
-    blocks.  The congruence of the full matrix would carry an imaginary
-    part wherever the bottom blocks stray from conj(B), conj(A); that
-    residue must stay below 1e-10 (relative).
+    The Hermitian form is :meth:`HessianQuad.dense` and the
+    real-coordinate Hessian is :func:`real_hessian` of the top blocks,
+    real by construction.
 
     Raises
     ------
     RelationViolation
-        If the blocks violate their invariants, or the real-coordinate
-        form fails to come out real.
+        If the blocks violate their invariants.
     NonFiniteEvaluation
         If a block holds NaN or infinity.
     """
     quad.check_invariants()
-    a, b, c, d = quad.hzz, quad.hzbz, quad.hzzb, quad.hzbzb
-    hc = np.block([[a, b], [c, d]])
-    hrr = real_hessian(a, b)
-    # J^H hc J exceeds hrr by J^H [[0, 0], [ec, ed]] J, with ec, ed the
-    # strays of the bottom blocks; the entries of that excess are
-    # ec + ed, i(ec - ed), i(ec + ed) and ed - ec.
-    ec, ed = c - np.conj(b), d - np.conj(a)
-    imag = max(
-        float(np.max(np.abs(part))) for s in (ec + ed, ec - ed) for part in (s.real, s.imag)
-    )
-    if imag > _IMAG_TOL * max(1.0, float(np.max(np.abs(hrr)))):
-        raise RelationViolation(
-            f"real-coordinate Hessian has imaginary residue {imag:.3e}"
-        )
-    return AssembledHessians(hc_complex=hc, hc_real=swap_rows(hc), hrr=hrr)
+    hc = quad.dense()
+    return AssembledHessians(hc_complex=hc, hc_real=swap_rows(hc), hrr=real_hessian(quad.hzz, quad.hzbz))
 
 
 def complex_from_real(hrr: np.ndarray) -> np.ndarray:
     """Recover the Hermitian conjugate-coordinate form from a real Hessian.
 
     Applies the inverse congruence (a quarter of the sandwich with the
-    coordinate-change matrix) blockwise.  The input must be real
-    symmetric of even dimension.
+    coordinate-change matrix) for the top blocks and assembles them with
+    :meth:`HessianQuad.dense`.  The input must be real symmetric of even
+    dimension.
     """
     hrr = np.asarray(hrr, dtype=float)
     if hrr.ndim != 2 or hrr.shape[0] != hrr.shape[1] or hrr.shape[0] % 2:
@@ -260,9 +256,7 @@ def complex_from_real(hrr: np.ndarray) -> np.ndarray:
     r = hrr[n:, n:]
     hzz = 0.25 * (p + r + 1j * (qt - q))
     hzbz = 0.25 * (p - r + 1j * (qt + q))
-    hzzb = 0.25 * (p - r - 1j * (qt + q))
-    hzbzb = 0.25 * (p + r - 1j * (qt - q))
-    return np.block([[hzz, hzbz], [hzzb, hzbzb]])
+    return HessianQuad(hzz, hzbz).dense()
 
 
 _REPRESENTATIONS = ("z", "c-complex", "c-real", "r")

@@ -21,7 +21,8 @@ the weight held fixed; that correction vanishes for models linear in
 Both curvatures are built as their top blocks (A, B) only: an
 admissible matrix is [[A, B], [conj(B), conj(A)]], so the projection
 needs just the top blocks of the matrix it projects.  The dense
-2n x 2n forms are views assembled from those blocks.
+2n x 2n forms are :meth:`~crcalc.hessian.HessianQuad.dense` views of
+those blocks.
 """
 
 from __future__ import annotations
@@ -233,10 +234,6 @@ def _projected_blocks(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (mat[:n, :n] + np.conj(mat[n:, n:])), 0.5 * (mat[:n, n:] + np.conj(mat[n:, :n]))
 
 
-def _dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.block([[a, b], [np.conj(b), np.conj(a)]])
-
-
 def gauss_newton_blocks(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]:
     """Top blocks (U_zz, U_zbz) of the Gauss-Newton Hessian.
 
@@ -256,7 +253,7 @@ def gauss_newton_hessian(problem: LsqProblem, p) -> np.ndarray:
     Agrees with the raw normal matrix on every admissible variation even
     though the raw matrix itself is not admissible.
     """
-    return _dense(*gauss_newton_blocks(problem, p))
+    return HessianQuad(*gauss_newton_blocks(problem, p)).dense()
 
 
 def newton_quad(problem: LsqProblem, p) -> HessianQuad:
@@ -284,13 +281,12 @@ def newton_quad(problem: LsqProblem, p) -> HessianQuad:
     corr_a, corr_b = _projected_blocks(np.hstack([jac.jz, jac.jzbar]), n)
     a, b = gn_a - corr_a, gn_b - corr_b
     a, b = 0.5 * (a + a.conj().T), 0.5 * (b + b.T)
-    return HessianQuad(a, b, np.conj(b), np.conj(a))
+    return HessianQuad(a, b)
 
 
 def newton_hessian(problem: LsqProblem, p) -> np.ndarray:
     """Full 2n x 2n curvature of the loss: the :func:`newton_quad` blocks, dense."""
-    quad = newton_quad(problem, p)
-    return _dense(quad.hzz, quad.hzbz)
+    return newton_quad(problem, p).dense()
 
 
 def loss_field(problem: LsqProblem, name: str | None = None) -> ScalarField:

@@ -253,7 +253,7 @@ def _descent_step(
 ) -> tuple[np.ndarray, StepDiagnostics]:
     """:func:`descent_step` from the derivative row and scaling blocks at z."""
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    resid = max(float(np.max(np.abs(a - a.conj().T))), float(np.max(np.abs(b - b.T))))
+    resid = HessianQuad(a, b).invariant_residual()
     if resid > _Q_ADMISSIBLE_TOL * scale:
         raise InadmissibleQ(
             f"{kind} scaling is not Hermitian admissible "

@@ -113,12 +113,7 @@ def example1_loss_field(problem: Example1Problem) -> ScalarField:
         return WirtingerPair(np.array([dz]), np.array([np.conj(dz)]))
 
     def hess(z):
-        return HessianQuad(
-            hzz=np.array([[coupling]]),
-            hzbz=np.array([[np.conj(alpha) * beta]]),
-            hzzb=np.array([[alpha * np.conj(beta)]]),
-            hzbzb=np.array([[coupling]]),
-        )
+        return HessianQuad(np.array([[coupling]]), np.array([[np.conj(alpha) * beta]]))
 
     return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="scalar estimation loss")
 
@@ -238,12 +233,7 @@ def polynomial_field(params: PolynomialParams) -> ScalarField:
         return WirtingerPair(dz, np.conj(dz))
 
     def hess(z):
-        return HessianQuad(
-            hzz=np.diag(c).astype(complex),
-            hzbz=np.diag(np.conj(d)),
-            hzzb=np.diag(d),
-            hzbzb=np.diag(c).astype(complex),
-        )
+        return HessianQuad(np.diag(c).astype(complex), np.diag(np.conj(d)))
 
     return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="polynomial loss")
 

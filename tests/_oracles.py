@@ -167,10 +167,10 @@ def random_quadratic_loss(rng: np.random.Generator, n: int, scale: float = 0.5, 
         return WirtingerPair(dz, np.conj(dz))
 
     def hess(z):
-        return HessianQuad(p, np.conj(q), q, np.conj(p))
+        return HessianQuad(p, np.conj(q))
 
     field = ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="random quadratic loss")
-    return field, HessianQuad(p, np.conj(q), q, np.conj(p))
+    return field, HessianQuad(p, np.conj(q))
 
 
 def quartic_norm_field(with_analytic: bool = False) -> ScalarField:
@@ -194,7 +194,7 @@ def quartic_norm_field(with_analytic: bool = False) -> ScalarField:
             eye = np.eye(z.shape[0])
             hzz = 2.0 * nrm2 * eye + 2.0 * np.outer(z, np.conj(z))
             hzbz = 2.0 * np.outer(z, z)
-            return HessianQuad(hzz, hzbz, np.conj(hzbz), np.conj(hzz))
+            return HessianQuad(hzz, hzbz)
 
     return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="squared norm squared")
 

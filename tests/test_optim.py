@@ -56,7 +56,7 @@ def modulus_squared_field():
 
     def hess(z):
         n = z.shape[0]
-        return HessianQuad(np.eye(n), np.zeros((n, n)), np.zeros((n, n)), np.eye(n))
+        return HessianQuad(np.eye(n), np.zeros((n, n)))
 
     return ScalarField(
         lambda z: float(np.real(np.conj(z) @ z)),
@@ -173,8 +173,7 @@ class TestDescentStep:
             return WirtingerPair(dz, np.conj(dz))
 
         def hess(z):
-            zero = np.zeros((n, n))
-            return HessianQuad(p, zero, zero, np.conj(p))
+            return HessianQuad(p, np.zeros((n, n)))
 
         field = ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="uncoupled")
         z = random_complex_vector(rng, n)
@@ -187,9 +186,7 @@ class TestDescentStep:
         field = ScalarField(
             lambda z: float(np.real(np.conj(a) @ z)),
             cogradient_fn=lambda z: WirtingerPair(0.5 * np.conj(a), 0.5 * a),
-            hessian_fn=lambda z: HessianQuad(
-                np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
-            ),
+            hessian_fn=lambda z: HessianQuad(np.zeros((1, 1)), np.zeros((1, 1))),
             name="affine",
         )
         with pytest.raises(SingularQ):
@@ -350,7 +347,7 @@ class TestNewtonUpdate:
     def test_uncoupled_blocks_reduce_to_plain_solve(self):
         n = 2
         p = np.array([[3.0, 0.5], [0.5, 2.0]], dtype=complex)
-        quad = HessianQuad(p, np.zeros((n, n)), np.zeros((n, n)), np.conj(p))
+        quad = HessianQuad(p, np.zeros((n, n)))
         dz = np.array([1.0 + 1.0j, -2.0 + 0.5j])
         pair = WirtingerPair(dz, np.conj(dz))
         np.testing.assert_allclose(
@@ -512,8 +509,7 @@ class TestStationaryClassification:
         saddle = ScalarField(lambda z: float(np.real(z[0] ** 2)), name="Re z^2")
         assert check_minimum(hessian_quad(saddle, np.zeros(1, dtype=complex))) == "indefinite"
 
-        flat = HessianQuad(np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]),
-                           np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]))
+        flat = HessianQuad(np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]))
         assert check_minimum(flat) == "singular"
 
     def test_matches_the_complex_eigenvalues(self):
@@ -531,15 +527,14 @@ class TestStationaryClassification:
             assert check_minimum(quad) == expected
 
     def test_rejects_blocks_that_break_their_invariants(self):
-        one = np.array([[1.0 + 0j]])
-        zero = np.zeros((1, 1), dtype=complex)
+        not_hermitian = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(RelationViolation):
-            check_minimum(HessianQuad(one, zero, zero, 2.0 * one))
+            check_minimum(HessianQuad(not_hermitian, np.zeros((2, 2))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_blocks(self, bad):
         with pytest.raises(CrcalcError):
-            check_minimum(HessianQuad([[bad]], [[0.0]], [[0.0]], [[bad]]))
+            check_minimum(HessianQuad([[bad]], [[0.0]]))
 
 
 class TestLagrangian:
