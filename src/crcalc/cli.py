@@ -338,14 +338,17 @@ def build_run_config(
 
 def _build_example(cfg: RunConfig) -> Example1Problem:
     ex = cfg.example
-    return Example1Problem.synthesize(
-        alpha=ex.alpha,
-        beta=ex.beta,
-        z_true=ex.z_true,
-        noise_var=ex.noise_var,
-        n_samples=ex.n_samples,
-        seed=ex.seed,
-    )
+    try:
+        return Example1Problem.synthesize(
+            alpha=ex.alpha,
+            beta=ex.beta,
+            z_true=ex.z_true,
+            noise_var=ex.noise_var,
+            n_samples=ex.n_samples,
+            seed=ex.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"problem: {exc}") from None
 
 
 def _build_target(cfg: RunConfig):

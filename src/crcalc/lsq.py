@@ -139,7 +139,8 @@ class LsqProblem:
     g : VectorField
         Model map from C^n to C^m.
     y : ndarray
-        Observations, length m.
+        Observations, length m, every entry finite; a NaN or infinite
+        observation raises ValueError.
     w : float, ndarray, optional
         Hermitian positive definite weight, in one of three forms, each
         validated once here at the cost its structure allows:
@@ -167,6 +168,8 @@ class LsqProblem:
         y = np.atleast_1d(np.asarray(y, dtype=complex))
         if y.shape != (g.m,):
             raise DimensionError(f"observations have shape {y.shape}, expected ({g.m},)")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observations must be finite")
         self.g = g
         self.y = y
         self._weight = _Weight.build(w, g.m)

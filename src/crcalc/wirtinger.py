@@ -113,8 +113,9 @@ class ScalarField:
         Maps a point to a :class:`WirtingerPair`.  Used instead of
         differencing when present.
     hessian_fn : callable, optional
-        Maps a point to second-derivative blocks (consumed by the
-        curvature module).
+        Maps a point to its curvature, a
+        :class:`~crcalc.hessian.HessianQuad` or four raw blocks
+        (A, B, C, D) that the curvature module symmetrizes.
     name : str, optional
         Label for reports and traces.
     """
@@ -238,7 +239,8 @@ def cogradients(field, p):
 
     For a :class:`ScalarField` the conjugate pairing dzbar = conj(dz) is
     checked and :class:`ConjugationMismatch` raised on failure, with the
-    tighter tolerance applied to analytic derivatives.
+    tighter tolerance applied to analytic derivatives; analytic rows
+    whose length differs from the point's raise :class:`DimensionError`.
     """
     z = as_complex_vector(p)
     if isinstance(field, ScalarField):
@@ -246,6 +248,10 @@ def cogradients(field, p):
             pair = field.cogradient_fn(z)
             if not isinstance(pair, WirtingerPair):
                 pair = WirtingerPair(*pair)
+            if pair.n != z.shape[0]:
+                raise DimensionError(
+                    f"{field.name}: derivative rows have length {pair.n}, expected {z.shape[0]}"
+                )
             tol = CONJ_TOL_ANALYTIC
         else:
             pair = cogradients_fd(field, z)

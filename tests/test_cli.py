@@ -67,6 +67,9 @@ class TestConfigParsing:
             ("optimize", {"problem": {"alpha": float("-inf")}}),
             ("lms", {"lms": {"step_size": 10**400}}),
             ("lms", {"lms": {"r_diag": [1e300, 1.0, 1.0, 1.0], "a_ref": ["1e300", "0", "0", "0"]}}),
+            # Finite settings whose synthesized samples overflow.
+            ("optimize", {"problem": {"alpha": "1e308+0j", "beta": "0", "z_true": "10"}}),
+            ("check", {"problem": {"alpha": "1e308+0j", "beta": "0", "z_true": "10"}}),
         ],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, command, payload):

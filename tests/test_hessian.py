@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crcalc import (
     AssembledHessians,
+    DimensionError,
     HessianQuad,
     NonFiniteEvaluation,
     PolynomialParams,
@@ -144,6 +145,19 @@ class TestQuadValidation:
         )
         with pytest.raises(SymmetryViolation):
             hessian_quad(field, np.array([1.0 + 0j]))
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            lambda z: HessianQuad(np.eye(3), np.zeros((3, 3))),
+            lambda z: (np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3)),
+            lambda z: (np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(3)),
+        ],
+    )
+    def test_analytic_blocks_of_the_wrong_size_are_rejected(self, blocks):
+        field = ScalarField(lambda z: float(np.real(np.conj(z) @ z)), hessian_fn=blocks, name="3 x 3")
+        with pytest.raises(DimensionError, match="2 x 2"):
+            hessian_quad(field, np.array([1.0 + 0j, 2.0 + 0j]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_analytic_blocks_are_rejected(self, bad):

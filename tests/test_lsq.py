@@ -113,6 +113,12 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             LsqProblem(g, np.zeros(3, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_observations_must_be_finite(self, bad):
+        g = VectorField(2, lambda z: z)
+        with pytest.raises(ValueError, match="finite"):
+            LsqProblem(g, np.array([1.0, bad]))
+
     @pytest.mark.parametrize("w", [0.0, -1.0, np.nan, np.inf, 1.0 + 1.0j])
     def test_scalar_weight_must_be_real_finite_and_positive(self, w):
         g = VectorField(2, lambda z: z)

@@ -425,6 +425,17 @@ class TestMinimize:
             with pytest.raises(Diverged, match="loss inf at the starting point"):
                 minimize(target, z0, QStrategy(kind="newton"))
 
+    def test_wrong_size_derivatives_raise_a_typed_error(self):
+        inner = modulus_squared_field()
+        z0 = np.array([1.0 + 1.0j, -0.5j])
+        long_rows = ScalarField(inner.fn, cogradient_fn=lambda z: inner.cogradient_fn(np.ones(3)))
+        big_blocks = ScalarField(
+            inner.fn, cogradient_fn=inner.cogradient_fn, hessian_fn=lambda z: inner.hessian_fn(np.ones(3))
+        )
+        for field, kind in ((long_rows, "identity"), (big_blocks, "newton")):
+            with pytest.raises(DimensionError):
+                minimize(field, z0, QStrategy(kind=kind))
+
     def test_derivative_row_is_evaluated_once_per_iterate(self):
         calls = []
         inner = modulus_squared_field()

@@ -5,6 +5,7 @@ import pytest
 
 from crcalc import (
     ConjugationMismatch,
+    DimensionError,
     JacobianPair,
     MetricTensor,
     NonFiniteEvaluation,
@@ -131,6 +132,15 @@ class TestValidation:
         )
         with pytest.raises(ConjugationMismatch):
             cogradients(field, np.array([1.0 + 1.0j]))
+
+    def test_rows_of_the_wrong_length_rejected(self):
+        field = ScalarField(
+            lambda z: float(np.real(np.conj(z) @ z)),
+            cogradient_fn=lambda z: WirtingerPair(np.ones(3), np.ones(3)),
+            name="long rows",
+        )
+        with pytest.raises(DimensionError, match="length 3, expected 2"):
+            cogradients(field, np.array([1.0 + 0j, 2.0 + 0j]))
 
     def test_scalar_field_rejects_complex_values(self):
         field = ScalarField(lambda z: z[0], name="not real")
