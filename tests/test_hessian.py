@@ -295,7 +295,8 @@ def curvature_fields(draw):
 
     The field is a random separable polynomial or a random quadratic
     loss in n = 1 to 6 unknowns.  Its curvature comes from its analytic
-    blocks or, with those dropped, from differencing its rows.
+    blocks, from differencing its analytic rows, or from differencing
+    differenced rows.
     """
     rng = RNG(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 6))
@@ -309,13 +310,12 @@ def curvature_fields(draw):
         field = polynomial_field(params)
     else:
         field, _ = random_quadratic_loss(rng, n)
-    if draw(st.booleans()):
-        field = ScalarField(field.fn, cogradient_fn=field.cogradient_fn, name="differenced curvature")
+    derivatives = draw(st.sampled_from(("analytic", "differenced curvature", "differenced")))
+    if derivatives == "differenced curvature":
+        field = ScalarField(field.fn, cogradient_fn=field.cogradient_fn, name=derivatives)
+    elif derivatives == "differenced":
+        field = ScalarField(field.fn, name=derivatives)
     return field, random_complex_vector(rng, n), random_complex_vector(rng, n)
-
-
-def _top_scale(quad):
-    return max(1.0, float(np.abs(quad.hzz).max()), float(np.abs(quad.hzbz).max()))
 
 
 class TestIdentityProperties:
@@ -326,7 +326,8 @@ class TestIdentityProperties:
     def test_blocks_satisfy_their_invariants(self, draw):
         field, z, _ = draw
         quad = hessian_quad(field, z)
-        assert quad.invariant_residual() <= 1e-12 * _top_scale(quad)
+        scale = max(1.0, float(np.abs(quad.hzz).max()), float(np.abs(quad.hzbz).max()))
+        assert quad.invariant_residual() <= 1e-12 * scale
 
     @settings(derandomize=True, deadline=None)
     @given(curvature_fields())
