@@ -30,8 +30,11 @@ def as_complex_vector(value) -> np.ndarray:
     """Coerce a point-like value to a 1-D complex128 array.
 
     Accepts :class:`ComplexPoint`, array-likes, and scalars.  The result
-    is a fresh array, safe to mutate.
+    may share memory with the argument: a 1-D complex128 ndarray comes
+    back as the very same object.  Callers must not write into it.
     """
+    if type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.complex128:
+        return value
     if isinstance(value, ComplexPoint):
         return value.z.copy()
     arr = np.atleast_1d(np.asarray(value, dtype=complex))

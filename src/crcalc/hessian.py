@@ -186,7 +186,9 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
     NonFiniteEvaluation
         If a raw block holds NaN or infinity.
     DimensionError
-        If an analytic block is not n x n at a point of length n.
+        If an analytic block is not n x n at a point of length n, or
+        ``hessian_fn`` returns neither a :class:`HessianQuad` nor four
+        blocks.
     """
     z = as_complex_vector(p)
     n = z.shape[0]
@@ -194,6 +196,13 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
         blocks = field.hessian_fn(z)
         if isinstance(blocks, HessianQuad):
             blocks = (blocks.hzz, blocks.hzbz, blocks.hzzb, blocks.hzbzb)
+        else:
+            blocks = tuple(blocks)
+            if len(blocks) != 4:
+                raise DimensionError(
+                    f"{field.name}: hessian_fn must return a HessianQuad or four raw blocks "
+                    f"(A, B, C, D), got {len(blocks)}"
+                )
         return _finish_quad(blocks, n, SYM_TOL_ANALYTIC, field.name)
 
     dz_conj = VectorField(n, lambda w: np.conj(cogradients(field, w).dz), name=f"d({field.name})/dz^H")

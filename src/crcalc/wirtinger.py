@@ -16,6 +16,7 @@ single row determines the whole first-order behavior:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -134,13 +135,12 @@ class ScalarField:
 
     def __call__(self, p) -> float:
         z = as_complex_vector(p)
-        value = self.fn(z)
-        value = complex(value)
-        if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+        value = complex(self.fn(z))
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise NonFiniteEvaluation(f"{self.name} returned a non-finite value at {z!r}")
         if abs(value.imag) > _REAL_DUST * max(1.0, abs(value.real)):
             raise ValueError(f"{self.name} must be real-valued, got {value!r}")
-        return float(value.real)
+        return value.real
 
 
 class VectorField:
@@ -183,26 +183,27 @@ class VectorField:
         return value
 
 
-def _fd_blocks(call: Callable[[np.ndarray], np.ndarray], z: np.ndarray, base: float, m: int):
+def _fd_blocks(call: Callable[[np.ndarray], float | np.ndarray], z: np.ndarray, base: float, m: int):
     """Central-difference jz and jzbar of a callable with m outputs.
 
-    Only the 4n probes are evaluated, never the centre point itself.
+    Only the 4n probes are evaluated, never the centre point itself:
+    coordinate by coordinate, +x, -x, +y, -y.  The probe sets and the
+    blocks are formed as whole arrays; ``call`` still sees each probe
+    once, as a row of one of the four n x n probe sets.
     """
     n = z.shape[0]
-    jz = np.empty((m, n), dtype=complex)
-    jzbar = np.empty((m, n), dtype=complex)
-    for i in range(n):
-        hx = base * max(1.0, abs(z[i].real))
-        hy = base * max(1.0, abs(z[i].imag))
-        ex = np.zeros(n, dtype=complex)
-        ex[i] = hx
-        ey = np.zeros(n, dtype=complex)
-        ey[i] = 1j * hy
-        dfdx = (call(z + ex) - call(z - ex)) / (2.0 * hx)
-        dfdy = (call(z + ey) - call(z - ey)) / (2.0 * hy)
-        jz[:, i] = 0.5 * (dfdx - 1j * dfdy)
-        jzbar[:, i] = 0.5 * (dfdx + 1j * dfdy)
-    return jz, jzbar
+    # fmax, like the builtin max, keeps the base step for a NaN coordinate.
+    hx = base * np.fmax(1.0, np.abs(z.real))
+    hy = base * np.fmax(1.0, np.abs(z.imag))
+    ex = np.diag(hx)
+    ey = np.diag(1j * hy)
+    probes = (z + ex, z - ex, z + ey, z - ey)
+    values = [call(side[i]) for i in range(n) for side in probes]
+    # (n, 4, m) in call order -> four C-ordered m x n blocks.
+    f = np.ascontiguousarray(np.array(values).reshape(n, 4, m).transpose(1, 2, 0))
+    dfdx = (f[0] - f[1]) / (2.0 * hx)
+    dfdy = (f[2] - f[3]) / (2.0 * hy)
+    return 0.5 * (dfdx - 1j * dfdy), 0.5 * (dfdx + 1j * dfdy)
 
 
 def cogradients_fd(field, p, step: float | None = None):
@@ -225,8 +226,7 @@ def cogradients_fd(field, p, step: float | None = None):
         raise ValueError("step must be positive")
     z = as_complex_vector(p)
     if isinstance(field, ScalarField):
-        call = lambda w: np.array([field(w)])
-        jz, jzbar = _fd_blocks(call, z, base, 1)
+        jz, jzbar = _fd_blocks(field, z, base, 1)
         return WirtingerPair(jz[0], jzbar[0])
     if isinstance(field, VectorField):
         jz, jzbar = _fd_blocks(field, z, base, field.m)
@@ -239,8 +239,10 @@ def cogradients(field, p):
 
     For a :class:`ScalarField` the conjugate pairing dzbar = conj(dz) is
     checked and :class:`ConjugationMismatch` raised on failure, with the
-    tighter tolerance applied to analytic derivatives; analytic rows
-    whose length differs from the point's raise :class:`DimensionError`.
+    tighter tolerance applied to analytic derivatives.  Analytic rows
+    whose length differs from the point's, and analytic jacobian blocks
+    of a :class:`VectorField` that are not m x n, raise
+    :class:`DimensionError`.
     """
     z = as_complex_vector(p)
     if isinstance(field, ScalarField):
@@ -269,6 +271,11 @@ def cogradients(field, p):
             pair = field.jacobian_fn(z)
             if not isinstance(pair, JacobianPair):
                 pair = JacobianPair(*pair)
+            if pair.shape != (field.m, z.shape[0]):
+                raise DimensionError(
+                    f"{field.name}: jacobian blocks have shape {pair.shape}, "
+                    f"expected {(field.m, z.shape[0])}"
+                )
             return pair
         return cogradients_fd(field, z)
     raise TypeError(f"expected a ScalarField or VectorField, got {type(field).__name__}")

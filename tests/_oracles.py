@@ -199,6 +199,38 @@ def quartic_norm_field(with_analytic: bool = False) -> ScalarField:
     return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="squared norm squared")
 
 
+def per_coordinate_fd_blocks(call, z: np.ndarray, base: float, m: int):
+    """Central-difference jz and jzbar, one coordinate at a time.
+
+    The stencil the package's batched differencing must reproduce bit
+    for bit: for each coordinate in turn, probe +x, -x, +y, -y with the
+    steps ``base * max(1, |coordinate|)``, and form the blocks column by
+    column from the two real partials.
+    """
+    n = z.shape[0]
+    jz = np.empty((m, n), dtype=complex)
+    jzbar = np.empty((m, n), dtype=complex)
+    for i in range(n):
+        hx = base * max(1.0, abs(z[i].real))
+        hy = base * max(1.0, abs(z[i].imag))
+        ex = np.zeros(n, dtype=complex)
+        ex[i] = hx
+        ey = np.zeros(n, dtype=complex)
+        ey[i] = 1j * hy
+        dfdx = (call(z + ex) - call(z - ex)) / (2.0 * hx)
+        dfdy = (call(z + ey) - call(z - ey)) / (2.0 * hy)
+        jz[:, i] = 0.5 * (dfdx - 1j * dfdy)
+        jzbar[:, i] = 0.5 * (dfdx + 1j * dfdy)
+    return jz, jzbar
+
+
+def per_coordinate_cogradients_fd(field, z: np.ndarray, step: float):
+    """:func:`per_coordinate_fd_blocks` of a scalar or vector field, as (jz, jzbar)."""
+    if isinstance(field, ScalarField):
+        return per_coordinate_fd_blocks(lambda w: np.array([field(w)]), z, step, 1)
+    return per_coordinate_fd_blocks(field, z, step, field.m)
+
+
 def random_complex_vector(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 

@@ -10,13 +10,18 @@ from crcalc import (
     DimensionError,
     InadmissibleVector,
     MetricTensor,
+    QStrategy,
     RealCoordinates,
+    ScalarField,
     SingularMatrix,
     StructureMatrices,
+    cogradients_fd,
     from_conjugate,
+    hessian_quad,
     is_admissible_matrix,
     is_admissible_vector,
     matrix_residual,
+    minimize,
     project_admissible,
     swap,
     swap_cols,
@@ -27,6 +32,7 @@ from crcalc import (
     vector_residual,
     verify_transform_laws,
 )
+from crcalc.coords import as_complex_vector
 from ._oracles import dense_c, dense_j, dense_s, random_complex_matrix, random_complex_vector
 
 
@@ -220,3 +226,26 @@ class TestMetricAndTransforms:
         p = ComplexPoint(np.array([1.0 + 0j, 1.0 + 0j]))
         with pytest.raises(SingularMatrix):
             verify_transform_laws(np.zeros((2, 2)), p)
+
+
+class TestCallerPoints:
+    def test_complex_vectors_pass_through_and_points_are_copied(self):
+        z = np.array([1.0 + 2.0j, -0.0 - 3.0j])
+        assert as_complex_vector(z) is z
+        point = ComplexPoint(z)
+        assert as_complex_vector(point) is not point.z
+        assert as_complex_vector(point).flags.writeable
+        out = as_complex_vector(np.array([1.0, 2.0]))
+        assert out.dtype == complex and out.shape == (2,)
+        with pytest.raises(DimensionError):
+            as_complex_vector(np.eye(2, dtype=complex))
+
+    def test_library_leaves_the_callers_point_unchanged(self):
+        center = np.array([0.5 - 1.0j, 2.0 + 0.25j])
+        field = ScalarField(lambda z: float(np.real(np.vdot(z - center, z - center))), name="plain bowl")
+        z0 = np.array([3.0 - 2.0j, -0.0 + 1.5j])
+        before = z0.tobytes()
+        cogradients_fd(field, z0)
+        hessian_quad(field, z0)
+        minimize(field, z0, QStrategy(kind="newton"))
+        assert z0.tobytes() == before

@@ -159,6 +159,18 @@ class TestQuadValidation:
         with pytest.raises(DimensionError, match="2 x 2"):
             hessian_quad(field, np.array([1.0 + 0j, 2.0 + 0j]))
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            lambda z: (np.eye(2), np.zeros((2, 2))),
+            lambda z: [np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))],
+        ],
+    )
+    def test_blocks_that_are_not_four_name_the_accepted_forms(self, blocks):
+        field = ScalarField(lambda z: float(np.real(np.conj(z) @ z)), hessian_fn=blocks, name="top pair")
+        with pytest.raises(DimensionError, match="HessianQuad or four raw blocks"):
+            hessian_quad(field, np.array([1.0 + 0j, 2.0 + 0j]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_analytic_blocks_are_rejected(self, bad):
         # A NaN symmetry residual passes the tolerance test, so the

@@ -126,6 +126,17 @@ class TestConfigValidation:
                 assert isinstance(info.value, CrcalcError)
         assert calls == []
 
+    def test_misshapen_model_jacobian_is_a_dimension_error(self):
+        model = VectorField(
+            2,
+            lambda z: z,
+            jacobian_fn=lambda z: JacobianPair(np.eye(3), np.zeros((3, 3))),
+            name="3 x 3 jacobian",
+        )
+        problem = LsqProblem(model, np.array([1.0 + 0j, -1.0j]))
+        with pytest.raises(DimensionError, match="3 x 3 jacobian"):
+            minimize(problem, np.array([0.5 + 0j, 0.5j]), QStrategy(kind="gauss_newton"))
+
 
 class TestDescentStep:
     def test_identity_step_is_negative_gradient(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crcalc import (
     ConjugationMismatch,
@@ -22,7 +24,10 @@ from crcalc import (
     is_holomorphic,
     stationarity_residual,
 )
+from crcalc.hessian import FD_SECOND_STEP, hessian_quad
+from crcalc.wirtinger import FD_FIRST_STEP
 from ._oracles import (
+    per_coordinate_cogradients_fd,
     random_complex_vector,
     random_poly_vector_field,
     random_quadratic_loss,
@@ -120,6 +125,133 @@ class TestDifferencingAgreement:
             cogradients_fd(field, z, step=0.0)
 
 
+def assert_same_bits(actual, expected):
+    """Equal values, signed zeros included: same shape, dtype and bytes."""
+    np.testing.assert_array_equal(actual, expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+# Signed zeros, components inside the unit interval (base step) and
+# components beyond it (step scaled by the component).
+_COMPONENTS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+    st.floats(-1e3, 1e3, allow_subnormal=False),
+)
+
+
+@st.composite
+def stencil_cases(draw):
+    """A field without derivatives, a point and a differencing step."""
+    n = draw(st.integers(1, 5))
+    z = np.empty(n, dtype=complex)
+    z.real = draw(st.lists(_COMPONENTS, min_size=n, max_size=n))
+    z.imag = draw(st.lists(_COMPONENTS, min_size=n, max_size=n))
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        field = ScalarField(random_quadratic_loss(rng, n)[0].fn, name="plain quadratic")
+    else:
+        m = draw(st.integers(1, 3))
+        field = VectorField(m, random_poly_vector_field(rng, n, m).fn, name="plain map")
+    return field, z, draw(st.sampled_from((None, FD_SECOND_STEP)))
+
+
+class TestBatchedStencil:
+    """Differencing matches the per-coordinate stencil bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(stencil_cases())
+    def test_blocks_equal_the_per_coordinate_loop(self, case):
+        field, z, step = case
+        jz, jzbar = per_coordinate_cogradients_fd(field, z, FD_FIRST_STEP if step is None else step)
+        pair = cogradients_fd(field, z, step=step)
+        if isinstance(field, ScalarField):
+            assert_same_bits(pair.dz, jz[0])
+            assert_same_bits(pair.dzbar, jzbar[0])
+        else:
+            assert pair.jz.flags.c_contiguous and pair.jzbar.flags.c_contiguous
+            assert_same_bits(pair.jz, jz)
+            assert_same_bits(pair.jzbar, jzbar)
+
+
+def recording_field(points, vector=False):
+    """|z|^2 (or z itself) that keeps a copy of every point it is called at."""
+
+    def fn(w):
+        points.append(w.copy())
+        return w if vector else float(np.real(np.conj(w) @ w))
+
+    if vector:
+        return VectorField(3, fn, name="recorded map")
+    return ScalarField(fn, name="recorded |z|^2")
+
+
+class TestProbeOrder:
+    Z = np.array([1.5 - 0.5j, -2.0 + 3.0j, 0.25j])
+
+    def expected_probes(self, z):
+        out = []
+        for i in range(z.shape[0]):
+            ex = np.zeros(z.shape[0], dtype=complex)
+            ex[i] = FD_FIRST_STEP * max(1.0, abs(z[i].real))
+            ey = np.zeros(z.shape[0], dtype=complex)
+            ey[i] = 1j * FD_FIRST_STEP * max(1.0, abs(z[i].imag))
+            out += [z + ex, z - ex, z + ey, z - ey]
+        return out
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_row_probes_in_coordinate_order(self, vector):
+        points = []
+        cogradients_fd(recording_field(points, vector), self.Z)
+        expected = self.expected_probes(self.Z)
+        assert len(points) == 4 * self.Z.shape[0]
+        for got, want in zip(points, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_differenced_row_costs_four_evaluations_per_coordinate(self):
+        points = []
+        cogradients(recording_field(points), self.Z)
+        assert len(points) == 12
+        assert not any(np.array_equal(w, self.Z) for w in points)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fully_differenced_curvature_costs_16_n_squared(self, n):
+        points = []
+        z = self.Z[:n]
+        hessian_quad(recording_field(points), z)
+        assert len(points) == 16 * n * n
+        assert not any(np.array_equal(w, z) for w in points)
+
+    def failing_at(self, probe, bad):
+        calls = []
+
+        def fn(w):
+            calls.append(None)
+            return bad if len(calls) == probe else float(np.real(np.conj(w) @ w))
+
+        return ScalarField(fn, name="fails once")
+
+    @pytest.mark.parametrize("probe", [1, 6, 12])
+    def test_nan_at_one_probe_is_non_finite(self, probe):
+        with pytest.raises(NonFiniteEvaluation):
+            cogradients_fd(self.failing_at(probe, float("nan")), self.Z)
+
+    @pytest.mark.parametrize("probe", [1, 6, 12])
+    def test_complex_value_at_one_probe_is_rejected(self, probe):
+        with pytest.raises(ValueError, match="real-valued"):
+            cogradients_fd(self.failing_at(probe, 1.0 + 0.5j), self.Z)
+
+    def test_nan_from_a_vector_field_probe_is_non_finite(self):
+        calls = []
+
+        def fn(w):
+            calls.append(None)
+            return np.full(3, np.nan) if len(calls) == 7 else w
+
+        with pytest.raises(NonFiniteEvaluation):
+            cogradients_fd(VectorField(3, fn), self.Z)
+
+
 class TestValidation:
     def test_conjugation_mismatch_detected(self):
         def bad_rows(z):
@@ -162,6 +294,17 @@ class TestValidation:
             WirtingerPair(np.zeros(2, dtype=complex), np.zeros(3, dtype=complex))
         with pytest.raises(ValueError):
             JacobianPair(np.zeros((2, 2), dtype=complex), np.zeros((2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2), (1, 2)])
+    def test_jacobian_blocks_of_the_wrong_shape_rejected(self, shape):
+        field = VectorField(
+            2,
+            lambda z: z,
+            jacobian_fn=lambda z: JacobianPair(np.ones(shape), np.zeros(shape)),
+            name="misshapen jacobian",
+        )
+        with pytest.raises(DimensionError, match=r"\(2, 2\)"):
+            cogradients(field, np.array([1.0 + 0j, 2.0 + 0j]))
 
 
 class TestHolomorphy:
