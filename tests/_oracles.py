@@ -12,9 +12,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from crcalc.errors import Diverged, NonFiniteEvaluation
 from crcalc.hessian import FD_SECOND_STEP, HessianQuad
-from crcalc.lsq import compound_jacobian, residual
-from crcalc.wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients_fd
+from crcalc.lsq import LsqProblem, compound_jacobian, loss_field, residual
+from crcalc.optim import DEFAULT_STEP_SIZE, descent_step
+from crcalc.wirtinger import (
+    JacobianPair,
+    ScalarField,
+    VectorField,
+    WirtingerPair,
+    cogradients,
+    cogradients_fd,
+)
 
 
 def dense_j(n: int) -> np.ndarray:
@@ -262,3 +271,84 @@ def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     newton = gauss - project(np.hstack([jac.jz, jac.jzbar]))
     newton = 0.5 * (newton + newton.conj().T)
     return gauss, project(newton)
+
+
+def reference_minimize(target, z0, strategy, config):
+    """The scaled descent loop, written out with one branch per exit.
+
+    The loop ``minimize`` must reproduce bit for bit, built on public
+    calls only: the loss field, :func:`cogradients` and
+    :func:`descent_step`, which recomputes the row and the scaling at
+    the same point to the same bits.  Armijo backtracking makes at most
+    60 trials; a loss more than 1e12 above the start diverges.
+
+    Returns ``(z, loss, grad_norm, converged, reason, iterations,
+    records)``, each record the tuple ``(iteration, z, loss, grad_norm,
+    step_norm, q_condition, q_positive_definite)``.  A divergence raises
+    :class:`Diverged` with the records so far as its trace.
+    """
+    field = loss_field(target) if isinstance(target, LsqProblem) else target
+    z = np.array(z0, dtype=complex)
+    records = []
+
+    def trial_loss(w):
+        try:
+            with np.errstate(all="ignore"):
+                return field(w)
+        except NonFiniteEvaluation:
+            return float("inf")
+
+    def record(iteration, loss_at, grad_at, step_norm, diag):
+        if config.record_trace:
+            records.append(
+                (
+                    iteration,
+                    z.copy(),
+                    loss_at,
+                    grad_at,
+                    step_norm,
+                    diag.condition if diag is not None else float("nan"),
+                    diag.positive_definite if diag is not None else None,
+                )
+            )
+
+    alpha0 = config.step_size if config.step_size is not None else DEFAULT_STEP_SIZE[strategy.kind]
+    loss_here = trial_loss(z)
+    if not np.isfinite(loss_here):
+        raise Diverged(f"loss {loss_here!r} at the starting point", trace=records)
+    loss_limit = loss_here + 1e12
+
+    reason, converged, iterations = "max_iters", False, 0
+    for k in range(config.max_iters + 1):
+        pair = cogradients(field, z)
+        grad_norm = float(np.max(np.abs(pair.dz), initial=0.0))
+        if grad_norm <= config.grad_tol:
+            record(k, loss_here, grad_norm, 0.0, None)
+            reason, converged = "converged", True
+            break
+        if k == config.max_iters:
+            record(k, loss_here, grad_norm, 0.0, None)
+            break
+        delta_c, diag = descent_step(target, z, strategy)
+        delta_z = delta_c[: z.shape[0]]
+        slope = 2.0 * float(np.real(pair.dz @ delta_z))
+        alpha = alpha0
+        if config.backtracking == "armijo":
+            for _ in range(60):
+                candidate = z + alpha * delta_z
+                loss_new = trial_loss(candidate)
+                if loss_new <= loss_here + config.armijo_c1 * alpha * slope:
+                    break
+                alpha *= config.armijo_beta
+            else:
+                record(k, loss_here, grad_norm, 0.0, diag)
+                reason = "line_search_failed"
+                break
+        else:
+            candidate = z + alpha * delta_z
+            loss_new = trial_loss(candidate)
+        record(k, loss_here, grad_norm, float(np.linalg.norm(alpha * delta_z)), diag)
+        if not loss_new <= loss_limit:
+            raise Diverged(f"loss reached {loss_new!r} at iteration {k}", trace=records)
+        z, loss_here, iterations = candidate, loss_new, k + 1
+    return z, loss_here, grad_norm, converged, reason, iterations, records

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crcalc import (
     CrcalcError,
@@ -43,6 +45,7 @@ from ._oracles import (
     random_complex_vector,
     random_poly_vector_field,
     random_quadratic_loss,
+    reference_minimize,
 )
 
 RNG = np.random.default_rng
@@ -517,6 +520,146 @@ class TestMinimize:
         result = minimize(field, np.array([1.0 + 0j]), QStrategy(kind="identity"))
         assert not result.converged
         assert result.reason == "line_search_failed"
+
+
+@st.composite
+def minimize_runs(draw):
+    """A target, a start, an admissible strategy and an optimizer config.
+
+    The target is a random separable polynomial field (convex or not),
+    analytic or differenced, a random nonlinear least-squares problem
+    with an analytic or differenced model under no, a scalar or a
+    diagonal weight, or a cusp at the start point.
+    """
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from((1, 2, 3, 4)))
+    family = draw(
+        st.sampled_from(("polynomial", "differenced polynomial", "lsq", "differenced lsq", "cusp"))
+    )
+    z0 = random_complex_vector(rng, n, scale=draw(st.sampled_from((0.5, 3.0))))
+    if family == "cusp":
+        # Minimal at z0, but the claimed row insists on moving: Armijo fails.
+        ones = np.ones(n, dtype=complex)
+        target = ScalarField(
+            lambda z, _at=z0.copy(): float(np.sum(np.abs(z - _at))),
+            cogradient_fn=lambda z: WirtingerPair(ones, ones),
+            name="cusp",
+        )
+        kinds = ("identity", "newton", "quasi_newton")
+    elif family.endswith("polynomial"):
+        params = PolynomialParams(
+            rng.uniform(-2.0, 2.0, n),
+            random_complex_vector(rng, n),
+            random_complex_vector(rng, n),
+            float(rng.standard_normal()),
+        )
+        target = polynomial_field(params)
+        if family.startswith("differenced"):
+            target = ScalarField(target.fn, name=family)
+        kinds = ("identity", "newton", "quasi_newton")
+    else:
+        m = draw(st.integers(1, 6))
+        g = random_poly_vector_field(rng, n, m, scale=0.4)
+        if family.startswith("differenced"):
+            g = VectorField(m, g.fn, name="differenced model")
+        w = draw(st.sampled_from((None, "scalar", "diagonal")))
+        if w == "scalar":
+            w = float(rng.uniform(0.1, 3.0))
+        elif w == "diagonal":
+            w = rng.uniform(0.1, 3.0, m)
+        target = LsqProblem(g, random_complex_vector(rng, m), w)
+        kinds = ALL_KINDS
+    strategy = QStrategy(draw(st.sampled_from(kinds)), draw(st.sampled_from((0.0, 0.5))))
+    config = OptimizerConfig(
+        step_size=draw(st.sampled_from((None, 0.3, 3.0, 30.0))),
+        max_iters=draw(st.sampled_from((1, 6, 40))),
+        grad_tol=draw(st.sampled_from((1e-8, 1e-2))),
+        backtracking=draw(st.sampled_from(("armijo", "off"))),
+        armijo_beta=draw(st.sampled_from((0.5, 0.3))),
+        record_trace=draw(st.booleans()),
+    )
+    return target, z0, strategy, config
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def assert_same_records(records, want):
+    assert len(records) == len(want)
+    for rec, expected in zip(records, want):
+        got = (
+            rec.iteration,
+            rec.z,
+            rec.loss,
+            rec.grad_norm,
+            rec.step_norm,
+            rec.q_condition,
+            rec.q_positive_definite,
+        )
+        assert got[0] == expected[0] and got[6] is expected[6]
+        for value, reference in zip(got[1:6], expected[1:6]):
+            assert_same_bits(value, reference)
+
+
+def assert_matches_reference(target, z0, strategy, config):
+    """``minimize`` and :func:`reference_minimize` agree bit for bit, exits included."""
+    try:
+        want = reference_minimize(target, z0, strategy, config)
+    except CrcalcError as exc:
+        with pytest.raises(type(exc)) as info:
+            minimize(target, z0, strategy, config)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        if isinstance(exc, Diverged):
+            assert_same_records(info.value.trace, exc.trace)
+        return type(exc).__name__
+    result = minimize(target, z0, strategy, config)
+    z, loss, grad_norm, converged, reason, iterations, records = want
+    assert (result.reason, result.converged, result.iterations) == (reason, converged, iterations)
+    for value, reference in ((result.z, z), (result.loss, loss), (result.grad_norm, grad_norm)):
+        assert_same_bits(value, reference)
+    assert_same_records(result.trace, records)
+    return reason
+
+
+class TestReferenceLoop:
+    """``minimize`` against the frozen loop of ``tests/_oracles.py``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(minimize_runs())
+    def test_runs_equal_the_reference_bit_for_bit(self, run):
+        assert_matches_reference(*run)
+
+    def test_each_exit_equals_the_reference(self):
+        cusp = ScalarField(
+            lambda z: float(abs(z[0] - 1.0)),
+            cogradient_fn=lambda z: WirtingerPair(
+                np.ones(1, dtype=complex), np.ones(1, dtype=complex)
+            ),
+            name="cusp",
+        )
+        quartic = quartic_norm_field(with_analytic=True)
+        runs = (
+            (cusp, np.array([1.0 + 0j]), QStrategy(kind="identity"), OptimizerConfig()),
+            (
+                quartic,
+                np.array([2.0 + 0j]),
+                QStrategy(kind="identity"),
+                OptimizerConfig(step_size=1.0, backtracking="off", max_iters=50),
+            ),
+            (
+                modulus_squared_field(),
+                np.array([1.0 + 1.0j]),
+                QStrategy(kind="identity"),
+                OptimizerConfig(step_size=0.1, max_iters=5, grad_tol=0.0),
+            ),
+            (quartic, np.array([1.5 + 1.0j, -0.5 + 0.5j]), QStrategy(kind="newton"), OptimizerConfig()),
+        )
+        exits = [assert_matches_reference(*run) for run in runs]
+        assert exits == ["line_search_failed", "Diverged", "max_iters", "converged"]
 
 
 class TestStationaryClassification:
