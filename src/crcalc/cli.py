@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import StructureMatrices, matrix_residual, project_admissible, vector_residual
-from .errors import ConfigError, CrcalcError, Diverged, SingularMatrix, Unidentifiable
+from .errors import ConfigError, CrcalcError
 from .hessian import assemble, hessian_quad, second_order_predict
 from .lms import SignalModel, draw_signals, simulate, wiener_solution
 from .lsq import LsqProblem, gauss_newton_hessian, loss_field
@@ -645,12 +645,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (Diverged, SingularMatrix, Unidentifiable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CrcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, ValueError) as exc:
+        # numpy's answer to a configured size that cannot be allocated
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ class IterationRecord:
 
     ``z`` and ``loss`` describe the iterate the step was taken from;
     the remaining fields describe that step.  The terminal row carries
-    a zero step and NaN scaling diagnostics.
+    a zero step, and NaN and None diagnostics unless its line search failed.
     """
 
     iteration: int
@@ -145,27 +145,12 @@ class IterationRecord:
     q_positive_definite: bool | None
 
 
-class IterationTrace:
-    """Ordered iteration records with list semantics."""
-
-    def __init__(self):
-        self.records: list[IterationRecord] = []
-
-    def append(self, record: IterationRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, idx):
-        return self.records[idx]
+class IterationTrace(list):
+    """The :class:`IterationRecord` rows of a run, in order: a list with a loss view."""
 
     @property
     def losses(self) -> np.ndarray:
-        return np.array([rec.loss for rec in self.records])
+        return np.array([rec.loss for rec in self])
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,13 +230,18 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     z = as_complex_vector(p)
     pair = cogradients(field, z)
     a, b = _scaling_blocks(target, field, z, strategy)
-    return _descent_step(z, pair, a, b, strategy.kind)
+    delta_z, diag = _descent_step(z, pair, a, b, strategy.kind)
+    return np.concatenate([delta_z, np.conj(delta_z)]), diag
 
 
 def _descent_step(
     z: np.ndarray, pair: WirtingerPair, a: np.ndarray, b: np.ndarray, kind: str
 ) -> tuple[np.ndarray, StepDiagnostics]:
-    """:func:`descent_step` from the derivative row and scaling blocks at z."""
+    """:func:`descent_step` from the derivative row and scaling blocks at z.
+
+    Returns the step in z alone, ``(delta_z, diagnostics)``; the
+    conjugate half of delta_c is conj(delta_z) and is never built here.
+    """
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     resid = HessianQuad(a, b).invariant_residual()
     if resid > _Q_ADMISSIBLE_TOL * scale:
@@ -286,7 +276,7 @@ def _descent_step(
         condition=condition,
         predicted_decrease=float(row_r @ delta_r),
     )
-    return np.concatenate([delta_z, np.conj(delta_z)]), diag
+    return delta_z, diag
 
 
 def newton_update_z(quad: HessianQuad, pair: WirtingerPair) -> np.ndarray:
@@ -341,9 +331,18 @@ def minimize(
         Scaling choice and damping.
     config : OptimizerConfig
         Step size, iteration and tolerance controls.  With Armijo
-        backtracking enabled the recorded loss sequence is
-        non-increasing, and a trial point whose loss is not finite is
-        rejected like any other trial that fails the decrease test.
+        backtracking the recorded loss sequence is non-increasing, and
+        a trial point whose loss is not finite is rejected like any
+        other trial that fails the decrease test.  With backtracking
+        ``"off"`` the first trial is taken whatever its loss.
+
+    Returns
+    -------
+    MinimizeResult
+        Its ``z`` is a fresh array, never the caller's ``z0``.  The
+        trace holds one row per step taken and one terminal row with a
+        zero step; after a failed line search that row carries the
+        failed step's scaling diagnostics, otherwise NaN and None.
 
     Raises
     ------
@@ -357,24 +356,16 @@ def minimize(
         least-squares problem; raised before anything is evaluated.
     """
     field = _as_field(target, strategy)
-    z = as_complex_vector(z0)
+    z = as_complex_vector(z0).copy()
     trace = IterationTrace()
     alpha0 = config.step_size if config.step_size is not None else DEFAULT_STEP_SIZE[strategy.kind]
+    armijo = config.backtracking == "armijo"
 
-    def record(iteration, z_at, loss_at, grad_at, step_norm, diag: StepDiagnostics | None):
-        if not config.record_trace:
-            return
-        trace.append(
-            IterationRecord(
-                iteration=iteration,
-                z=z_at.copy(),
-                loss=loss_at,
-                grad_norm=grad_at,
-                step_norm=step_norm,
-                q_condition=diag.condition if diag is not None else float("nan"),
-                q_positive_definite=diag.positive_definite if diag is not None else None,
-            )
-        )
+    def record(step_norm: float) -> None:
+        """Trace the current iterate and the step taken from it."""
+        if config.record_trace:
+            q = (diag.condition, diag.positive_definite) if diag is not None else (float("nan"), None)
+            trace.append(IterationRecord(k, z.copy(), loss_here, grad_norm, step_norm, *q))
 
     loss_here = _trial_loss(field, z)
     if not np.isfinite(loss_here):
@@ -382,59 +373,43 @@ def minimize(
     loss_limit = loss_here + DIVERGENCE_LOSS
 
     reason = "max_iters"
-    converged = False
-    iterations = 0
-    grad_norm = float("nan")
+    diag: StepDiagnostics | None = None
     for k in range(config.max_iters + 1):
         pair = cogradients(field, z)
         grad_norm = float(np.max(np.abs(pair.dz), initial=0.0))
         if grad_norm <= config.grad_tol:
-            record(k, z, loss_here, grad_norm, 0.0, None)
-            converged = True
             reason = "converged"
             break
         if k == config.max_iters:
-            record(k, z, loss_here, grad_norm, 0.0, None)
             break
         a, b = _scaling_blocks(target, field, z, strategy)
-        delta_c, diag = _descent_step(z, pair, a, b, strategy.kind)
-        delta_z = delta_c[: z.shape[0]]
+        delta_z, diag = _descent_step(z, pair, a, b, strategy.kind)
         direction_slope = 2.0 * float(np.real(pair.dz @ delta_z))
 
         alpha = alpha0
-        if config.backtracking == "armijo":
-            accepted = False
-            for _ in range(_MAX_BACKTRACKS):
-                candidate = z + alpha * delta_z
-                loss_new = _trial_loss(field, candidate)
-                if loss_new <= loss_here + config.armijo_c1 * alpha * direction_slope:
-                    accepted = True
-                    break
-                alpha *= config.armijo_beta
-            if not accepted:
-                record(k, z, loss_here, grad_norm, 0.0, diag)
-                reason = "line_search_failed"
-                break
-        else:
+        for _ in range(_MAX_BACKTRACKS if armijo else 1):
             candidate = z + alpha * delta_z
             loss_new = _trial_loss(field, candidate)
+            if not armijo or loss_new <= loss_here + config.armijo_c1 * alpha * direction_slope:
+                break
+            alpha *= config.armijo_beta
+        else:
+            reason = "line_search_failed"
+            break
 
+        record(float(np.linalg.norm(alpha * delta_z)))
         if not loss_new <= loss_limit:
-            record(k, z, loss_here, grad_norm, float(np.linalg.norm(alpha * delta_z)), diag)
             raise Diverged(f"loss reached {loss_new!r} at iteration {k}", trace=trace)
+        z, loss_here, diag = candidate, loss_new, None
 
-        record(k, z, loss_here, grad_norm, float(np.linalg.norm(alpha * delta_z)), diag)
-        z = candidate
-        loss_here = loss_new
-        iterations = k + 1
-
+    record(0.0)
     return MinimizeResult(
         z=z,
         loss=loss_here,
         grad_norm=grad_norm,
-        converged=converged,
+        converged=reason == "converged",
         reason=reason,
-        iterations=iterations,
+        iterations=k,
         trace=trace,
     )
 

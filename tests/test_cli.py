@@ -209,6 +209,32 @@ class TestOptimizeCommand:
         assert proc.stderr.startswith("config error: algorithm.kind")
 
 
+class TestUnallocatableSizes:
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("lms", {"lms": {"n": 10**16}}),
+            ("lms", {"lms": {"n": 10**19}}),
+            ("lms", {"lms": {"steps": 10**16}}),
+            ("lms", {"lms": {"steps": 10**20}}),
+            ("optimize", {"problem": {"name": "example1", "n_samples": 10**16}}),
+        ],
+    )
+    def test_size_past_the_address_space_is_a_config_error(self, tmp_path, command, config):
+        # Each size is past the address space or numpy's index type, so
+        # numpy refuses it at once (MemoryError or ValueError) and
+        # nothing is allocated.
+        cfg = write_config(tmp_path, config)
+        proc = subprocess.run(
+            [sys.executable, "-m", "crcalc.cli", command, "--config", cfg],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: ")
+        assert "Traceback" not in proc.stderr
+
+
 class TestCheckCommand:
     def test_example_checks_pass(self, tmp_path, capsys):
         out = str(tmp_path / "report.txt")

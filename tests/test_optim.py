@@ -69,6 +69,18 @@ def modulus_squared_field():
     )
 
 
+def cusp_field(at=(1.0,)):
+    """sum |z - at|, minimal at ``at``, with a claimed derivative row of
+    ones that insists on moving, so no step length satisfies Armijo there."""
+    at = np.asarray(at, dtype=complex)
+    ones = np.ones(at.shape[0], dtype=complex)
+    return ScalarField(
+        lambda z: float(np.sum(np.abs(z - at))),
+        cogradient_fn=lambda z: WirtingerPair(ones, ones),
+        name="cusp",
+    )
+
+
 def linear_lsq_problem(rng, n=2, m=4):
     a = random_complex_matrix(rng, m, n)
     b = 0.3 * random_complex_matrix(rng, m, n)
@@ -508,18 +520,55 @@ class TestMinimize:
         np.testing.assert_allclose(results[1].z, results[0].z, rtol=0.0, atol=1e-9)
 
     def test_cusp_minimum_fails_the_line_search(self):
-        # |z - 1| is already minimal at 1, but the claimed derivative row
-        # insists on moving; no step length can then satisfy Armijo.
-        field = ScalarField(
-            lambda z: float(abs(z[0] - 1.0)),
-            cogradient_fn=lambda z: WirtingerPair(
-                np.ones(1, dtype=complex), np.ones(1, dtype=complex)
-            ),
-            name="cusp",
-        )
-        result = minimize(field, np.array([1.0 + 0j]), QStrategy(kind="identity"))
+        result = minimize(cusp_field(), np.array([1.0 + 0j]), QStrategy(kind="identity"))
         assert not result.converged
         assert result.reason == "line_search_failed"
+
+    def test_no_backtracking_takes_one_trial_per_step(self):
+        calls = []
+        inner = quartic_norm_field(with_analytic=True)
+
+        def fn(z):
+            calls.append(1)
+            return inner.fn(z)
+
+        field = ScalarField(fn, cogradient_fn=inner.cogradient_fn, hessian_fn=inner.hessian_fn)
+        strategy = QStrategy(kind="newton")
+        config = OptimizerConfig(step_size=0.5, backtracking="off", max_iters=30)
+        result = minimize(field, np.array([1.5 + 1.0j, -0.5 + 0.5j]), strategy, config)
+        assert result.iterations > 5
+        assert len(calls) == 1 + result.iterations
+        for rec in result.trace[:-1]:
+            delta_c, _ = descent_step(inner, rec.z, strategy)
+            assert rec.step_norm == pytest.approx(0.5 * np.linalg.norm(delta_c[:2]), rel=1e-14)
+
+    def test_terminal_row_has_a_zero_step(self):
+        runs = {
+            "converged": (modulus_squared_field(), OptimizerConfig(step_size=1.0)),
+            "max_iters": (modulus_squared_field(), OptimizerConfig(step_size=0.1, max_iters=3)),
+            "line_search_failed": (cusp_field(), OptimizerConfig()),
+        }
+        for reason, (field, config) in runs.items():
+            result = minimize(field, np.array([1.0 + 0j]), QStrategy(kind="identity"), config)
+            assert result.reason == reason
+            last = result.trace[-1]
+            assert last.iteration == result.iterations
+            assert last.step_norm == 0.0
+            if reason == "line_search_failed":
+                assert last.q_condition == 1.0
+                assert last.q_positive_definite is True
+            else:
+                assert np.isnan(last.q_condition)
+                assert last.q_positive_definite is None
+
+    def test_result_never_aliases_the_start(self):
+        z0 = np.zeros(2, dtype=complex)
+        result = minimize(modulus_squared_field(), z0, QStrategy(kind="newton"))
+        assert result.converged and result.iterations == 0
+        assert result.z is not z0
+        result.z[0] = 5.0
+        np.testing.assert_array_equal(z0, np.zeros(2))
+        np.testing.assert_array_equal(result.trace[-1].z, np.zeros(2))
 
 
 @st.composite
@@ -538,13 +587,7 @@ def minimize_runs(draw):
     )
     z0 = random_complex_vector(rng, n, scale=draw(st.sampled_from((0.5, 3.0))))
     if family == "cusp":
-        # Minimal at z0, but the claimed row insists on moving: Armijo fails.
-        ones = np.ones(n, dtype=complex)
-        target = ScalarField(
-            lambda z, _at=z0.copy(): float(np.sum(np.abs(z - _at))),
-            cogradient_fn=lambda z: WirtingerPair(ones, ones),
-            name="cusp",
-        )
+        target = cusp_field(z0.copy())
         kinds = ("identity", "newton", "quasi_newton")
     elif family.endswith("polynomial"):
         params = PolynomialParams(
@@ -634,16 +677,9 @@ class TestReferenceLoop:
         assert_matches_reference(*run)
 
     def test_each_exit_equals_the_reference(self):
-        cusp = ScalarField(
-            lambda z: float(abs(z[0] - 1.0)),
-            cogradient_fn=lambda z: WirtingerPair(
-                np.ones(1, dtype=complex), np.ones(1, dtype=complex)
-            ),
-            name="cusp",
-        )
         quartic = quartic_norm_field(with_analytic=True)
         runs = (
-            (cusp, np.array([1.0 + 0j]), QStrategy(kind="identity"), OptimizerConfig()),
+            (cusp_field(), np.array([1.0 + 0j]), QStrategy(kind="identity"), OptimizerConfig()),
             (
                 quartic,
                 np.array([2.0 + 0j]),
