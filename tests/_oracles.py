@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from crcalc.errors import Diverged, NonFiniteEvaluation
-from crcalc.hessian import FD_SECOND_STEP, HessianQuad
+from crcalc.errors import Diverged, InadmissibleQ, NonFiniteEvaluation, SingularQ
+from crcalc.hessian import FD_SECOND_STEP, HessianQuad, real_hessian
 from crcalc.lsq import LsqProblem, compound_jacobian, loss_field, residual
-from crcalc.optim import DEFAULT_STEP_SIZE, descent_step
+from crcalc.optim import DEFAULT_STEP_SIZE, StepDiagnostics, descent_step
 from crcalc.wirtinger import (
     JacobianPair,
     ScalarField,
@@ -352,3 +352,63 @@ def reference_minimize(target, z0, strategy, config):
             raise Diverged(f"loss reached {loss_new!r} at iteration {k}", trace=records)
         z, loss_here, iterations = candidate, loss_new, k + 1
     return z, loss_here, grad_norm, converged, reason, iterations, records
+
+
+def dense_descent_step(z, pair, a, b, kind):
+    """The descent step on the dense 2n x 2n real Hessian of (A, B).
+
+    The arithmetic the structured path must reproduce: the admissibility
+    gate (A Hermitian, B symmetric to 1e-9 relative to the largest
+    entry, at least 1), ``eigvalsh`` of :func:`real_hessian` for the
+    condition (largest over smallest magnitude, singular past 1 / eps)
+    and the definiteness (smallest eigenvalue positive), and ``solve``
+    against the real derivative row.  Returns ``(delta_z, diagnostics,
+    eigenvalues)``.
+    """
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    resid = HessianQuad(a, b).invariant_residual()
+    if resid > 1e-9 * scale:
+        raise InadmissibleQ(f"{kind} scaling is not Hermitian admissible, residual {resid:.3e}")
+    n = z.shape[0]
+    hrr = real_hessian(a, b)
+    try:
+        eigs = np.linalg.eigvalsh(hrr)
+    except np.linalg.LinAlgError as exc:
+        raise SingularQ(f"{kind} scaling is singular") from exc
+    magnitudes = np.abs(eigs)
+    smallest = float(magnitudes.min())
+    condition = float(magnitudes.max()) / smallest if smallest > 0.0 else float("inf")
+    if not np.isfinite(condition) or condition > 1.0 / np.finfo(float).eps:
+        raise SingularQ(f"{kind} scaling is numerically singular (condition {condition:.3e})")
+    row_r = np.concatenate([(pair.dz + pair.dzbar).real, (pair.dzbar - pair.dz).imag])
+    try:
+        delta_r = np.linalg.solve(hrr, -row_r)
+    except np.linalg.LinAlgError as exc:
+        raise SingularQ(f"{kind} scaling is singular") from exc
+    delta_z = delta_r[:n] + 1j * delta_r[n:]
+    diag = StepDiagnostics(
+        kind=kind,
+        positive_definite=bool(eigs[0] > 0.0),
+        condition=condition,
+        predicted_decrease=float(row_r @ delta_r),
+    )
+    return delta_z, diag, eigs
+
+
+def dense_check_minimum(quad):
+    """Stationary-point class from ``eigvalsh`` of the dense real Hessian.
+
+    The classification the structured path must reproduce: ``"singular"``
+    when the spectral radius is zero or the smallest eigenvalue
+    magnitude is at most 1e-10 times it, else by the eigenvalue signs.
+    """
+    quad.check_invariants()
+    eigs = np.linalg.eigvalsh(real_hessian(quad.hzz, quad.hzbz))
+    radius = float(np.max(np.abs(eigs), initial=0.0))
+    if radius == 0.0 or float(np.min(np.abs(eigs))) <= 1e-10 * radius:
+        return "singular"
+    if np.all(eigs > 0.0):
+        return "local_min"
+    if np.all(eigs < 0.0):
+        return "saddle_or_max"
+    return "indefinite"

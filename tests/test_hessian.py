@@ -16,7 +16,9 @@ from crcalc import (
     ScalarField,
     SingularQ,
     SymmetryViolation,
+    VectorField,
     assemble,
+    cogradients_fd,
     cogradients,
     complex_from_real,
     descent_step,
@@ -27,8 +29,11 @@ from crcalc import (
     polynomial_field,
     second_order_predict,
 )
+from crcalc.hessian import FD_SECOND_STEP
+
 from ._oracles import (
     dense_j,
+    random_complex_matrix,
     dense_s,
     quartic_norm_field,
     random_complex_vector,
@@ -184,6 +189,53 @@ class TestQuadValidation:
             hessian_quad(field, np.array([1.0 + 0j]))
         with pytest.raises(NonFiniteEvaluation):
             assemble(HessianQuad([[bad]], [[0.0]]))
+
+
+def finished_both_ways(fn, a, b):
+    """hessian_quad of ``fn`` with (A, B) given as a HessianQuad and as the
+    four raw blocks (A, B, conj(B), conj(A)): each a quad or the error raised."""
+    out = []
+    for blocks in (lambda z: HessianQuad(a, b), lambda z: (a, b, np.conj(b), np.conj(a))):
+        try:
+            out.append(hessian_quad(ScalarField(fn, hessian_fn=blocks), np.zeros(a.shape[0], complex)))
+        except SymmetryViolation as exc:
+            out.append(type(exc))
+    return out
+
+
+def assert_same_quad(got, want):
+    for name in ("hzz", "hzbz", "presym_residual"):
+        value, reference = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert value.dtype == reference.dtype and value.tobytes() == reference.tobytes()
+
+
+class TestFinishingTopPairs:
+    """A curvature given as its top pair finishes to the bits of its four blocks."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from((0.0, 1e-12, 1e-9, 1e-5)))
+    def test_a_quad_finishes_as_its_four_raw_blocks(self, seed, n, asymmetry):
+        rng = RNG(seed)
+        a = random_complex_matrix(rng, n, n)
+        a = 0.5 * (a + a.conj().T) + asymmetry * random_complex_matrix(rng, n, n)
+        b = random_complex_matrix(rng, n, n)
+        b = 0.5 * (b + b.T) + asymmetry * random_complex_matrix(rng, n, n)
+        from_quad, from_blocks = finished_both_ways(lambda z: 0.0, a, b)
+        if from_blocks is SymmetryViolation:
+            assert from_quad is SymmetryViolation
+        else:
+            assert_same_quad(from_quad, from_blocks)
+
+    def test_differenced_blocks_finish_as_their_four_raw_blocks(self):
+        rng = RNG(116)
+        for n in (1, 3, 7):
+            field, _ = random_quadratic_loss(rng, n)
+            row_only = ScalarField(field.fn, cogradient_fn=field.cogradient_fn)
+            z = random_complex_vector(rng, n)
+            conj_row = VectorField(n, lambda w: np.conj(cogradients(row_only, w).dz))
+            ju = cogradients_fd(conj_row, z, step=FD_SECOND_STEP)
+            raw = ScalarField(field.fn, hessian_fn=lambda w: (ju.jz, ju.jzbar, np.conj(ju.jzbar), np.conj(ju.jz)))
+            assert_same_quad(hessian_quad(row_only, z), hessian_quad(raw, z))
 
 
 class TestAssembledRelations:

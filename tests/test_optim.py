@@ -35,11 +35,14 @@ from crcalc import (
     newton_hessian,
     newton_update_z,
     polynomial_field,
+    real_hessian,
     stationarity_residual,
     vector_residual,
 )
 from crcalc import optim
 from ._oracles import (
+    dense_check_minimum,
+    dense_descent_step,
     quartic_norm_field,
     random_complex_matrix,
     random_complex_vector,
@@ -355,6 +358,185 @@ class TestScalingGate:
     def test_rounding_level_asymmetry_is_accepted(self):
         for a, b in self.perturbed(1e-13):
             self.step(a, b)
+
+
+def structured_step(z, pair, a, b, kind):
+    """The package's step from the top blocks (A, B), with the sorted
+    eigenvalues of the real form of the scaling it solved against."""
+    delta_z, diag = optim._descent_step(z, pair, a, b, kind)
+    return delta_z, diag, np.linalg.eigvalsh(real_hessian(a, b))
+
+
+def diagonal_blocks(rng, n, kind="mixed"):
+    """Diagonal top blocks (A, B) with |b_k| at least 30% away from |a_k|.
+
+    ``kind`` picks the signs of the 2x2 real blocks' eigenvalues
+    2 (a_k -+ |b_k|): ``"definite"``, ``"negative"`` or ``"mixed"``.
+    """
+    a = 0.5 + rng.random(n)
+    ratio = rng.uniform(0.1, 0.7, n)
+    if kind == "negative":
+        a = -a
+    elif kind == "mixed":
+        ratio = np.where(rng.random(n) < 0.5, ratio, rng.uniform(1.3, 2.0, n))
+    b = np.abs(a) * ratio * np.exp(2j * np.pi * rng.random(n))
+    return np.diag(a).astype(complex), np.diag(b)
+
+
+def singular_diagonal_blocks(rng, n):
+    """:func:`diagonal_blocks` with a_k = |b_k| for one k, b_k real.
+
+    With b_k real the real form of component k is diagonal with a zero
+    entry, so the dense factorisation sees an exact zero eigenvalue too;
+    with a complex b_k it sees about 1e-15 and may pass the 1 / eps gate.
+    """
+    a, b = diagonal_blocks(rng, n)
+    k = int(rng.integers(n))
+    b[k, k] = abs(b[k, k]) * (1.0, -1.0)[int(rng.integers(2))]
+    a[k, k] = abs(b[k, k])
+    return a, b
+
+
+def step_point(rng, n):
+    z = random_complex_vector(rng, n)
+    dz = random_complex_vector(rng, n)
+    return z, WirtingerPair(dz, np.conj(dz))
+
+
+def assert_same_step(got, want):
+    (delta_z, diag, eigs), (ref_z, ref_diag, ref_eigs) = got, want
+    assert_same_bits(delta_z, ref_z)
+    assert_same_bits(eigs, ref_eigs)
+    assert diag.positive_definite is ref_diag.positive_definite
+    for field in ("condition", "predicted_decrease"):
+        assert_same_bits(getattr(diag, field), getattr(ref_diag, field))
+
+
+class TestDiagonalScaling:
+    """Diagonal scalings against the dense factorisation of ``tests/_oracles.py``."""
+
+    def assert_close_step(self, a, b, rng):
+        n = a.shape[0]
+        z, pair = step_point(rng, n)
+        delta_z, diag, eigs = structured_step(z, pair, a, b, "newton")
+        ref_z, ref_diag, ref_eigs = dense_descent_step(z, pair, a, b, "newton")
+        assert np.max(np.abs(eigs - ref_eigs)) <= 1e-13 * np.max(np.abs(ref_eigs))
+        assert diag.positive_definite is ref_diag.positive_definite
+        assert abs(diag.condition - ref_diag.condition) <= 1e-12 * ref_diag.condition
+        assert np.linalg.norm(delta_z - ref_z) <= 1e-12 * np.linalg.norm(ref_z)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from(("definite", "negative", "mixed")))
+    def test_step_matches_the_dense_factorisation(self, seed, n, kind):
+        rng = RNG(seed)
+        self.assert_close_step(*diagonal_blocks(rng, n, kind), rng)
+
+    def test_step_matches_the_dense_factorisation_at_n_256(self):
+        rng = RNG(113)
+        self.assert_close_step(*diagonal_blocks(rng, 256), rng)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from((0.0, 0.5)))
+    def test_identity_keeps_its_bits(self, seed, n, damping):
+        rng = RNG(seed)
+        field, _ = random_polynomial(rng, n)
+        z = random_complex_vector(rng, n)
+        delta_c, diag = descent_step(field, z, QStrategy("identity", damping))
+        a = np.eye(n, dtype=complex)
+        if damping > 0.0:
+            a = a + damping * np.eye(n)
+        ref_z, ref_diag, _ = dense_descent_step(z, cogradients(field, z), a, np.zeros((n, n), complex), "identity")
+        assert_same_bits(delta_c, np.concatenate([ref_z, np.conj(ref_z)]))
+        assert diag.positive_definite is ref_diag.positive_definite
+        for name in ("condition", "predicted_decrease"):
+            assert_same_bits(getattr(diag, name), getattr(ref_diag, name))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from(("definite", "negative", "mixed")))
+    def test_uncoupled_scalings_keep_their_bits(self, seed, n, kind):
+        rng = RNG(seed)
+        a, _ = diagonal_blocks(rng, n, kind)
+        a[np.diag_indices(n)] *= np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        b = np.zeros((n, n), dtype=complex)
+        z, pair = step_point(rng, n)
+        assert_same_step(structured_step(z, pair, a, b, "quasi_newton"), dense_descent_step(z, pair, a, b, "quasi_newton"))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("definite", "negative", "mixed")))
+    def test_one_component_keeps_its_bits(self, seed, kind):
+        rng = RNG(seed)
+        a, b = diagonal_blocks(rng, 1, kind)
+        z, pair = step_point(rng, 1)
+        assert_same_step(structured_step(z, pair, a, b, "newton"), dense_descent_step(z, pair, a, b, "newton"))
+
+    def test_quasi_newton_on_a_separable_field_keeps_its_bits(self):
+        rng = RNG(114)
+        for n in (1, 3, 40):
+            field, _ = random_polynomial(rng, n)
+            z = random_complex_vector(rng, n)
+            delta_c, diag = descent_step(field, z, QStrategy("quasi_newton", 0.5))
+            a = hessian_quad(field, z).hzz + 0.5 * np.eye(n)
+            ref_z, ref_diag, _ = dense_descent_step(z, cogradients(field, z), a, np.zeros((n, n), complex), "q")
+            assert_same_bits(delta_c[:n], ref_z)
+            assert_same_bits(diag.condition, ref_diag.condition)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_singular_draws_raise_the_same_error(self, seed, n):
+        rng = RNG(seed)
+        a, b = singular_diagonal_blocks(rng, n)
+        z, pair = step_point(rng, n)
+        with pytest.raises(SingularQ):
+            dense_descent_step(z, pair, a, b, "newton")
+        with pytest.raises(SingularQ):
+            structured_step(z, pair, a, b, "newton")
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_complex_diagonal_a_is_inadmissible_on_both_paths(self, seed, n):
+        rng = RNG(seed)
+        a, b = diagonal_blocks(rng, n)
+        k = int(rng.integers(n))
+        a[k, k] += 1e-6j
+        z, pair = step_point(rng, n)
+        with pytest.raises(InadmissibleQ):
+            dense_descent_step(z, pair, a, b, "newton")
+        with pytest.raises(InadmissibleQ):
+            structured_step(z, pair, a, b, "newton")
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.sampled_from(("definite", "negative", "mixed", "singular", "zero")),
+    )
+    def test_check_minimum_classes_agree(self, seed, n, kind):
+        rng = RNG(seed)
+        a, b = diagonal_blocks(rng, n, "mixed" if kind in ("singular", "zero") else kind)
+        if kind == "singular":
+            a, b = singular_diagonal_blocks(rng, n)
+        elif kind == "zero":
+            a, b = 0.0 * a, 0.0 * b
+        quad = HessianQuad(a, b)
+        expected = dense_check_minimum(quad)
+        assert check_minimum(quad) == expected
+        if kind in ("definite", "negative", "singular", "zero"):
+            assert expected == {
+                "definite": "local_min",
+                "negative": "saddle_or_max",
+                "singular": "singular",
+                "zero": "singular",
+            }[kind]
+
+    def test_one_tiny_off_diagonal_entry_takes_the_dense_path(self):
+        rng = RNG(115)
+        a, b = diagonal_blocks(rng, 5)
+        a[1, 3] = a[3, 1] = 1e-300
+        z, pair = step_point(rng, 5)
+        assert_same_step(structured_step(z, pair, a, b, "newton"), dense_descent_step(z, pair, a, b, "newton"))
+        a, b = diagonal_blocks(rng, 5)
+        b[0, 4] = b[4, 0] = 1e-300j
+        assert_same_step(structured_step(z, pair, a, b, "newton"), dense_descent_step(z, pair, a, b, "newton"))
 
 
 class TestNewtonUpdate:
