@@ -134,19 +134,30 @@ class AssembledHessians:
 
 
 def _finish_quad(blocks, n: int, tol: float, context: str) -> HessianQuad:
-    """Symmetrize raw blocks (A, B, C, D) into the top pair of an admissible curvature."""
-    a, b, c, d = (np.atleast_2d(np.asarray(blk, dtype=complex)) for blk in blocks)
-    if any(blk.shape != (n, n) for blk in (a, b, c, d)):
+    """Symmetrize raw blocks into the top pair of an admissible curvature.
+
+    ``blocks`` is four raw blocks (A, B, C, D), or a top pair (A, B)
+    whose bottom pair is (conj(B), conj(A)) by construction.  For a pair
+    conj(D) is A and D^T is A^H exactly, and likewise for C, so the sums
+    are formed from the top pair in the same order, and the bottom two
+    residual terms, which repeat the top two, are not formed: the same
+    bits as the four blocks (A, B, conj(B), conj(A)).
+    """
+    a, b, *bottom = (np.atleast_2d(np.asarray(blk, dtype=complex)) for blk in blocks)
+    if any(blk.shape != (n, n) for blk in (a, b, *bottom)):
         raise DimensionError(f"{context}: curvature blocks must be {n} x {n}")
     with np.errstate(invalid="ignore", over="ignore"):
-        hzz = 0.25 * (a + a.conj().T + np.conj(d) + d.T)
-        hzbz = 0.25 * (b + b.T + np.conj(c) + c.conj().T)
-        resid = max(
-            float(np.max(np.abs(a - hzz))),
-            float(np.max(np.abs(b - hzbz))),
-            float(np.max(np.abs(c - np.conj(hzbz)))),
-            float(np.max(np.abs(d - np.conj(hzz)))),
-        )
+        if bottom:
+            c, d = bottom
+            hzz = 0.25 * (a + a.conj().T + np.conj(d) + d.T)
+            hzbz = 0.25 * (b + b.T + np.conj(c) + c.conj().T)
+            misfits = (a - hzz, b - hzbz, c - np.conj(hzbz), d - np.conj(hzz))
+        else:
+            a_h, b_t = a.conj().T, b.T
+            hzz = 0.25 * (a + a_h + a + a_h)
+            hzbz = 0.25 * (b + b_t + b + b_t)
+            misfits = (a - hzz, b - hzbz)
+        resid = max(float(np.max(np.abs(misfit))) for misfit in misfits)
     # A NaN or infinite entry in any raw block makes the residual
     # non-finite, and a NaN residual would pass the tolerance test.
     if not np.isfinite(resid):
@@ -195,7 +206,7 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
     if field.hessian_fn is not None:
         blocks = field.hessian_fn(z)
         if isinstance(blocks, HessianQuad):
-            blocks = (blocks.hzz, blocks.hzbz, blocks.hzzb, blocks.hzbzb)
+            blocks = (blocks.hzz, blocks.hzbz)
         else:
             blocks = tuple(blocks)
             if len(blocks) != 4:
@@ -207,7 +218,7 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
 
     dz_conj = VectorField(n, lambda w: np.conj(cogradients(field, w).dz), name=f"d({field.name})/dz^H")
     ju = cogradients_fd(dz_conj, z, step=FD_SECOND_STEP)
-    return _finish_quad((ju.jz, ju.jzbar, np.conj(ju.jzbar), np.conj(ju.jz)), n, SYM_TOL_FD, field.name)
+    return _finish_quad((ju.jz, ju.jzbar), n, SYM_TOL_FD, field.name)
 
 
 def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:

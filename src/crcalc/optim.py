@@ -18,6 +18,12 @@ scaling travels from its builder to the solver as the top-block pair
 (A, B) alone; the bottom pair is conjugate by construction and M is
 never assembled.  What is checked is what the real-coordinate solve
 relies on: A Hermitian and B symmetric.
+
+When A and B are diagonal, as for the identity and for every separable
+loss, the real form J^H M J is a direct sum of n 2 x 2 real blocks, one
+per component, and is factored as those blocks: the 2n x 2n real
+Hessian is not built.  The gates on the scaling, its condition and its
+definiteness are the same quantities on both paths.
 """
 
 from __future__ import annotations
@@ -182,15 +188,71 @@ def _as_field(target, strategy: QStrategy) -> ScalarField:
     return target
 
 
-def _scaling_blocks(
-    target, field: ScalarField, z: np.ndarray, strategy: QStrategy
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class _Scaling:
+    """The top blocks (A, B) of a scaling M, stored by their structure.
+
+    ``a`` and ``b`` are both n x n, or both length-n vectors holding
+    the diagonals of diagonal blocks.  A diagonal scaling's real form is
+    an (n, 2, 2) stack of the blocks 2 [[Re(a+b), -Im(a-b)], [Im(a+b),
+    Re(a-b)]], the entries :func:`~crcalc.hessian.real_hessian` would
+    place at rows and columns k and n + k, and is factored by the same
+    numpy gufuncs.  A block with b_k = 0 is diagonal, so its eigenvalues
+    and its solve are exact, and the identity, every B = 0 scaling and
+    every n = 1 scaling give the bits of the dense factorisation.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def of(cls, a: np.ndarray, b: np.ndarray) -> "_Scaling":
+        """(A, B), kept as their diagonals when every off-diagonal entry is exactly zero."""
+        da, db = np.diagonal(a), np.diagonal(b)
+        if np.count_nonzero(a) == np.count_nonzero(da) and np.count_nonzero(b) == np.count_nonzero(db):
+            return cls(da.copy(), db.copy())
+        return cls(a, b)
+
+    def invariant_residual(self) -> float:
+        """:meth:`HessianQuad.invariant_residual` of (A, B), bit for bit.
+
+        For diagonal blocks only the diagonal terms of A - A^H and
+        B - B^T can be nonzero: 2 |Im a_k|, and b_k - b_k, which is 0
+        unless b_k is not finite.
+        """
+        if self.a.ndim == 2:
+            return HessianQuad(self.a, self.b).invariant_residual()
+        return max(
+            float(np.max(np.abs(self.a - np.conj(self.a)))),
+            float(np.max(np.abs(self.b - self.b))),
+        )
+
+    def real_form(self) -> np.ndarray:
+        """J^H M J: the 2n x 2n real Hessian, or the (n, 2, 2) stack of its blocks."""
+        if self.a.ndim == 2:
+            return real_hessian(self.a, self.b)
+        total = self.a + self.b
+        diff = self.a - self.b
+        return 2.0 * np.moveaxis(np.array([[total.real, -diff.imag], [total.imag, diff.real]]), -1, 0)
+
+
+def _solve_real(form: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a real form from :meth:`_Scaling.real_form` against rhs = [x; y]."""
+    if form.ndim == 2:
+        return np.linalg.solve(form, rhs)
+    n = form.shape[0]
+    # Component k's block acts on (x_k, y_k); a column vector per block.
+    pairs = np.linalg.solve(form, rhs.reshape(2, n).T[..., np.newaxis])
+    return pairs[..., 0].T.ravel()
+
+
+def _scaling(target, field: ScalarField, z: np.ndarray, strategy: QStrategy) -> _Scaling:
     """Top blocks (A, B) of the scaling M = [[A, B], [conj(B), conj(A)]]."""
     n = z.shape[0]
     kind = strategy.kind
     if kind == "identity":
-        a, b = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
-    elif kind.endswith("gauss_newton"):
+        return _Scaling(np.full(n, 1.0 + strategy.damping, dtype=complex), np.zeros(n, dtype=complex))
+    if kind.endswith("gauss_newton"):
         a, b = gauss_newton_blocks(target, z)
     else:
         quad = hessian_quad(field, z)
@@ -199,7 +261,7 @@ def _scaling_blocks(
         b = np.zeros((n, n), dtype=complex)
     if strategy.damping > 0.0:
         a = a + strategy.damping * np.eye(n)
-    return a, b
+    return _Scaling.of(a, b)
 
 
 def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarray, StepDiagnostics]:
@@ -211,7 +273,9 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     predicted for a unit step.  Definiteness and condition come from
     the eigenvalues of the real-coordinate form J^H M J, which are
     twice those of M, and the step is solved there in real arithmetic
-    as delta_c = J delta_r.
+    as delta_c = J delta_r.  When the blocks A and B are diagonal that
+    form is factored as n 2 x 2 real blocks, one per component, with
+    the same gates.
 
     Raises
     ------
@@ -229,28 +293,27 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     field = _as_field(target, strategy)
     z = as_complex_vector(p)
     pair = cogradients(field, z)
-    a, b = _scaling_blocks(target, field, z, strategy)
-    delta_z, diag = _descent_step(z, pair, a, b, strategy.kind)
+    delta_z, diag = _descent_step(z, pair, _scaling(target, field, z, strategy), strategy.kind)
     return np.concatenate([delta_z, np.conj(delta_z)]), diag
 
 
 def _descent_step(
-    z: np.ndarray, pair: WirtingerPair, a: np.ndarray, b: np.ndarray, kind: str
+    z: np.ndarray, pair: WirtingerPair, scaling: _Scaling, kind: str
 ) -> tuple[np.ndarray, StepDiagnostics]:
-    """:func:`descent_step` from the derivative row and scaling blocks at z.
+    """:func:`descent_step` from the derivative row and the scaling at z.
 
     Returns the step in z alone, ``(delta_z, diagnostics)``; the
     conjugate half of delta_c is conj(delta_z) and is never built here.
     """
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    resid = HessianQuad(a, b).invariant_residual()
+    scale = max(1.0, float(np.max(np.abs(scaling.a))), float(np.max(np.abs(scaling.b))))
+    resid = scaling.invariant_residual()
     if resid > _Q_ADMISSIBLE_TOL * scale:
         raise InadmissibleQ(
             f"{kind} scaling is not Hermitian admissible "
             f"(A Hermitian, B symmetric), residual {resid:.3e}"
         )
     n = z.shape[0]
-    hrr = real_hessian(a, b)
+    hrr = scaling.real_form()
     try:
         eigs = np.linalg.eigvalsh(hrr)
     except np.linalg.LinAlgError as exc:
@@ -266,15 +329,18 @@ def _descent_step(
     # The derivative row in real coordinates, (d loss / d c) J.
     row_r = np.concatenate([(pair.dz + pair.dzbar).real, (pair.dzbar - pair.dz).imag])
     try:
-        delta_r = np.linalg.solve(hrr, -row_r)
+        delta_r = _solve_real(hrr, -row_r)
     except np.linalg.LinAlgError as exc:
         raise SingularQ(f"{kind} scaling is singular; add damping") from exc
     delta_z = delta_r[:n] + 1j * delta_r[n:]
+    # Far from the origin the product may overflow; it is a diagnostic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted_decrease = float(row_r @ delta_r)
     diag = StepDiagnostics(
         kind=kind,
-        positive_definite=bool(eigs[0] > 0.0),
+        positive_definite=bool(eigs.min() > 0.0),
         condition=condition,
-        predicted_decrease=float(row_r @ delta_r),
+        predicted_decrease=predicted_decrease,
     )
     return delta_z, diag
 
@@ -333,8 +399,11 @@ def minimize(
         Step size, iteration and tolerance controls.  With Armijo
         backtracking the recorded loss sequence is non-increasing, and
         a trial point whose loss is not finite is rejected like any
-        other trial that fails the decrease test.  With backtracking
-        ``"off"`` the first trial is taken whatever its loss.
+        other trial that fails the decrease test; a scaled direction
+        that is not a descent direction (its slope is not negative, as
+        under an indefinite scaling) fails the line search without a
+        trial.  With backtracking ``"off"`` the first trial is taken
+        whatever its loss.
 
     Returns
     -------
@@ -382,9 +451,15 @@ def minimize(
             break
         if k == config.max_iters:
             break
-        a, b = _scaling_blocks(target, field, z, strategy)
-        delta_z, diag = _descent_step(z, pair, a, b, strategy.kind)
-        direction_slope = 2.0 * float(np.real(pair.dz @ delta_z))
+        delta_z, diag = _descent_step(z, pair, _scaling(target, field, z, strategy), strategy.kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            direction_slope = 2.0 * float(np.real(pair.dz @ delta_z))
+        if armijo and not direction_slope < 0.0:
+            # No step length decreases the loss along a direction that
+            # does not point downhill (an overflowed slope included),
+            # so no trial is made.
+            reason = "line_search_failed"
+            break
 
         alpha = alpha0
         for _ in range(_MAX_BACKTRACKS if armijo else 1):
@@ -435,7 +510,9 @@ def check_minimum(quad: HessianQuad) -> str:
     ``"indefinite"``, or ``"singular"``.  The eigenvalues are those of
     the real-coordinate Hessian, twice those of the complex form, so
     their signs are the same; any eigenvalue within 1e-10 of zero,
-    relative to the spectral radius, reports ``"singular"``.
+    relative to the spectral radius, reports ``"singular"``.  Diagonal
+    blocks are factored as n 2 x 2 real blocks, one per component, with
+    the same rule.
 
     Raises
     ------
@@ -446,7 +523,7 @@ def check_minimum(quad: HessianQuad) -> str:
         classification.
     """
     quad.check_invariants()
-    eigs = np.linalg.eigvalsh(real_hessian(quad.hzz, quad.hzbz))
+    eigs = np.linalg.eigvalsh(_Scaling.of(quad.hzz, quad.hzbz).real_form())
     radius = float(np.max(np.abs(eigs), initial=0.0))
     if radius == 0.0 or float(np.min(np.abs(eigs))) <= _SINGULAR_TOL * radius:
         return "singular"

@@ -280,7 +280,8 @@ def reference_minimize(target, z0, strategy, config):
     calls only: the loss field, :func:`cogradients` and
     :func:`descent_step`, which recomputes the row and the scaling at
     the same point to the same bits.  Armijo backtracking makes at most
-    60 trials; a loss more than 1e12 above the start diverges.
+    60 trials, and none along a direction whose slope is not negative;
+    a loss more than 1e12 above the start diverges.
 
     Returns ``(z, loss, grad_norm, converged, reason, iterations,
     records)``, each record the tuple ``(iteration, z, loss, grad_norm,
@@ -334,6 +335,10 @@ def reference_minimize(target, z0, strategy, config):
         slope = 2.0 * float(np.real(pair.dz @ delta_z))
         alpha = alpha0
         if config.backtracking == "armijo":
+            if not slope < 0.0:
+                record(k, loss_here, grad_norm, 0.0, diag)
+                reason = "line_search_failed"
+                break
             for _ in range(60):
                 candidate = z + alpha * delta_z
                 loss_new = trial_loss(candidate)

@@ -212,7 +212,7 @@ def assert_same_quad(got, want):
 class TestFinishingTopPairs:
     """A curvature given as its top pair finishes to the bits of its four blocks."""
 
-    @settings(deadline=None, max_examples=60)
+    @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from((0.0, 1e-12, 1e-9, 1e-5)))
     def test_a_quad_finishes_as_its_four_raw_blocks(self, seed, n, asymmetry):
         rng = RNG(seed)

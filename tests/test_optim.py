@@ -343,7 +343,7 @@ class TestScalingGate:
     def step(self, a, b):
         z = np.array([1.0 + 2.0j, -0.5 + 0j])
         pair = cogradients(modulus_squared_field(), z)
-        return optim._descent_step(z, pair, a, b, "newton")
+        return optim._descent_step(z, pair, optim._Scaling.of(a, b), "newton")
 
     def perturbed(self, rel):
         # The gate's scale is the largest entry, 3.
@@ -363,8 +363,9 @@ class TestScalingGate:
 def structured_step(z, pair, a, b, kind):
     """The package's step from the top blocks (A, B), with the sorted
     eigenvalues of the real form of the scaling it solved against."""
-    delta_z, diag = optim._descent_step(z, pair, a, b, kind)
-    return delta_z, diag, np.linalg.eigvalsh(real_hessian(a, b))
+    scaling = optim._Scaling.of(a, b)
+    delta_z, diag = optim._descent_step(z, pair, scaling, kind)
+    return delta_z, diag, np.sort(np.linalg.eigvalsh(scaling.real_form()), axis=None)
 
 
 def diagonal_blocks(rng, n, kind="mixed"):
@@ -425,7 +426,7 @@ class TestDiagonalScaling:
         assert abs(diag.condition - ref_diag.condition) <= 1e-12 * ref_diag.condition
         assert np.linalg.norm(delta_z - ref_z) <= 1e-12 * np.linalg.norm(ref_z)
 
-    @settings(deadline=None, max_examples=60)
+    @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from(("definite", "negative", "mixed")))
     def test_step_matches_the_dense_factorisation(self, seed, n, kind):
         rng = RNG(seed)
@@ -435,7 +436,7 @@ class TestDiagonalScaling:
         rng = RNG(113)
         self.assert_close_step(*diagonal_blocks(rng, 256), rng)
 
-    @settings(deadline=None, max_examples=30)
+    @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from((0.0, 0.5)))
     def test_identity_keeps_its_bits(self, seed, n, damping):
         rng = RNG(seed)
@@ -451,7 +452,7 @@ class TestDiagonalScaling:
         for name in ("condition", "predicted_decrease"):
             assert_same_bits(getattr(diag, name), getattr(ref_diag, name))
 
-    @settings(deadline=None, max_examples=30)
+    @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from(("definite", "negative", "mixed")))
     def test_uncoupled_scalings_keep_their_bits(self, seed, n, kind):
         rng = RNG(seed)
@@ -461,7 +462,7 @@ class TestDiagonalScaling:
         z, pair = step_point(rng, n)
         assert_same_step(structured_step(z, pair, a, b, "quasi_newton"), dense_descent_step(z, pair, a, b, "quasi_newton"))
 
-    @settings(deadline=None, max_examples=30)
+    @settings(derandomize=True, deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(("definite", "negative", "mixed")))
     def test_one_component_keeps_its_bits(self, seed, kind):
         rng = RNG(seed)
@@ -480,7 +481,7 @@ class TestDiagonalScaling:
             assert_same_bits(delta_c[:n], ref_z)
             assert_same_bits(diag.condition, ref_diag.condition)
 
-    @settings(deadline=None, max_examples=40)
+    @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_singular_draws_raise_the_same_error(self, seed, n):
         rng = RNG(seed)
@@ -491,7 +492,7 @@ class TestDiagonalScaling:
         with pytest.raises(SingularQ):
             structured_step(z, pair, a, b, "newton")
 
-    @settings(deadline=None, max_examples=20)
+    @settings(derandomize=True, deadline=None, max_examples=20)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
     def test_complex_diagonal_a_is_inadmissible_on_both_paths(self, seed, n):
         rng = RNG(seed)
@@ -504,7 +505,7 @@ class TestDiagonalScaling:
         with pytest.raises(InadmissibleQ):
             structured_step(z, pair, a, b, "newton")
 
-    @settings(deadline=None, max_examples=60)
+    @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 8),
@@ -527,6 +528,30 @@ class TestDiagonalScaling:
                 "singular": "singular",
                 "zero": "singular",
             }[kind]
+
+    def test_no_2n_by_2n_real_hessian_is_factored(self, monkeypatch):
+        shapes = []
+        for name in ("eigvalsh", "solve"):
+            def spy(m, *args, _original=getattr(np.linalg, name)):
+                shapes.append(np.shape(m))
+                return _original(m, *args)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+
+        def dense_form(*args):
+            raise AssertionError("a diagonal scaling built its 2n x 2n real Hessian")
+
+        monkeypatch.setattr(optim, "real_hessian", dense_form)
+        rng = RNG(117)
+        field, _ = random_polynomial(rng, 5)
+        z0 = random_complex_vector(rng, 5)
+        for kind in ("identity", "newton", "quasi_newton"):
+            for damping in (0.0, 0.5):
+                minimize(field, z0, QStrategy(kind, damping), OptimizerConfig(max_iters=3))
+                descent_step(field, z0, QStrategy(kind, damping))
+        check_minimum(hessian_quad(field, z0))
+        assert len(shapes) > 30
+        assert {shape[-2:] for shape in shapes} == {(2, 2)}
 
     def test_one_tiny_off_diagonal_entry_takes_the_dense_path(self):
         rng = RNG(115)
@@ -700,6 +725,36 @@ class TestMinimize:
         assert all(result.converged for result in results)
         assert results[0].iterations == results[1].iterations
         np.testing.assert_allclose(results[1].z, results[0].z, rtol=0.0, atol=1e-9)
+
+    def test_uphill_direction_fails_the_line_search_without_a_trial(self):
+        # An indefinite Newton scaling whose step points uphill.  Trying
+        # it, Armijo accepted a step of rounding size once c1 alpha
+        # slope fell below an ulp of the loss, and repeated the point
+        # until max_iters.
+        rng = RNG(3)
+        field, hc = random_polynomial(rng, 2)
+        z0 = random_complex_vector(rng, 2)
+        assert np.linalg.eigvalsh(hc).min() < 0.0
+        for constant in (0.0, 1e13):
+            calls = []
+
+            def fn(z, constant=constant, calls=calls):
+                calls.append(z)
+                return field.fn(z) + constant
+
+            target = ScalarField(fn, cogradient_fn=field.cogradient_fn, hessian_fn=field.hessian_fn)
+            result = minimize(target, z0, QStrategy("newton"), OptimizerConfig(max_iters=20))
+            assert (result.reason, result.iterations, len(calls)) == ("line_search_failed", 0, 1)
+            (last,) = result.trace
+            assert last.step_norm == 0.0 and last.q_positive_definite is False
+            assert np.isfinite(last.q_condition)
+            np.testing.assert_array_equal(result.z, z0)
+            calls.clear()
+            off = minimize(target, z0, QStrategy("newton"), OptimizerConfig(max_iters=3, backtracking="off"))
+            # Without backtracking the uphill step is taken: Newton
+            # lands on the saddle.
+            assert off.trace[0].step_norm > 0.0
+            assert off.iterations >= 1 and len(calls) == 1 + off.iterations
 
     def test_cusp_minimum_fails_the_line_search(self):
         result = minimize(cusp_field(), np.array([1.0 + 0j]), QStrategy(kind="identity"))
