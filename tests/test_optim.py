@@ -1,5 +1,7 @@
 """Descent strategies, the minimize loop, and stationary point analysis."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -418,6 +420,7 @@ class TestDiagonalScaling:
 
     def assert_close_step(self, a, b, rng):
         n = a.shape[0]
+        assert optim._Scaling.of(a, b).real_form().shape == (n, 2, 2)
         z, pair = step_point(rng, n)
         delta_z, diag, eigs = structured_step(z, pair, a, b, "newton")
         ref_z, ref_diag, ref_eigs = dense_descent_step(z, pair, a, b, "newton")
@@ -453,10 +456,10 @@ class TestDiagonalScaling:
             assert_same_bits(getattr(diag, name), getattr(ref_diag, name))
 
     @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from(("definite", "negative", "mixed")))
-    def test_uncoupled_scalings_keep_their_bits(self, seed, n, kind):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_uncoupled_scalings_keep_their_bits(self, seed, n):
         rng = RNG(seed)
-        a, _ = diagonal_blocks(rng, n, kind)
+        a, _ = diagonal_blocks(rng, n)
         a[np.diag_indices(n)] *= np.where(rng.random(n) < 0.5, 1.0, -1.0)
         b = np.zeros((n, n), dtype=complex)
         z, pair = step_point(rng, n)
@@ -477,7 +480,8 @@ class TestDiagonalScaling:
             z = random_complex_vector(rng, n)
             delta_c, diag = descent_step(field, z, QStrategy("quasi_newton", 0.5))
             a = hessian_quad(field, z).hzz + 0.5 * np.eye(n)
-            ref_z, ref_diag, _ = dense_descent_step(z, cogradients(field, z), a, np.zeros((n, n), complex), "q")
+            pair = cogradients(field, z)
+            ref_z, ref_diag, _ = dense_descent_step(z, pair, a, np.zeros((n, n), complex), "quasi_newton")
             assert_same_bits(delta_c[:n], ref_z)
             assert_same_bits(diag.condition, ref_diag.condition)
 
@@ -557,6 +561,7 @@ class TestDiagonalScaling:
         rng = RNG(115)
         a, b = diagonal_blocks(rng, 5)
         a[1, 3] = a[3, 1] = 1e-300
+        assert optim._Scaling.of(a, b).real_form().shape == (10, 10)
         z, pair = step_point(rng, 5)
         assert_same_step(structured_step(z, pair, a, b, "newton"), dense_descent_step(z, pair, a, b, "newton"))
         a, b = diagonal_blocks(rng, 5)
@@ -755,6 +760,13 @@ class TestMinimize:
             # lands on the saddle.
             assert off.trace[0].step_norm > 0.0
             assert off.iterations >= 1 and len(calls) == 1 + off.iterations
+
+    def test_an_overflowing_slope_prints_no_warning(self):
+        # |z|^2 from 1e154: the slope 2 Re(dz delta_z) overflows.
+        field = polynomial_field(PolynomialParams(np.array([1.0]), np.array([0j]), np.array([0j])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            minimize(field, np.array([1e154 + 0j]), QStrategy("newton"))
 
     def test_cusp_minimum_fails_the_line_search(self):
         result = minimize(cusp_field(), np.array([1.0 + 0j]), QStrategy(kind="identity"))
