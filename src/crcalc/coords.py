@@ -52,10 +52,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _hpd_cholesky(m: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of a Hermitian positive definite matrix.
 
-    The Hermitian residual must not exceed 1e-10 relative to the
-    largest entry (at least 1); ``what`` names the matrix in the
-    ValueError raised otherwise, or when the factorization fails.
+    Every entry must be finite, and the Hermitian residual must not
+    exceed 1e-10 relative to the largest entry (at least 1); ``what``
+    names the matrix in the ValueError raised otherwise, or when the
+    factorization fails.
     """
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} must be finite")
     scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
     if float(np.max(np.abs(m - m.conj().T))) > _HERMITIAN_TOL * scale:
         raise ValueError(f"{what} must be Hermitian")
@@ -289,8 +292,10 @@ def from_conjugate(c, tol: float = ADMISSIBLE_TOL) -> ComplexPoint:
 class MetricTensor:
     """Hermitian positive definite inner-product matrix on C^n.
 
-    Definiteness is established once at construction by attempting a
-    Cholesky factorization.
+    Every entry must be finite and the matrix Hermitian to 1e-10
+    (relative); definiteness is established once at construction by
+    attempting a Cholesky factorization.  A matrix that fails any of
+    these raises ValueError.
     """
 
     omega: np.ndarray

@@ -19,6 +19,7 @@ rounding.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -36,6 +37,21 @@ SYM_TOL_FD = 1e-4
 SYM_TOL_ANALYTIC = 1e-8
 
 _INVARIANT_TOL = 1e-8
+
+
+def _residual(*terms: np.ndarray) -> float:
+    """Largest |entry| over ``terms``: np.maximum keeps a NaN, the builtin max may drop it."""
+    return float(reduce(np.maximum, [np.max(np.abs(term)) for term in terms]))
+
+
+def _invariant_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Worst entry of A - A^H and B - B^T, for n x n blocks or length-n diagonals."""
+    return _residual(a - a.conj().T, b - b.T)
+
+
+def _tol_scale(a: np.ndarray, b: np.ndarray) -> float:
+    """max(1, max|A|, max|B|), the scale of every curvature tolerance."""
+    return max(1.0, float(np.max(np.abs(a), initial=0.0)), float(np.max(np.abs(b), initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +102,7 @@ class HessianQuad:
 
     def invariant_residual(self) -> float:
         """Worst violation of A Hermitian and B symmetric, infinity norm."""
-        return max(
-            float(np.max(np.abs(self.hzz - self.hzz.conj().T))),
-            float(np.max(np.abs(self.hzbz - self.hzbz.T))),
-        )
+        return _invariant_residual(self.hzz, self.hzbz)
 
     def check_invariants(self) -> None:
         """Raise :class:`RelationViolation` if the block constraints fail.
@@ -102,12 +115,7 @@ class HessianQuad:
             resid = self.invariant_residual()
         if not np.isfinite(resid):
             raise NonFiniteEvaluation("curvature blocks are not finite")
-        scale = max(
-            1.0,
-            float(np.max(np.abs(self.hzz), initial=0.0)),
-            float(np.max(np.abs(self.hzbz), initial=0.0)),
-        )
-        if resid > _INVARIANT_TOL * scale:
+        if resid > _INVARIANT_TOL * _tol_scale(self.hzz, self.hzbz):
             raise RelationViolation(
                 f"curvature blocks violate their invariants, residual {resid:.3e}"
             )
@@ -136,37 +144,30 @@ class AssembledHessians:
 def _finish_quad(blocks, n: int, tol: float, context: str) -> HessianQuad:
     """Symmetrize raw blocks into the top pair of an admissible curvature.
 
-    ``blocks`` is four raw blocks (A, B, C, D), or a top pair (A, B)
-    whose bottom pair is (conj(B), conj(A)) by construction.  For a pair
-    conj(D) is A and D^T is A^H exactly, and likewise for C, so the sums
-    are formed from the top pair in the same order, and the bottom two
-    residual terms, which repeat the top two, are not formed: the same
-    bits as the four blocks (A, B, conj(B), conj(A)).
+    ``blocks`` is a top pair (A, B) or four raw blocks (A, B, C, D).  The
+    pair is 0.25 (A + A^H + A + A^H) and 0.25 (B + B^T + B + B^T).  A raw
+    bottom pair is checked, not averaged in: C - conj(Hzbz) and
+    D - conj(Hzz) are two more residual terms, which repeat the top two
+    when C = conj(B) and D = conj(A), so those four blocks give the bits
+    of their top pair, ``presym_residual`` included.
     """
     a, b, *bottom = (np.atleast_2d(np.asarray(blk, dtype=complex)) for blk in blocks)
     if any(blk.shape != (n, n) for blk in (a, b, *bottom)):
         raise DimensionError(f"{context}: curvature blocks must be {n} x {n}")
     with np.errstate(invalid="ignore", over="ignore"):
+        a_h, b_t = a.conj().T, b.T
+        hzz = 0.25 * (a + a_h + a + a_h)
+        hzbz = 0.25 * (b + b_t + b + b_t)
+        misfits = [a - hzz, b - hzbz]
         if bottom:
             c, d = bottom
-            hzz = 0.25 * (a + a.conj().T + np.conj(d) + d.T)
-            hzbz = 0.25 * (b + b.T + np.conj(c) + c.conj().T)
-            misfits = (a - hzz, b - hzbz, c - np.conj(hzbz), d - np.conj(hzz))
-        else:
-            a_h, b_t = a.conj().T, b.T
-            hzz = 0.25 * (a + a_h + a + a_h)
-            hzbz = 0.25 * (b + b_t + b + b_t)
-            misfits = (a - hzz, b - hzbz)
-        resid = max(float(np.max(np.abs(misfit))) for misfit in misfits)
+            misfits += [c - np.conj(hzbz), d - np.conj(hzz)]
+        resid = _residual(*misfits)
     # A NaN or infinite entry in any raw block makes the residual
     # non-finite, and a NaN residual would pass the tolerance test.
     if not np.isfinite(resid):
         raise NonFiniteEvaluation(f"{context}: curvature blocks are not finite")
-    scale = max(
-        1.0,
-        float(np.max(np.abs(hzz), initial=0.0)),
-        float(np.max(np.abs(hzbz), initial=0.0)),
-    )
+    scale = _tol_scale(hzz, hzbz)
     if resid > tol * scale:
         raise SymmetryViolation(
             f"{context}: raw curvature blocks violate symmetry, "
@@ -180,7 +181,9 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
 
     Uses the field's analytic second derivatives when present, given
     by its ``hessian_fn`` as a :class:`HessianQuad` or as four raw
-    blocks (A, B, C, D); symmetry is enforced at 1e-8 relative.
+    blocks (A, B, C, D); symmetry is enforced at 1e-8 relative.  Four
+    raw blocks are finished from (A, B) alone, and C and D are checked
+    against conj(B) and conj(A) at that tolerance, not averaged in.
     Otherwise the conjugated
     row (df/dz)^H, analytic or differenced, is differenced once more
     with a relative step of eps**(1/4), giving the blocks A and B.  A
@@ -195,7 +198,7 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
         the applicable tolerance, which signals inconsistent analytic
         derivatives or a rough field.
     NonFiniteEvaluation
-        If a raw block holds NaN or infinity.
+        If any raw block, C or D included, holds NaN or infinity.
     DimensionError
         If an analytic block is not n x n at a point of length n, or
         ``hessian_fn`` returns neither a :class:`HessianQuad` nor four

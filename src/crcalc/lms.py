@@ -45,6 +45,10 @@ class SignalModel:
         Variance of the additive circular noise on the reference.
     seed : int
         Seed for the deterministic signal generator.
+
+    Every entry must be finite, and so must the squared norm and the
+    output power p^H inv(R) p of the Wiener solution; ValueError is
+    raised otherwise.
     """
 
     n: int
@@ -63,6 +67,13 @@ class SignalModel:
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p)) and np.isfinite(self.noise_var)):
             raise ValueError("covariance, cross moment and noise_var must be finite")
         chol = _hpd_cholesky(r, "covariance")
+        # Past the float range no reference eta = a^H xi + noise, a the
+        # Wiener solution, can be drawn and no misalignment measured.
+        with np.errstate(over="ignore", invalid="ignore"):
+            wiener = np.linalg.solve(r, p)
+            sizes = [np.vdot(wiener, wiener).real, np.vdot(p, wiener).real]
+        if not np.all(np.isfinite(sizes)):
+            raise ValueError("the Wiener solution and its output power must be finite")
         if not self.noise_var >= 0.0:
             raise ValueError("noise_var must be nonnegative")
         object.__setattr__(self, "r_matrix", r)

@@ -84,8 +84,8 @@ class _Weight:
         """Validate ``w`` for m residuals at the cost its structure allows.
 
         A scalar or diagonal must be real, finite and positive, O(m); a
-        dense matrix must be m x m, Hermitian to 1e-10 (relative) and
-        admit a Cholesky factorization.
+        dense matrix must be m x m, finite, Hermitian to 1e-10 (relative)
+        and admit a Cholesky factorization.
         """
         if w is None:
             return cls(np.asarray(1.0))
@@ -148,8 +148,9 @@ class LsqProblem:
         - a real scalar (0-d), the weight w I: finite and positive;
         - a real vector of length m, the diagonal of W: every entry
           finite and positive;
-        - an m x m matrix: the Hermitian residual must not exceed 1e-10
-          (relative) and a Cholesky factorization must succeed.
+        - an m x m matrix: every entry finite, the Hermitian residual
+          not above 1e-10 (relative), and a Cholesky factorization must
+          succeed.
 
         The scalar 1 (identity) when omitted.  A scalar or diagonal is
         never expanded to m x m by the loss, the derivative row or the

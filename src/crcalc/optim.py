@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import as_complex_vector
+from .coords import _COND_LIMIT, as_complex_vector
 from .errors import (
     ConfigError,
     DimensionError,
@@ -42,7 +42,7 @@ from .errors import (
     SingularMatrix,
     SingularQ,
 )
-from .hessian import HessianQuad, hessian_quad, real_hessian
+from .hessian import HessianQuad, _invariant_residual, _tol_scale, hessian_quad, real_hessian
 from .lsq import LsqProblem, gauss_newton_blocks, loss_field
 from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients
 
@@ -66,7 +66,6 @@ DEFAULT_STEP_SIZE = {
 #: Loss growth above the starting loss treated as numerical divergence.
 DIVERGENCE_LOSS = 1e12
 
-_COND_LIMIT = 1.0 / np.finfo(float).eps
 _Q_ADMISSIBLE_TOL = 1e-9
 _MAX_BACKTRACKS = 60
 _SINGULAR_TOL = 1e-10
@@ -199,7 +198,9 @@ class _Scaling:
     place at rows and columns k and n + k, and is factored by the same
     numpy gufuncs.  A block with b_k = 0 is diagonal, so its eigenvalues
     and its solve are exact, and the identity, every B = 0 scaling and
-    every n = 1 scaling give the bits of the dense factorisation.
+    every n = 1 scaling give the bits of the dense factorisation.  The
+    admissibility gate reads either form through the residual and scale
+    of :mod:`crcalc.hessian`, which take diagonals as they take blocks.
     """
 
     a: np.ndarray
@@ -212,20 +213,6 @@ class _Scaling:
         if np.count_nonzero(a) == np.count_nonzero(da) and np.count_nonzero(b) == np.count_nonzero(db):
             return cls(da.copy(), db.copy())
         return cls(a, b)
-
-    def invariant_residual(self) -> float:
-        """:meth:`HessianQuad.invariant_residual` of (A, B), bit for bit.
-
-        For diagonal blocks only the diagonal terms of A - A^H and
-        B - B^T can be nonzero: 2 |Im a_k|, and b_k - b_k, which is 0
-        unless b_k is not finite.
-        """
-        if self.a.ndim == 2:
-            return HessianQuad(self.a, self.b).invariant_residual()
-        return max(
-            float(np.max(np.abs(self.a - np.conj(self.a)))),
-            float(np.max(np.abs(self.b - self.b))),
-        )
 
     def real_form(self) -> np.ndarray:
         """J^H M J: the 2n x 2n real Hessian, or the (n, 2, 2) stack of its blocks."""
@@ -284,8 +271,8 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
         B symmetric to 1e-9 relative; the bottom pair is their
         conjugate by construction.
     SingularQ
-        If the scaling cannot be solved against; damping in the
-        strategy is the usual fix.
+        If the scaling cannot be solved against, damping in the
+        strategy being the usual fix, or holds NaN or infinity.
     ConfigError
         If a Gauss-Newton kind is asked of a target that is not a
         least-squares problem; raised before anything is evaluated.
@@ -305,15 +292,21 @@ def _descent_step(
     Returns the step in z alone, ``(delta_z, diagnostics)``; the
     conjugate half of delta_c is conj(delta_z) and is never built here.
     """
-    scale = max(1.0, float(np.max(np.abs(scaling.a))), float(np.max(np.abs(scaling.b))))
-    resid = scaling.invariant_residual()
-    if resid > _Q_ADMISSIBLE_TOL * scale:
+    # Entries that are not finite, or that overflow when doubled into the
+    # real form, are reported by the gates below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = _invariant_residual(scaling.a, scaling.b)
+        hrr = scaling.real_form()
+    # A non-finite residual passes the tolerance test, and eigvalsh, which
+    # reads one triangle, can return finite eigenvalues for a NaN entry.
+    if not np.isfinite(resid):
+        raise SingularQ(f"{kind} scaling is not finite")
+    if resid > _Q_ADMISSIBLE_TOL * _tol_scale(scaling.a, scaling.b):
         raise InadmissibleQ(
             f"{kind} scaling is not Hermitian admissible "
             f"(A Hermitian, B symmetric), residual {resid:.3e}"
         )
     n = z.shape[0]
-    hrr = scaling.real_form()
     try:
         eigs = np.linalg.eigvalsh(hrr)
     except np.linalg.LinAlgError as exc:
@@ -326,15 +319,16 @@ def _descent_step(
             f"{kind} scaling is numerically singular "
             f"(condition {condition:.3e}); add damping"
         )
-    # The derivative row in real coordinates, (d loss / d c) J.
-    row_r = np.concatenate([(pair.dz + pair.dzbar).real, (pair.dzbar - pair.dz).imag])
-    try:
-        delta_r = _solve_real(hrr, -row_r)
-    except np.linalg.LinAlgError as exc:
-        raise SingularQ(f"{kind} scaling is singular; add damping") from exc
-    delta_z = delta_r[:n] + 1j * delta_r[n:]
-    # Far from the origin the product may overflow; it is a diagnostic.
+    # The derivative row in real coordinates, (d loss / d c) J.  Far from
+    # the origin it, the step and their product, a diagnostic, may
+    # overflow; a step that is not finite fails minimize's line search.
     with np.errstate(over="ignore", invalid="ignore"):
+        row_r = np.concatenate([(pair.dz + pair.dzbar).real, (pair.dzbar - pair.dz).imag])
+        try:
+            delta_r = _solve_real(hrr, -row_r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularQ(f"{kind} scaling is singular; add damping") from exc
+        delta_z = delta_r[:n] + 1j * delta_r[n:]
         predicted_decrease = float(row_r @ delta_r)
     diag = StepDiagnostics(
         kind=kind,
@@ -452,27 +446,32 @@ def minimize(
         if k == config.max_iters:
             break
         delta_z, diag = _descent_step(z, pair, _scaling(target, field, z, strategy), strategy.kind)
+        # Far from the origin the slope, a trial point or the step norm
+        # may overflow; what is not finite fails the tests below.
         with np.errstate(over="ignore", invalid="ignore"):
-            direction_slope = 2.0 * float(np.real(pair.dz @ delta_z))
-        if armijo and not direction_slope < 0.0:
-            # No step length decreases the loss along a direction that
-            # does not point downhill (an overflowed slope included),
-            # so no trial is made.
-            reason = "line_search_failed"
-            break
-
-        alpha = alpha0
-        for _ in range(_MAX_BACKTRACKS if armijo else 1):
-            candidate = z + alpha * delta_z
-            loss_new = _trial_loss(field, candidate)
-            if not armijo or loss_new <= loss_here + config.armijo_c1 * alpha * direction_slope:
+            # Half the directional slope 2 Re(dz delta_z): doubling it
+            # first would overflow where the loss and the step still do not.
+            half_slope = float(np.real(pair.dz @ delta_z))
+            if armijo and not half_slope < 0.0:
+                # No step length decreases the loss along a direction that
+                # does not point downhill (an overflowed slope included),
+                # so no trial is made.
+                reason = "line_search_failed"
                 break
-            alpha *= config.armijo_beta
-        else:
-            reason = "line_search_failed"
-            break
 
-        record(float(np.linalg.norm(alpha * delta_z)))
+            alpha = alpha0
+            for _ in range(_MAX_BACKTRACKS if armijo else 1):
+                candidate = z + alpha * delta_z
+                loss_new = _trial_loss(field, candidate)
+                if not armijo or loss_new <= loss_here + config.armijo_c1 * alpha * 2.0 * half_slope:
+                    break
+                alpha *= config.armijo_beta
+            else:
+                reason = "line_search_failed"
+                break
+            step_norm = float(np.linalg.norm(alpha * delta_z))
+
+        record(step_norm)
         if not loss_new <= loss_limit:
             raise Diverged(f"loss reached {loss_new!r} at iteration {k}", trace=trace)
         z, loss_here, diag = candidate, loss_new, None
@@ -519,11 +518,15 @@ def check_minimum(quad: HessianQuad) -> str:
     RelationViolation
         If the blocks violate their invariants.
     NonFiniteEvaluation
-        If a block holds NaN or infinity; such blocks have no
-        classification.
+        If a block holds NaN or infinity, or the real-coordinate Hessian
+        overflows; such blocks have no classification.
     """
     quad.check_invariants()
-    eigs = np.linalg.eigvalsh(_Scaling.of(quad.hzz, quad.hzbz).real_form())
+    with np.errstate(over="ignore"):
+        form = _Scaling.of(quad.hzz, quad.hzbz).real_form()
+    if not np.all(np.isfinite(form)):
+        raise NonFiniteEvaluation("curvature blocks overflow their real-coordinate form")
+    eigs = np.linalg.eigvalsh(form)
     radius = float(np.max(np.abs(eigs), initial=0.0))
     if radius == 0.0 or float(np.min(np.abs(eigs))) <= _SINGULAR_TOL * radius:
         return "singular"

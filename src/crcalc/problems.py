@@ -39,7 +39,9 @@ class Example1Problem:
 
     Stores the samples together with the three moments the loss
     expansion needs: the sample means of y and of |y|^2.  The mean of
-    conj(y) is the conjugate of the mean of y.
+    conj(y) is the conjugate of the mean of y.  Those moments and the
+    curvature |alpha|^2 + |beta|^2 must be finite, or ValueError is
+    raised: otherwise no loss value is.
     """
 
     alpha: complex
@@ -57,8 +59,14 @@ class Example1Problem:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "mean_y", complex(np.mean(samples)))
-        object.__setattr__(self, "mean_abs2", float(np.mean(np.abs(samples) ** 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_y = complex(np.mean(samples))
+            mean_abs2 = float(np.mean(np.abs(samples) ** 2))
+            curvature = np.abs(alpha) ** 2 + np.abs(beta) ** 2
+        if not (np.isfinite(mean_y) and np.isfinite(mean_abs2) and np.isfinite(curvature)):
+            raise ValueError("the squared moments of the model and samples must be finite")
+        object.__setattr__(self, "mean_y", mean_y)
+        object.__setattr__(self, "mean_abs2", mean_abs2)
 
     @property
     def m(self) -> int:
@@ -84,7 +92,9 @@ class Example1Problem:
         if not noise_var >= 0.0:
             raise ValueError("noise_var must be nonnegative")
         rng = np.random.default_rng(seed)
-        clean = complex(alpha) * complex(z_true) + complex(beta) * np.conj(complex(z_true))
+        # A clean sample past the float range is rejected as not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            clean = complex(alpha) * complex(z_true) + complex(beta) * np.conj(complex(z_true))
         noise = np.sqrt(noise_var / 2.0) * (
             rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
         )
@@ -245,12 +255,22 @@ def polynomial_stationary_point(params: PolynomialParams) -> np.ndarray:
     ------
     Unidentifiable
         If any component has |c_k| = |d_k|, where the quadratic form is
-        singular and the stationary point is not unique.
+        singular and the stationary point is not unique, or when
+        |c_k|^2 + |d_k|^2 or the stationary point is past the float
+        range.
     """
     c, d, b = params.quad_diag, params.conj_diag, params.linear
-    det = np.abs(d) ** 2 - c**2
-    scale = np.abs(d) ** 2 + c**2
+    overflow = "the closed form overflows the float range"
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.abs(d) ** 2 - c**2
+        scale = np.abs(d) ** 2 + c**2
+    if not np.all(np.isfinite(scale)):
+        raise Unidentifiable(overflow)
     bad = (scale == 0.0) | (np.abs(det) <= _IDENT_TOL * np.maximum(scale, 1.0))
     if np.any(bad):
         raise Unidentifiable("a component has singular curvature, no unique stationary point")
-    return 0.5 * (c * b - np.conj(d) * np.conj(b)) / det
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = 0.5 * (c * b - np.conj(d) * np.conj(b)) / det
+    if not np.all(np.isfinite(point)):
+        raise Unidentifiable(overflow)
+    return point

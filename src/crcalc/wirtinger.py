@@ -116,7 +116,9 @@ class ScalarField:
     hessian_fn : callable, optional
         Maps a point to its curvature, a
         :class:`~crcalc.hessian.HessianQuad` or four raw blocks
-        (A, B, C, D) that the curvature module symmetrizes.
+        (A, B, C, D).  The curvature module symmetrizes the top pair
+        (A, B) and checks the bottom pair against its conjugate
+        (conj(B), conj(A)); C and D are not averaged in.
     name : str, optional
         Label for reports and traces.
     """
@@ -307,7 +309,9 @@ def is_holomorphic(
     ``samples`` draws from a complex Gaussian ball of radius 1 around
     it, generated deterministically from ``seed``.  The default
     threshold is 1e-9 when the field carries analytic jacobians and
-    1e-5 under differencing.
+    1e-5 under differencing.  A conjugate block holding NaN or infinity
+    at any point is not holomorphic: ``max_residual`` is then NaN or
+    infinite.
     """
     if not isinstance(field, VectorField):
         raise TypeError("holomorphy is a property of vector maps")
@@ -331,7 +335,8 @@ def is_holomorphic(
     worst = 0.0
     for q in pts:
         pair = cogradients(field, q)
-        worst = max(worst, float(np.max(np.abs(pair.jzbar), initial=0.0)))
+        # np.maximum keeps a NaN, which the builtin max would drop.
+        worst = float(np.maximum(worst, np.max(np.abs(pair.jzbar), initial=0.0)))
     return HolomorphyReport(holomorphic=worst <= tol, max_residual=worst, tol=tol, points=len(pts))
 
 

@@ -281,7 +281,9 @@ def reference_minimize(target, z0, strategy, config):
     :func:`descent_step`, which recomputes the row and the scaling at
     the same point to the same bits.  Armijo backtracking makes at most
     60 trials, and none along a direction whose slope is not negative;
-    a loss more than 1e12 above the start diverges.
+    the slope is carried as half of itself, Re(dz delta_z), and doubled
+    inside the decrease test, so it cannot overflow before the loss
+    does.  A loss more than 1e12 above the start diverges.
 
     Returns ``(z, loss, grad_norm, converged, reason, iterations,
     records)``, each record the tuple ``(iteration, z, loss, grad_norm,
@@ -332,17 +334,17 @@ def reference_minimize(target, z0, strategy, config):
             break
         delta_c, diag = descent_step(target, z, strategy)
         delta_z = delta_c[: z.shape[0]]
-        slope = 2.0 * float(np.real(pair.dz @ delta_z))
+        half_slope = float(np.real(pair.dz @ delta_z))
         alpha = alpha0
         if config.backtracking == "armijo":
-            if not slope < 0.0:
+            if not half_slope < 0.0:
                 record(k, loss_here, grad_norm, 0.0, diag)
                 reason = "line_search_failed"
                 break
             for _ in range(60):
                 candidate = z + alpha * delta_z
                 loss_new = trial_loss(candidate)
-                if loss_new <= loss_here + config.armijo_c1 * alpha * slope:
+                if loss_new <= loss_here + config.armijo_c1 * alpha * 2.0 * half_slope:
                     break
                 alpha *= config.armijo_beta
             else:

@@ -1,12 +1,18 @@
 """Command line entry points, config handling, and trace files."""
 
+import contextlib
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crcalc import ConfigError
 from crcalc.cli import build_run_config, load_config, main
@@ -70,6 +76,12 @@ class TestConfigParsing:
             # Finite settings whose synthesized samples overflow.
             ("optimize", {"problem": {"alpha": "1e308+0j", "beta": "0", "z_true": "10"}}),
             ("check", {"problem": {"alpha": "1e308+0j", "beta": "0", "z_true": "10"}}),
+            # Finite samples whose moments, or the curvature |alpha|^2, overflow.
+            ("optimize", {"problem": {"alpha": -2.6e228}}),
+            ("check", {"problem": {"alpha": 0, "z_true": -1e308}}),
+            ("optimize", {"problem": {"z_true": 1.7976931348623157e308}}),
+            # A Wiener solution whose output power overflows.
+            ("lms", {"lms": {"a_ref": [0.25, "-2j", 1e308, "0.5-0.25j"]}}),
         ],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, command, payload):
@@ -235,6 +247,131 @@ class TestUnallocatableSizes:
         assert "Traceback" not in proc.stderr
 
 
+# Well-typed values for each kind of config key, the extremes of the
+# float range included, and values that no key accepts: JSON's
+# non-finite tokens, strings that parse to non-finite complex numbers,
+# and values of the wrong type.
+ORDINARY = st.sampled_from([0.5, 1, 2, 0.25, 1e-3, 3])
+REALS = st.one_of(
+    ORDINARY,
+    ORDINARY,
+    st.sampled_from([0, -1, -0.25, 1e308, -1e308, 1e-320, -1e-320, 10**20, -(10**20)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+COMPLEXES = st.one_of(REALS, st.sampled_from(["1+1j", "0.5-0.25j", "-2j", "1e308+1e308j", "1e-320j"]))
+INTS = st.integers(-2, 10**20)
+# Sizes stay at 64 or below, so no draw allocates much.
+SIZES = st.integers(-2, 64)
+BAD = st.one_of(
+    st.sampled_from([None, True, False, "", "many", "nan", "inf", "-inf", "1e400j", [], {}, [[1.0]]]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+# Each key's well-typed values; a list key is filled in by cli_configs.
+SECTIONS = {
+    "problem": {
+        "name": st.sampled_from(["example1", "example2", "lms", "custom-polynomial"]),
+        "alpha": COMPLEXES,
+        "beta": COMPLEXES,
+        "z_true": COMPLEXES,
+        "noise_var": REALS,
+        "n_samples": SIZES,
+        "seed": INTS,
+        "z0": COMPLEXES,
+        "quad_diag": REALS,
+        "conj_diag": COMPLEXES,
+        "linear": COMPLEXES,
+        "constant": REALS,
+    },
+    "lms": {
+        "n": SIZES,
+        "steps": SIZES,
+        "step_size": REALS,
+        "decay": st.booleans(),
+        "noise_var": REALS,
+        "seed": INTS,
+        "a_ref": COMPLEXES,
+        "r_diag": REALS,
+    },
+    "algorithm": {
+        "kind": st.sampled_from(["identity", "newton", "quasi_newton", "gauss_newton", "quasi_gauss_newton"]),
+        "damping": REALS,
+    },
+    "optimizer": {
+        "step_size": REALS,
+        "max_iters": SIZES,
+        "grad_tol": REALS,
+        "backtracking": st.sampled_from(["armijo", "off"]),
+        "armijo_beta": REALS,
+        "armijo_c1": REALS,
+        "record_trace": st.booleans(),
+    },
+    "output": {"path": st.just("ignored.csv"), "quiet": st.booleans()},
+}
+LIST_KEYS = {"quad_diag", "conj_diag", "linear", "a_ref", "r_diag"}
+
+
+@st.composite
+def cli_configs(draw):
+    """A subcommand, a config object and a seed override.
+
+    Half the draws are well typed throughout, so they reach the
+    numerics with extreme but finite values.  In the rest any key may
+    hold a bad value, any section may be of the wrong type, and unknown
+    keys and sections appear.  A section may be missing in both.  The
+    list keys of a section share one length, except where the list
+    itself is bad; ``problem.z0`` is a list for the polynomial.
+    """
+    clean = draw(st.booleans())
+
+    def bad():
+        return not clean and not draw(st.integers(0, 3))
+
+    config = {}
+    for section, keys in SECTIONS.items():
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        if bad():
+            config[section] = draw(BAD)
+            continue
+        length = draw(st.integers(1, 4))
+        body = {}
+        for key in draw(st.lists(st.sampled_from(sorted(keys)), unique=True)):
+            if bad():
+                body[key] = draw(BAD)
+            elif key in LIST_KEYS or (key == "z0" and body.get("name") == "custom-polynomial"):
+                body[key] = draw(st.lists(keys[key], min_size=length, max_size=length))
+            else:
+                body[key] = draw(keys[key])
+        if bad():
+            body["unknown_key"] = 1
+        config[section] = body
+    if bad():
+        config["unknown_section"] = {}
+    command = draw(st.sampled_from(["optimize", "check", "lms"]))
+    seed = draw(st.one_of(st.none(), INTS))
+    return command, config, seed
+
+
+class TestConfigProperty:
+    @settings(derandomize=True, deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(cli_configs())
+    def test_any_config_gives_an_exit_code_and_no_traceback(self, drawn):
+        # In process, so a traceback would be an exception out of main;
+        # a RuntimeWarning is one too, under the suite's warning filter.
+        command, config, seed = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv = [command, "--config", path, "--out", os.path.join(tmp, "out.csv")]
+            if seed is not None:
+                argv += ["--seed", str(seed)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestCheckCommand:
     def test_example_checks_pass(self, tmp_path, capsys):
         out = str(tmp_path / "report.txt")
@@ -277,6 +414,14 @@ class TestCheckCommand:
         assert proc.stdout.splitlines()[-1].endswith("checks passed")
         assert "Warning" not in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_lms_checks_that_overflow_fail_and_still_report(self, tmp_path, capsys):
+        # The sampled gradient overflows at r = 1e308; the check reads
+        # FAIL instead of printing numpy warnings.
+        cfg = write_config(tmp_path, {"problem": {"name": "lms"}, "lms": {"r_diag": [1e308, 1.0, 1.0, 1.0]}})
+        assert main(["check", "--config", cfg]) == 2
+        out = capsys.readouterr().out
+        assert "wiener-stationarity" in out and "expected-gradient-agreement: residual=nan" in out
 
     def test_unidentifiable_closed_form_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"problem": {"alpha": "1+0j", "beta": "1+0j"}})

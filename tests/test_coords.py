@@ -181,6 +181,13 @@ class TestMetricAndTransforms:
         with pytest.raises(ValueError):
             MetricTensor(np.array([[1.0, 1.0j], [1.0j, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_metric_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="metric must be finite"):
+            MetricTensor(np.array([[bad]]))
+        with pytest.raises(ValueError, match="metric must be finite"):
+            MetricTensor(np.array([[1.0, bad], [bad, 1.0]]))
+
     def test_metric_rejects_indefinite(self):
         with pytest.raises(ValueError):
             MetricTensor(np.array([[1.0, 0.0], [0.0, -1.0]]))

@@ -18,6 +18,7 @@ from crcalc import (
     SymmetryViolation,
     VectorField,
     assemble,
+    check_minimum,
     cogradients_fd,
     cogradients,
     complex_from_real,
@@ -190,6 +191,25 @@ class TestQuadValidation:
         with pytest.raises(NonFiniteEvaluation):
             assemble(HessianQuad([[bad]], [[0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["A", "B", "C", "D"])
+    def test_a_non_finite_entry_in_any_block_is_rejected(self, bad, where):
+        # Residual terms combined by the builtin max dropped a NaN found
+        # after a finite term, so a NaN in B, C or D alone got through.
+        raw = {"A": [[1.0]], "B": [[0.5]], "C": [[0.5]], "D": [[1.0]]}
+        raw[where] = [[bad]]
+        forms = [lambda z: tuple(raw.values())]
+        if where in ("A", "B"):
+            quad = HessianQuad(raw["A"], raw["B"])
+            forms.append(lambda z: quad)
+            for check in (HessianQuad.check_invariants, assemble, check_minimum):
+                with pytest.raises(NonFiniteEvaluation):
+                    check(quad)
+        for form in forms:
+            field = ScalarField(lambda z: float(np.real(np.conj(z) @ z)), hessian_fn=form)
+            with pytest.raises(NonFiniteEvaluation):
+                hessian_quad(field, np.array([1.0 + 0j]))
+
 
 def finished_both_ways(fn, a, b):
     """hessian_quad of ``fn`` with (A, B) given as a HessianQuad and as the
@@ -225,6 +245,23 @@ class TestFinishingTopPairs:
             assert from_quad is SymmetryViolation
         else:
             assert_same_quad(from_quad, from_blocks)
+
+    def test_a_raw_bottom_pair_is_checked_not_averaged(self):
+        a = np.array([[2.0, 0.5 - 1.0j], [0.5 + 1.0j, 3.0]])
+        b = np.array([[0.5j, 1.0], [1.0, -0.5]])
+        z = np.zeros(2, dtype=complex)
+        top = hessian_quad(ScalarField(lambda w: 0.0, hessian_fn=lambda w: HessianQuad(a, b)), z)
+
+        def raw(nudge):
+            return ScalarField(lambda w: 0.0, hessian_fn=lambda w: (a, b, np.conj(b) + nudge, np.conj(a) - nudge))
+
+        # Within the 1e-8 allowance (scale 3) the pair comes from (A, B) alone.
+        got = hessian_quad(raw(1e-10), z)
+        assert got.hzz.tobytes() == top.hzz.tobytes() and got.hzbz.tobytes() == top.hzbz.tobytes()
+        assert top.presym_residual == 0.0
+        assert got.presym_residual == pytest.approx(1e-10, rel=1e-5)
+        with pytest.raises(SymmetryViolation):
+            hessian_quad(raw(1e-6), z)
 
     def test_differenced_blocks_finish_as_their_four_raw_blocks(self):
         rng = RNG(116)

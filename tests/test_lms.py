@@ -61,6 +61,19 @@ class TestModelConstruction:
             SignalModel(1, np.eye(1), np.zeros(1, dtype=complex), noise_var=np.inf)
 
 
+    @pytest.mark.parametrize(
+        "r_diag, a_ref",
+        [
+            ([1.0], [1e308 + 1e308j]),  # |a|^2 overflows
+            ([1e-320], [1e300]),  # a is finite, |a|^2 is not
+        ],
+    )
+    def test_wiener_solution_and_power_must_be_finite(self, r_diag, a_ref):
+        # Drawing the reference a^H xi, or the misalignment, overflowed.
+        with pytest.raises(ValueError, match="Wiener solution and its output power must be finite"):
+            SignalModel.from_reference(np.diag(r_diag), a_ref)
+
+
 class TestClosedForms:
     def test_wiener_solution_recovers_reference(self):
         model, a_ref = toeplitz_model()

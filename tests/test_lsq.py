@@ -108,6 +108,17 @@ class TestProblemConstruction:
         with pytest.raises(ValueError):
             LsqProblem(g, np.zeros(2, dtype=complex), -np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 1)])
+    def test_dense_weight_must_be_finite(self, bad, where):
+        # Before the finiteness check a NaN passed the Hermitian test
+        # and the Cholesky factorization, and an inf warned there.
+        g = VectorField(2, lambda z: z)
+        w = np.eye(2, dtype=complex)
+        w[where] = w[where[::-1]] = bad
+        with pytest.raises(ValueError, match="weight must be finite"):
+            LsqProblem(g, np.zeros(2, dtype=complex), w)
+
     def test_observation_length_checked(self):
         g = VectorField(2, lambda z: z)
         with pytest.raises(ValueError):

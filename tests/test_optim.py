@@ -14,6 +14,7 @@ from crcalc import (
     HessianQuad,
     InadmissibleQ,
     JacobianPair,
+    NonFiniteEvaluation,
     LsqProblem,
     OptimizerConfig,
     PolynomialParams,
@@ -359,6 +360,24 @@ class TestScalingGate:
 
     def test_rounding_level_asymmetry_is_accepted(self):
         for a, b in self.perturbed(1e-13):
+            self.step(a, b)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_a_scaling_whose_real_form_overflows_is_singular(self, diagonal):
+        # A damping of 1e308 keeps A finite and doubles it past the range.
+        a = (np.diag(np.diag(self.A)) if diagonal else self.A) + 1e308 * np.eye(2)
+        with pytest.raises(SingularQ):
+            self.step(a, np.diag(np.diag(self.B)) if diagonal else self.B)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, np.nan)])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_a_non_finite_b_k_is_singular(self, bad, diagonal):
+        # Its residual passes any tolerance test, and eigvalsh of a 2 x 2
+        # block with a NaN diagonal can return finite eigenvalues.
+        a = np.diag(np.diag(self.A)) if diagonal else self.A
+        b = np.diag(np.diag(self.B)).astype(complex) if diagonal else self.B.copy()
+        b[1, 1] = bad
+        with pytest.raises(SingularQ):
             self.step(a, b)
 
 
@@ -768,6 +787,30 @@ class TestMinimize:
             warnings.simplefilter("error")
             minimize(field, np.array([1e154 + 0j]), QStrategy("newton"))
 
+    def test_an_overflowing_trial_point_diverges_without_a_warning(self):
+        # z + alpha delta_z = 10 - 1e308 * 10 is past the float range.
+        config = OptimizerConfig(step_size=1e308, backtracking="off")
+        with pytest.raises(Diverged):
+            minimize(modulus_squared_field(), np.array([10.0 + 0j]), QStrategy("identity"), config)
+
+    def test_an_overflowing_real_row_gives_a_non_finite_step_without_a_warning(self):
+        # 2 Re(dz) = 3e308 is past the float range, although dz is not.
+        field = ScalarField(
+            lambda z: 0.0, cogradient_fn=lambda z: WirtingerPair(np.array([1.5e308 + 0j]), np.array([1.5e308 + 0j]))
+        )
+        delta_c, _ = descent_step(field, np.zeros(1, dtype=complex), QStrategy("identity"))
+        assert not np.all(np.isfinite(delta_c))
+        assert minimize(field, np.zeros(1, dtype=complex), QStrategy("identity")).reason == "line_search_failed"
+
+    @pytest.mark.parametrize("start", [1e154, 1.3e154])
+    def test_newton_converges_where_the_doubled_slope_overflows(self, start):
+        # Loss |z|^2 is finite there, and one Newton step lands on 0.
+        field = polynomial_field(PolynomialParams(np.array([1.0]), np.array([0j]), np.array([0j])))
+        z0 = np.array([start + 0j])
+        result = minimize(field, z0, QStrategy("newton"))
+        assert (result.reason, result.iterations, result.z[0]) == ("converged", 1, 0)
+        assert assert_matches_reference(field, z0, QStrategy("newton"), OptimizerConfig()) == "converged"
+
     def test_cusp_minimum_fails_the_line_search(self):
         result = minimize(cusp_field(), np.array([1.0 + 0j]), QStrategy(kind="identity"))
         assert not result.converged
@@ -980,6 +1023,16 @@ class TestStationaryClassification:
         not_hermitian = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(RelationViolation):
             check_minimum(HessianQuad(not_hermitian, np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_rejects_blocks_whose_real_form_overflows(self, diagonal):
+        # Finite blocks, but 2 A overflows: eigvalsh of the infinite form
+        # gave NaN eigenvalues, which classified as "indefinite".
+        a = np.array([[1e308, 0.0], [0.0, 1.0]], dtype=complex)
+        if not diagonal:
+            a[0, 1] = a[1, 0] = 0.5
+        with pytest.raises(NonFiniteEvaluation, match="overflow"):
+            check_minimum(HessianQuad(a, np.zeros((2, 2))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_blocks(self, bad):

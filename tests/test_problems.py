@@ -65,6 +65,19 @@ class TestScalarChannelProblem:
         np.testing.assert_allclose(problem.mean_conj_y, np.conj(problem.samples).mean())
         np.testing.assert_allclose(problem.mean_abs2, np.mean(np.abs(problem.samples) ** 2))
 
+    @pytest.mark.parametrize(
+        "alpha, beta, samples",
+        [
+            (1.0, 0.0, [1e308, 1e308]),  # the mean of y overflows
+            (1.0, 0.0, [1e160]),  # the mean of |y|^2 overflows
+            (1e200, 0.0, [1.0]),  # |alpha|^2 overflows
+            (0.0, 1e200j, [1.0]),  # |beta|^2 overflows
+        ],
+    )
+    def test_moments_past_the_float_range_are_rejected(self, alpha, beta, samples):
+        with pytest.raises(ValueError, match="must be finite"):
+            Example1Problem(alpha, beta, np.array(samples, dtype=complex))
+
     def test_loss_field_matches_direct_average(self):
         problem = default_problem()
         field = example1_loss_field(problem)
@@ -234,6 +247,12 @@ class TestPolynomialFamily:
             linear=np.array([1.0 + 0j]),
         )
         with pytest.raises(Unidentifiable):
+            polynomial_stationary_point(params)
+
+    @pytest.mark.parametrize("c, d, b", [(1e155, 0j, 1.0), (1.0, 1e155j, 1.0), (2.0, 0j, 1.7e308)])
+    def test_a_closed_form_past_the_float_range_is_not_returned(self, c, d, b):
+        params = PolynomialParams(np.array([c]), np.array([d]), np.array([b + 0j]))
+        with pytest.raises(Unidentifiable, match="overflows"):
             polynomial_stationary_point(params)
 
     def test_newton_reaches_stationary_point(self):

@@ -347,6 +347,19 @@ class TestHolomorphy:
         b = is_holomorphic(field, center=[0.0 + 0j], seed=3)
         assert a.max_residual == b.max_residual
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_a_non_finite_conjugate_block_is_not_holomorphic(self, bad, at):
+        # The running builtin max dropped a NaN once a finite residual was in.
+        points = [[0.1 + 0j], [1.0 + 1.0j]]
+
+        def jacobian(z):
+            return JacobianPair(np.ones((1, 1)), np.full((1, 1), bad if z[0] == points[at][0] else 0.0))
+
+        report = is_holomorphic(VectorField(1, lambda z: z, jacobian_fn=jacobian), points=points)
+        assert not report.holomorphic
+        assert not np.isfinite(report.max_residual)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             is_holomorphic(self.HOLO["square"])
