@@ -13,7 +13,9 @@ stores only that pair and reads C and D off it.  Three equivalent
 sibling, and the real-coordinate Hessian, related by the congruence
 with the coordinate-change matrix.  All three encode the same
 quadratic form, so second-order predictions agree across them to
-rounding.
+rounding.  Uncoupled curvature, with both top blocks diagonal, is kept
+as two length-n diagonals, and its real-coordinate Hessian as the n
+real 2 x 2 blocks of a direct sum.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def _residual(*terms: np.ndarray) -> float:
 
 
 def _invariant_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Worst entry of A - A^H and B - B^T, for n x n blocks or length-n diagonals."""
+    """Worst entry of A - A^H and B - B^T, for n x n blocks or :func:`_uncoupled` diagonals."""
     return _residual(a - a.conj().T, b - b.T)
 
 
@@ -141,29 +143,21 @@ class AssembledHessians:
         return self.hc_complex.shape[0] // 2
 
 
-def _finish_quad(blocks, n: int, tol: float, context: str) -> HessianQuad:
-    """Symmetrize raw blocks into the top pair of an admissible curvature.
+def _finish_quad(a: np.ndarray, b: np.ndarray, n: int, tol: float, context: str) -> HessianQuad:
+    """Symmetrize a raw top pair (A, B), 2-D complex arrays, into a curvature.
 
-    ``blocks`` is a top pair (A, B) or four raw blocks (A, B, C, D).  The
-    pair is 0.25 (A + A^H + A + A^H) and 0.25 (B + B^T + B + B^T).  A raw
-    bottom pair is checked, not averaged in: C - conj(Hzbz) and
-    D - conj(Hzz) are two more residual terms, which repeat the top two
-    when C = conj(B) and D = conj(A), so those four blocks give the bits
-    of their top pair, ``presym_residual`` included.
+    The pair is A - (A - A^H) / 2 and B - (B - B^T) / 2.  An exactly
+    Hermitian A and symmetric B come back bit for bit, with
+    ``presym_residual`` 0.0, and no block is summed with its own copy,
+    so finite entries up to the float range stay finite.
     """
-    a, b, *bottom = (np.atleast_2d(np.asarray(blk, dtype=complex)) for blk in blocks)
-    if any(blk.shape != (n, n) for blk in (a, b, *bottom)):
+    if a.shape != (n, n):
         raise DimensionError(f"{context}: curvature blocks must be {n} x {n}")
     with np.errstate(invalid="ignore", over="ignore"):
-        a_h, b_t = a.conj().T, b.T
-        hzz = 0.25 * (a + a_h + a + a_h)
-        hzbz = 0.25 * (b + b_t + b + b_t)
-        misfits = [a - hzz, b - hzbz]
-        if bottom:
-            c, d = bottom
-            misfits += [c - np.conj(hzbz), d - np.conj(hzz)]
-        resid = _residual(*misfits)
-    # A NaN or infinite entry in any raw block makes the residual
+        hzz = a - 0.5 * (a - a.conj().T)
+        hzbz = b - 0.5 * (b - b.T)
+        resid = _residual(a - hzz, b - hzbz)
+    # A NaN or infinite entry in either raw block makes the residual
     # non-finite, and a NaN residual would pass the tolerance test.
     if not np.isfinite(resid):
         raise NonFiniteEvaluation(f"{context}: curvature blocks are not finite")
@@ -180,14 +174,11 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
     """Curvature blocks of a real field at a point.
 
     Uses the field's analytic second derivatives when present, given
-    by its ``hessian_fn`` as a :class:`HessianQuad` or as four raw
-    blocks (A, B, C, D); symmetry is enforced at 1e-8 relative.  Four
-    raw blocks are finished from (A, B) alone, and C and D are checked
-    against conj(B) and conj(A) at that tolerance, not averaged in.
-    Otherwise the conjugated
-    row (df/dz)^H, analytic or differenced, is differenced once more
-    with a relative step of eps**(1/4), giving the blocks A and B.  A
-    real field has df/dconj = conj(df/dz), so the other two blocks are
+    by its ``hessian_fn`` as a :class:`HessianQuad`; symmetry is
+    enforced at 1e-8 relative.  Otherwise the conjugated row
+    (df/dz)^H, analytic or differenced, is differenced once more with
+    a relative step of eps**(1/4), giving the blocks A and B.  A real
+    field has df/dconj = conj(df/dz), so the other two blocks are
     C = conj(B) and D = conj(A) without a second differencing.  The
     blocks are symmetrized with the looser 1e-4 allowance.
 
@@ -198,30 +189,37 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
         the applicable tolerance, which signals inconsistent analytic
         derivatives or a rough field.
     NonFiniteEvaluation
-        If any raw block, C or D included, holds NaN or infinity.
+        If either raw block holds NaN or infinity.
     DimensionError
-        If an analytic block is not n x n at a point of length n, or
-        ``hessian_fn`` returns neither a :class:`HessianQuad` nor four
-        blocks.
+        If ``hessian_fn`` returns anything but a :class:`HessianQuad`,
+        or its blocks are not n x n at a point of length n.
     """
     z = as_complex_vector(p)
     n = z.shape[0]
     if field.hessian_fn is not None:
-        blocks = field.hessian_fn(z)
-        if isinstance(blocks, HessianQuad):
-            blocks = (blocks.hzz, blocks.hzbz)
-        else:
-            blocks = tuple(blocks)
-            if len(blocks) != 4:
-                raise DimensionError(
-                    f"{field.name}: hessian_fn must return a HessianQuad or four raw blocks "
-                    f"(A, B, C, D), got {len(blocks)}"
-                )
-        return _finish_quad(blocks, n, SYM_TOL_ANALYTIC, field.name)
+        quad = field.hessian_fn(z)
+        if not isinstance(quad, HessianQuad):
+            raise DimensionError(
+                f"{field.name}: hessian_fn must return a HessianQuad, got {type(quad).__name__}"
+            )
+        return _finish_quad(quad.hzz, quad.hzbz, n, SYM_TOL_ANALYTIC, field.name)
 
     dz_conj = VectorField(n, lambda w: np.conj(cogradients(field, w).dz), name=f"d({field.name})/dz^H")
     ju = cogradients_fd(dz_conj, z, step=FD_SECOND_STEP)
-    return _finish_quad((ju.jz, ju.jzbar), n, SYM_TOL_FD, field.name)
+    return _finish_quad(ju.jz, ju.jzbar, n, SYM_TOL_FD, field.name)
+
+
+def _uncoupled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B), as their diagonals when every off-diagonal entry of both is exactly zero.
+
+    Such a curvature couples no two components, so its real form is a
+    direct sum of n 2 x 2 blocks.  There is no tolerance: one tiny
+    off-diagonal entry keeps the n x n blocks.
+    """
+    da, db = np.diagonal(a), np.diagonal(b)
+    if np.count_nonzero(a) == np.count_nonzero(da) and np.count_nonzero(b) == np.count_nonzero(db):
+        return da.copy(), db.copy()
+    return a, b
 
 
 def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:
@@ -236,10 +234,28 @@ def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:
     It is symmetric when A is Hermitian and B symmetric, and its
     eigenvalues are twice those of M, so the two share their condition
     number and their definiteness.
+
+    Given the length-n diagonals of :func:`_uncoupled`, it returns the
+    (n, 2, 2) stack of the direct sum's blocks, the entries at rows and
+    columns k and n + k, which numpy's linalg functions factor block by
+    block.
     """
     total = hzz + hzbz
     diff = hzz - hzbz
-    return 2.0 * np.block([[total.real, -diff.imag], [total.imag, diff.real]])
+    blocks = [[total.real, -diff.imag], [total.imag, diff.real]]
+    if total.ndim == 1:
+        return 2.0 * np.moveaxis(np.array(blocks), -1, 0)
+    return 2.0 * np.block(blocks)
+
+
+def _solve_real(form: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a form from :func:`real_hessian` against rhs = [x; y]."""
+    if form.ndim == 2:
+        return np.linalg.solve(form, rhs)
+    n = form.shape[0]
+    # Component k's block acts on (x_k, y_k); a column vector per block.
+    pairs = np.linalg.solve(form, rhs.reshape(2, n).T[..., np.newaxis])
+    return pairs[..., 0].T.ravel()
 
 
 def assemble(quad: HessianQuad) -> AssembledHessians:

@@ -20,10 +20,11 @@ never assembled.  What is checked is what the real-coordinate solve
 relies on: A Hermitian and B symmetric.
 
 When A and B are diagonal, as for the identity and for every separable
-loss, the real form J^H M J is a direct sum of n 2 x 2 real blocks, one
-per component, and is factored as those blocks: the 2n x 2n real
-Hessian is not built.  The gates on the scaling, its condition and its
-definiteness are the same quantities on both paths.
+loss, :func:`~crcalc.hessian._uncoupled` keeps them as diagonals and
+:func:`~crcalc.hessian.real_hessian` gives J^H M J as n 2 x 2 real
+blocks, one per component: the 2n x 2n real Hessian is not built.  The
+gates on the scaling, its condition and its definiteness are the same
+quantities on both paths, and this module never looks at the storage.
 """
 
 from __future__ import annotations
@@ -42,7 +43,15 @@ from .errors import (
     SingularMatrix,
     SingularQ,
 )
-from .hessian import HessianQuad, _invariant_residual, _tol_scale, hessian_quad, real_hessian
+from .hessian import (
+    HessianQuad,
+    _invariant_residual,
+    _solve_real,
+    _tol_scale,
+    _uncoupled,
+    hessian_quad,
+    real_hessian,
+)
 from .lsq import LsqProblem, gauss_newton_blocks, loss_field
 from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients
 
@@ -187,58 +196,14 @@ def _as_field(target, strategy: QStrategy) -> ScalarField:
     return target
 
 
-@dataclass(frozen=True, eq=False)
-class _Scaling:
-    """The top blocks (A, B) of a scaling M, stored by their structure.
-
-    ``a`` and ``b`` are both n x n, or both length-n vectors holding
-    the diagonals of diagonal blocks.  A diagonal scaling's real form is
-    an (n, 2, 2) stack of the blocks 2 [[Re(a+b), -Im(a-b)], [Im(a+b),
-    Re(a-b)]], the entries :func:`~crcalc.hessian.real_hessian` would
-    place at rows and columns k and n + k, and is factored by the same
-    numpy gufuncs.  A block with b_k = 0 is diagonal, so its eigenvalues
-    and its solve are exact, and the identity, every B = 0 scaling and
-    every n = 1 scaling give the bits of the dense factorisation.  The
-    admissibility gate reads either form through the residual and scale
-    of :mod:`crcalc.hessian`, which take diagonals as they take blocks.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-
-    @classmethod
-    def of(cls, a: np.ndarray, b: np.ndarray) -> "_Scaling":
-        """(A, B), kept as their diagonals when every off-diagonal entry is exactly zero."""
-        da, db = np.diagonal(a), np.diagonal(b)
-        if np.count_nonzero(a) == np.count_nonzero(da) and np.count_nonzero(b) == np.count_nonzero(db):
-            return cls(da.copy(), db.copy())
-        return cls(a, b)
-
-    def real_form(self) -> np.ndarray:
-        """J^H M J: the 2n x 2n real Hessian, or the (n, 2, 2) stack of its blocks."""
-        if self.a.ndim == 2:
-            return real_hessian(self.a, self.b)
-        total = self.a + self.b
-        diff = self.a - self.b
-        return 2.0 * np.moveaxis(np.array([[total.real, -diff.imag], [total.imag, diff.real]]), -1, 0)
-
-
-def _solve_real(form: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a real form from :meth:`_Scaling.real_form` against rhs = [x; y]."""
-    if form.ndim == 2:
-        return np.linalg.solve(form, rhs)
-    n = form.shape[0]
-    # Component k's block acts on (x_k, y_k); a column vector per block.
-    pairs = np.linalg.solve(form, rhs.reshape(2, n).T[..., np.newaxis])
-    return pairs[..., 0].T.ravel()
-
-
-def _scaling(target, field: ScalarField, z: np.ndarray, strategy: QStrategy) -> _Scaling:
-    """Top blocks (A, B) of the scaling M = [[A, B], [conj(B), conj(A)]]."""
+def _scaling(
+    target, field: ScalarField, z: np.ndarray, strategy: QStrategy
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top blocks (A, B) of the scaling M = [[A, B], [conj(B), conj(A)]], from _uncoupled."""
     n = z.shape[0]
     kind = strategy.kind
     if kind == "identity":
-        return _Scaling(np.full(n, 1.0 + strategy.damping, dtype=complex), np.zeros(n, dtype=complex))
+        return np.full(n, 1.0 + strategy.damping, dtype=complex), np.zeros(n, dtype=complex)
     if kind.endswith("gauss_newton"):
         a, b = gauss_newton_blocks(target, z)
     else:
@@ -248,7 +213,7 @@ def _scaling(target, field: ScalarField, z: np.ndarray, strategy: QStrategy) -> 
         b = np.zeros((n, n), dtype=complex)
     if strategy.damping > 0.0:
         a = a + strategy.damping * np.eye(n)
-    return _Scaling.of(a, b)
+    return _uncoupled(a, b)
 
 
 def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarray, StepDiagnostics]:
@@ -260,9 +225,9 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     predicted for a unit step.  Definiteness and condition come from
     the eigenvalues of the real-coordinate form J^H M J, which are
     twice those of M, and the step is solved there in real arithmetic
-    as delta_c = J delta_r.  When the blocks A and B are diagonal that
-    form is factored as n 2 x 2 real blocks, one per component, with
-    the same gates.
+    as delta_c = J delta_r.  When the blocks A and B are both diagonal,
+    :func:`~crcalc.hessian.real_hessian` gives that form as n 2 x 2
+    real blocks, one per component, factored with the same gates.
 
     Raises
     ------
@@ -272,7 +237,8 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
         conjugate by construction.
     SingularQ
         If the scaling cannot be solved against, damping in the
-        strategy being the usual fix, or holds NaN or infinity.
+        strategy being the usual fix, holds NaN or infinity, or has
+        finite entries that overflow its real-coordinate form.
     ConfigError
         If a Gauss-Newton kind is asked of a target that is not a
         least-squares problem; raised before anything is evaluated.
@@ -285,27 +251,32 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
 
 
 def _descent_step(
-    z: np.ndarray, pair: WirtingerPair, scaling: _Scaling, kind: str
+    z: np.ndarray, pair: WirtingerPair, scaling: tuple[np.ndarray, np.ndarray], kind: str
 ) -> tuple[np.ndarray, StepDiagnostics]:
-    """:func:`descent_step` from the derivative row and the scaling at z.
+    """:func:`descent_step` from the derivative row and the scaling (A, B) at z.
 
     Returns the step in z alone, ``(delta_z, diagnostics)``; the
     conjugate half of delta_c is conj(delta_z) and is never built here.
     """
+    a, b = scaling
     # Entries that are not finite, or that overflow when doubled into the
     # real form, are reported by the gates below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = _invariant_residual(scaling.a, scaling.b)
-        hrr = scaling.real_form()
+        resid = _invariant_residual(a, b)
+        hrr = real_hessian(a, b)
     # A non-finite residual passes the tolerance test, and eigvalsh, which
     # reads one triangle, can return finite eigenvalues for a NaN entry.
     if not np.isfinite(resid):
         raise SingularQ(f"{kind} scaling is not finite")
-    if resid > _Q_ADMISSIBLE_TOL * _tol_scale(scaling.a, scaling.b):
+    if resid > _Q_ADMISSIBLE_TOL * _tol_scale(a, b):
         raise InadmissibleQ(
             f"{kind} scaling is not Hermitian admissible "
             f"(A Hermitian, B symmetric), residual {resid:.3e}"
         )
+    # Finite blocks past about 9e307 overflow when doubled; no damping
+    # brings such a form back into range.
+    if not np.all(np.isfinite(hrr)):
+        raise SingularQ(f"{kind} scaling overflows its real-coordinate form")
     n = z.shape[0]
     try:
         eigs = np.linalg.eigvalsh(hrr)
@@ -509,9 +480,10 @@ def check_minimum(quad: HessianQuad) -> str:
     ``"indefinite"``, or ``"singular"``.  The eigenvalues are those of
     the real-coordinate Hessian, twice those of the complex form, so
     their signs are the same; any eigenvalue within 1e-10 of zero,
-    relative to the spectral radius, reports ``"singular"``.  Diagonal
-    blocks are factored as n 2 x 2 real blocks, one per component, with
-    the same rule.
+    relative to the spectral radius, reports ``"singular"``.  Blocks
+    that are both diagonal are factored as the n 2 x 2 real blocks
+    :func:`~crcalc.hessian.real_hessian` gives for their diagonals, one
+    per component, with the same rule.
 
     Raises
     ------
@@ -523,7 +495,7 @@ def check_minimum(quad: HessianQuad) -> str:
     """
     quad.check_invariants()
     with np.errstate(over="ignore"):
-        form = _Scaling.of(quad.hzz, quad.hzbz).real_form()
+        form = real_hessian(*_uncoupled(quad.hzz, quad.hzbz))
     if not np.all(np.isfinite(form)):
         raise NonFiniteEvaluation("curvature blocks overflow their real-coordinate form")
     eigs = np.linalg.eigvalsh(form)

@@ -114,11 +114,10 @@ class ScalarField:
         Maps a point to a :class:`WirtingerPair`.  Used instead of
         differencing when present.
     hessian_fn : callable, optional
-        Maps a point to its curvature, a
-        :class:`~crcalc.hessian.HessianQuad` or four raw blocks
-        (A, B, C, D).  The curvature module symmetrizes the top pair
-        (A, B) and checks the bottom pair against its conjugate
-        (conj(B), conj(A)); C and D are not averaged in.
+        Maps a point to its curvature as a
+        :class:`~crcalc.hessian.HessianQuad`, the top pair (A, B); the
+        bottom pair is their conjugate.  The curvature module
+        symmetrizes the pair and rejects any other return value.
     name : str, optional
         Label for reports and traces.
     """

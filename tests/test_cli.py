@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ from hypothesis import strategies as st
 
 from crcalc import ConfigError
 from crcalc.cli import build_run_config, load_config, main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args):
+    """``python -m crcalc.cli ARGS`` in a child process that imports crcalc from ``src/``."""
+    paths = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run([sys.executable, "-m", "crcalc.cli", *args], capture_output=True, text=True, env=env)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -120,6 +131,9 @@ class TestConfigParsing:
             load_config(str(tmp_path / "absent.json"))
 
 
+OVERFLOW_POLYNOMIAL = {"name": "custom-polynomial", "conj_diag": ["0"], "linear": ["1"], "z0": ["1"]}
+
+
 class TestOptimizeCommand:
     def test_happy_path_writes_trace(self, tmp_path, capsys):
         out = str(tmp_path / "trace.csv")
@@ -195,6 +209,27 @@ class TestOptimizeCommand:
         assert code == 0
         assert "status: converged" in capsys.readouterr().out
 
+    def test_curvature_near_the_top_of_the_float_range_converges(self, tmp_path, capsys):
+        # Symmetrising the blocks never doubles an entry, and the real
+        # form doubles 6e307 only to 1.2e308, still finite.
+        cfg = write_config(tmp_path, {"problem": dict(OVERFLOW_POLYNOMIAL, quad_diag=[6e307])})
+        assert main(["optimize", "--config", cfg]) == 0
+        assert "status: converged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"algorithm": {"damping": 1e308}},
+            {"problem": dict(OVERFLOW_POLYNOMIAL, quad_diag=[1e308])},
+        ],
+    )
+    def test_a_scaling_whose_real_form_overflows_is_named(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, config)
+        assert main(["optimize", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "scaling overflows its real-coordinate form" in err
+        assert "damping" not in err
+
     @pytest.mark.parametrize("kind", ["gauss_newton", "quasi_gauss_newton"])
     @pytest.mark.parametrize(
         "problem",
@@ -211,11 +246,7 @@ class TestOptimizeCommand:
     )
     def test_gauss_newton_on_a_field_is_a_config_error(self, tmp_path, problem, kind):
         cfg = write_config(tmp_path, {"problem": problem, "algorithm": {"kind": kind}})
-        proc = subprocess.run(
-            [sys.executable, "-m", "crcalc.cli", "optimize", "--config", cfg],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("optimize", "--config", cfg)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error: algorithm.kind")
@@ -237,11 +268,7 @@ class TestUnallocatableSizes:
         # numpy refuses it at once (MemoryError or ValueError) and
         # nothing is allocated.
         cfg = write_config(tmp_path, config)
-        proc = subprocess.run(
-            [sys.executable, "-m", "crcalc.cli", command, "--config", cfg],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli(command, "--config", cfg)
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error: ")
         assert "Traceback" not in proc.stderr
@@ -404,11 +431,7 @@ class TestCheckCommand:
         # curvature too), so the checks that evaluate it read FAIL; the
         # rest of the report is still produced.
         cfg = write_config(tmp_path, {"problem": problem})
-        proc = subprocess.run(
-            [sys.executable, "-m", "crcalc.cli", "check", "--config", cfg],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("check", "--config", cfg)
         assert proc.returncode == 2
         assert "FAIL" in proc.stdout
         assert proc.stdout.splitlines()[-1].endswith("checks passed")
@@ -507,20 +530,12 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "crcalc.cli", "optimize", "--quiet"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("optimize", "--quiet")
         assert proc.returncode == 0
         assert proc.stdout == ""
 
     def test_help_lists_subcommands(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "crcalc.cli", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("--help")
         assert proc.returncode == 0
         for name in ("optimize", "check", "lms"):
             assert name in proc.stdout
