@@ -13,9 +13,9 @@ stores only that pair and reads C and D off it.  Three equivalent
 sibling, and the real-coordinate Hessian, related by the congruence
 with the coordinate-change matrix.  All three encode the same
 quadratic form, so second-order predictions agree across them to
-rounding.  Uncoupled curvature, with both top blocks diagonal, is kept
-as two length-n diagonals, and its real-coordinate Hessian as the n
-real 2 x 2 blocks of a direct sum.
+rounding.  A source whose top blocks are diagonal may give them as two
+length-n diagonals; that storage is kept, never inferred from zeros, and
+its real-coordinate Hessian is the n real 2 x 2 blocks of a direct sum.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _residual(*terms: np.ndarray) -> float:
 
 
 def _invariant_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Worst entry of A - A^H and B - B^T, for n x n blocks or :func:`_uncoupled` diagonals."""
+    """Worst entry of A - A^H and B - B^T, for n x n blocks or length-n diagonals."""
     return _residual(a - a.conj().T, b - b.T)
 
 
@@ -63,7 +63,8 @@ class HessianQuad:
     Attributes
     ----------
     hzz, hzbz : ndarray
-        Blocks A = d/dz (df/dz)^H and B = d/dconj (df/dz)^H, each n x n.
+        Blocks A = d/dz (df/dz)^H and B = d/dconj (df/dz)^H, both n x n
+        or both length-n diagonals (a scalar is one); see :meth:`blocks`.
     hzzb, hzbzb : ndarray
         The bottom blocks d/dz (df/dconj)^H = conj(B) and
         d/dconj (df/dconj)^H = conj(A), read off the top pair.
@@ -79,10 +80,10 @@ class HessianQuad:
     presym_residual: float = 0.0
 
     def __post_init__(self):
-        hzz = np.atleast_2d(np.asarray(self.hzz, dtype=complex))
-        hzbz = np.atleast_2d(np.asarray(self.hzbz, dtype=complex))
-        if hzz.shape[0] != hzz.shape[1] or hzbz.shape != hzz.shape:
-            raise DimensionError("curvature blocks must be square and share a shape")
+        hzz = np.atleast_1d(np.asarray(self.hzz, dtype=complex))
+        hzbz = np.atleast_1d(np.asarray(self.hzbz, dtype=complex))
+        if hzz.ndim > 2 or hzz.shape != hzz.shape[:1] * hzz.ndim or hzbz.shape != hzz.shape:
+            raise DimensionError("curvature blocks must share an n x n or length-n shape")
         object.__setattr__(self, "hzz", hzz)
         object.__setattr__(self, "hzbz", hzbz)
 
@@ -98,9 +99,16 @@ class HessianQuad:
     def hzbzb(self) -> np.ndarray:
         return np.conj(self.hzz)
 
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The top pair (A, B) as n x n matrices, whichever storage holds it."""
+        if self.hzz.ndim == 1:
+            return np.diag(self.hzz), np.diag(self.hzbz)
+        return self.hzz, self.hzbz
+
     def dense(self) -> np.ndarray:
         """The Hermitian 2n x 2n form [[A, B], [conj(B), conj(A)]]."""
-        return np.block([[self.hzz, self.hzbz], [self.hzzb, self.hzbzb]])
+        a, b = self.blocks()
+        return np.block([[a, b], [np.conj(b), np.conj(a)]])
 
     def invariant_residual(self) -> float:
         """Worst violation of A Hermitian and B symmetric, infinity norm."""
@@ -143,16 +151,14 @@ class AssembledHessians:
         return self.hc_complex.shape[0] // 2
 
 
-def _finish_quad(a: np.ndarray, b: np.ndarray, n: int, tol: float, context: str) -> HessianQuad:
-    """Symmetrize a raw top pair (A, B), 2-D complex arrays, into a curvature.
+def _finish_quad(a: np.ndarray, b: np.ndarray, tol: float, context: str) -> HessianQuad:
+    """Symmetrize a raw top pair (A, B), complex arrays in either storage, into a curvature.
 
     The pair is A - (A - A^H) / 2 and B - (B - B^T) / 2.  An exactly
     Hermitian A and symmetric B come back bit for bit, with
     ``presym_residual`` 0.0, and no block is summed with its own copy,
     so finite entries up to the float range stay finite.
     """
-    if a.shape != (n, n):
-        raise DimensionError(f"{context}: curvature blocks must be {n} x {n}")
     with np.errstate(invalid="ignore", over="ignore"):
         hzz = a - 0.5 * (a - a.conj().T)
         hzbz = b - 0.5 * (b - b.T)
@@ -174,10 +180,10 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
     """Curvature blocks of a real field at a point.
 
     Uses the field's analytic second derivatives when present, given
-    by its ``hessian_fn`` as a :class:`HessianQuad`; symmetry is
-    enforced at 1e-8 relative.  Otherwise the conjugated row
+    by its ``hessian_fn`` as a :class:`HessianQuad` in either storage;
+    symmetry is enforced at 1e-8 relative.  Otherwise the conjugated row
     (df/dz)^H, analytic or differenced, is differenced once more with
-    a relative step of eps**(1/4), giving the blocks A and B.  A real
+    a relative step of eps**(1/4), giving n x n blocks A and B.  A real
     field has df/dconj = conj(df/dz), so the other two blocks are
     C = conj(B) and D = conj(A) without a second differencing.  The
     blocks are symmetrized with the looser 1e-4 allowance.
@@ -192,7 +198,7 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
         If either raw block holds NaN or infinity.
     DimensionError
         If ``hessian_fn`` returns anything but a :class:`HessianQuad`,
-        or its blocks are not n x n at a point of length n.
+        or its blocks are not n x n or length n at a point of length n.
     """
     z = as_complex_vector(p)
     n = z.shape[0]
@@ -202,24 +208,18 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
             raise DimensionError(
                 f"{field.name}: hessian_fn must return a HessianQuad, got {type(quad).__name__}"
             )
-        return _finish_quad(quad.hzz, quad.hzbz, n, SYM_TOL_ANALYTIC, field.name)
+        if quad.n != n:
+            raise DimensionError(f"{field.name}: curvature blocks must be {n} x {n} or length {n}")
+        return _finish_quad(quad.hzz, quad.hzbz, SYM_TOL_ANALYTIC, field.name)
 
     dz_conj = VectorField(n, lambda w: np.conj(cogradients(field, w).dz), name=f"d({field.name})/dz^H")
     ju = cogradients_fd(dz_conj, z, step=FD_SECOND_STEP)
-    return _finish_quad(ju.jz, ju.jzbar, n, SYM_TOL_FD, field.name)
+    return _finish_quad(ju.jz, ju.jzbar, SYM_TOL_FD, field.name)
 
 
-def _uncoupled(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B), as their diagonals when every off-diagonal entry of both is exactly zero.
-
-    Such a curvature couples no two components, so its real form is a
-    direct sum of n 2 x 2 blocks.  There is no tolerance: one tiny
-    off-diagonal entry keeps the n x n blocks.
-    """
-    da, db = np.diagonal(a), np.diagonal(b)
-    if np.count_nonzero(a) == np.count_nonzero(da) and np.count_nonzero(b) == np.count_nonzero(db):
-        return da.copy(), db.copy()
-    return a, b
+def _add_to_diagonal(a: np.ndarray, shift: float) -> np.ndarray:
+    """A + shift I, in the storage of A."""
+    return a + shift * (np.eye(a.shape[0]) if a.ndim == 2 else 1.0)
 
 
 def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:
@@ -235,10 +235,9 @@ def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:
     eigenvalues are twice those of M, so the two share their condition
     number and their definiteness.
 
-    Given the length-n diagonals of :func:`_uncoupled`, it returns the
-    (n, 2, 2) stack of the direct sum's blocks, the entries at rows and
-    columns k and n + k, which numpy's linalg functions factor block by
-    block.
+    Given length-n diagonals, it returns the (n, 2, 2) stack of the
+    direct sum's blocks, the entries at rows and columns k and n + k,
+    which numpy's linalg functions factor block by block.
     """
     total = hzz + hzbz
     diff = hzz - hzbz
@@ -262,8 +261,8 @@ def assemble(quad: HessianQuad) -> AssembledHessians:
     """Build the three 2n x 2n representations from curvature blocks.
 
     The Hermitian form is :meth:`HessianQuad.dense` and the
-    real-coordinate Hessian is :func:`real_hessian` of the top blocks,
-    real by construction.
+    real-coordinate Hessian is :func:`real_hessian` of the n x n top
+    blocks, real by construction.
 
     Raises
     ------
@@ -274,7 +273,7 @@ def assemble(quad: HessianQuad) -> AssembledHessians:
     """
     quad.check_invariants()
     hc = quad.dense()
-    return AssembledHessians(hc_complex=hc, hc_real=swap_rows(hc), hrr=real_hessian(quad.hzz, quad.hzbz))
+    return AssembledHessians(hc_complex=hc, hc_real=swap_rows(hc), hrr=real_hessian(*quad.blocks()))
 
 
 def complex_from_real(hrr: np.ndarray) -> np.ndarray:
@@ -324,10 +323,9 @@ def second_order_predict(field: ScalarField, p, delta_z, representation: str = "
     quad = hessian_quad(field, z)
 
     if representation == "z":
+        a, b = quad.blocks()
         lin = 2.0 * float(np.real(pair.dz @ dz))
-        second = float(
-            np.real(np.conj(dz) @ quad.hzz @ dz + np.conj(dz) @ quad.hzbz @ np.conj(dz))
-        )
+        second = float(np.real(np.conj(dz) @ a @ dz + np.conj(dz) @ b @ np.conj(dz)))
         return value + lin + second
 
     assembled = assemble(quad)

@@ -19,12 +19,12 @@ scaling travels from its builder to the solver as the top-block pair
 never assembled.  What is checked is what the real-coordinate solve
 relies on: A Hermitian and B symmetric.
 
-When A and B are diagonal, as for the identity and for every separable
-loss, :func:`~crcalc.hessian._uncoupled` keeps them as diagonals and
+When A and B come as length-n diagonals, as for the identity and for a
+separable loss that declares it, the scaling keeps them so and
 :func:`~crcalc.hessian.real_hessian` gives J^H M J as n 2 x 2 real
 blocks, one per component: the 2n x 2n real Hessian is not built.  The
 gates on the scaling, its condition and its definiteness are the same
-quantities on both paths, and this module never looks at the storage.
+quantities in both storages, and this module never looks at the storage.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ from .errors import (
 )
 from .hessian import (
     HessianQuad,
+    _add_to_diagonal,
     _invariant_residual,
     _solve_real,
     _tol_scale,
-    _uncoupled,
     hessian_quad,
     real_hessian,
 )
@@ -199,7 +199,7 @@ def _as_field(target, strategy: QStrategy) -> ScalarField:
 def _scaling(
     target, field: ScalarField, z: np.ndarray, strategy: QStrategy
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top blocks (A, B) of the scaling M = [[A, B], [conj(B), conj(A)]], from _uncoupled."""
+    """Top blocks (A, B) of the scaling M = [[A, B], [conj(B), conj(A)]], as stored at the source."""
     n = z.shape[0]
     kind = strategy.kind
     if kind == "identity":
@@ -210,10 +210,10 @@ def _scaling(
         quad = hessian_quad(field, z)
         a, b = quad.hzz, quad.hzbz
     if kind.startswith("quasi_"):
-        b = np.zeros((n, n), dtype=complex)
+        b = np.zeros_like(b, dtype=complex)
     if strategy.damping > 0.0:
-        a = a + strategy.damping * np.eye(n)
-    return _uncoupled(a, b)
+        a = _add_to_diagonal(a, strategy.damping)
+    return a, b
 
 
 def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarray, StepDiagnostics]:
@@ -225,7 +225,7 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     predicted for a unit step.  Definiteness and condition come from
     the eigenvalues of the real-coordinate form J^H M J, which are
     twice those of M, and the step is solved there in real arithmetic
-    as delta_c = J delta_r.  When the blocks A and B are both diagonal,
+    as delta_c = J delta_r.  When A and B are stored as diagonals,
     :func:`~crcalc.hessian.real_hessian` gives that form as n 2 x 2
     real blocks, one per component, factored with the same gates.
 
@@ -330,16 +330,17 @@ def newton_update_z(quad: HessianQuad, pair: WirtingerPair) -> np.ndarray:
     """
     if quad.n != pair.n:
         raise DimensionError("curvature and derivative dimensions differ")
+    a, b = quad.blocks()
     rhs_z = np.conj(pair.dz)
     rhs_zbar = np.conj(pair.dzbar)
     try:
-        d_inv_c = np.linalg.solve(quad.hzbzb, quad.hzzb)
-        d_inv_rhs = np.linalg.solve(quad.hzbzb, rhs_zbar)
+        d_inv_c = np.linalg.solve(np.conj(a), np.conj(b))
+        d_inv_rhs = np.linalg.solve(np.conj(a), rhs_zbar)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("conjugate curvature block is singular") from exc
-    schur = quad.hzz - quad.hzbz @ d_inv_c
+    schur = a - b @ d_inv_c
     try:
-        return np.linalg.solve(schur, quad.hzbz @ d_inv_rhs - rhs_z)
+        return np.linalg.solve(schur, b @ d_inv_rhs - rhs_z)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("Schur complement is singular") from exc
 
@@ -481,9 +482,9 @@ def check_minimum(quad: HessianQuad) -> str:
     the real-coordinate Hessian, twice those of the complex form, so
     their signs are the same; any eigenvalue within 1e-10 of zero,
     relative to the spectral radius, reports ``"singular"``.  Blocks
-    that are both diagonal are factored as the n 2 x 2 real blocks
-    :func:`~crcalc.hessian.real_hessian` gives for their diagonals, one
-    per component, with the same rule.
+    stored as diagonals are factored as the n 2 x 2 real blocks
+    :func:`~crcalc.hessian.real_hessian` gives for them, one per
+    component, with the same rule.
 
     Raises
     ------
@@ -495,7 +496,7 @@ def check_minimum(quad: HessianQuad) -> str:
     """
     quad.check_invariants()
     with np.errstate(over="ignore"):
-        form = real_hessian(*_uncoupled(quad.hzz, quad.hzbz))
+        form = real_hessian(quad.hzz, quad.hzbz)
     if not np.all(np.isfinite(form)):
         raise NonFiniteEvaluation("curvature blocks overflow their real-coordinate form")
     eigs = np.linalg.eigvalsh(form)

@@ -123,7 +123,7 @@ def example1_loss_field(problem: Example1Problem) -> ScalarField:
         return WirtingerPair(np.array([dz]), np.array([np.conj(dz)]))
 
     def hess(z):
-        return HessianQuad(np.array([[coupling]]), np.array([[np.conj(alpha) * beta]]))
+        return HessianQuad(coupling, np.conj(alpha) * beta)
 
     return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="scalar estimation loss")
 
@@ -227,7 +227,7 @@ class PolynomialParams:
 
 
 def polynomial_field(params: PolynomialParams) -> ScalarField:
-    """The separable quadratic as a scalar field with analytic derivatives."""
+    """The separable quadratic as a scalar field, its analytic curvature given as diagonals."""
     c, d, b, e0 = params.quad_diag, params.conj_diag, params.linear, params.constant
 
     def fn(z):
@@ -243,7 +243,7 @@ def polynomial_field(params: PolynomialParams) -> ScalarField:
         return WirtingerPair(dz, np.conj(dz))
 
     def hess(z):
-        return HessianQuad(np.diag(c).astype(complex), np.diag(np.conj(d)))
+        return HessianQuad(c, np.conj(d))
 
     return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="polynomial loss")
 
@@ -269,8 +269,19 @@ def polynomial_stationary_point(params: PolynomialParams) -> np.ndarray:
     bad = (scale == 0.0) | (np.abs(det) <= _IDENT_TOL * np.maximum(scale, 1.0))
     if np.any(bad):
         raise Unidentifiable("a component has singular curvature, no unique stationary point")
+    # Each system is solved for b_k scaled by a power of two to below 1,
+    # so c_k b_k cannot overflow where the point does not; the scaling is
+    # exact, and a point in range comes out bit for bit.
+    exponent = np.maximum(np.frexp(np.maximum(np.abs(b.real), np.abs(b.imag)))[1], 0)
+    unit_b = _times_power_of_two(b, -exponent)
     with np.errstate(over="ignore", invalid="ignore"):
-        point = 0.5 * (c * b - np.conj(d) * np.conj(b)) / det
+        unit_point = 0.5 * (c * unit_b - np.conj(d) * np.conj(unit_b)) / det
+        point = _times_power_of_two(unit_point, exponent)
     if not np.all(np.isfinite(point)):
         raise Unidentifiable(overflow)
     return point
+
+
+def _times_power_of_two(x: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """x * 2**exponent for complex x, exact unless it leaves the normal float range."""
+    return np.ldexp(x.real, exponent) + 1j * np.ldexp(x.imag, exponent)

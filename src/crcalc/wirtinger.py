@@ -115,9 +115,10 @@ class ScalarField:
         differencing when present.
     hessian_fn : callable, optional
         Maps a point to its curvature as a
-        :class:`~crcalc.hessian.HessianQuad`, the top pair (A, B); the
-        bottom pair is their conjugate.  The curvature module
-        symmetrizes the pair and rejects any other return value.
+        :class:`~crcalc.hessian.HessianQuad`, the top pair (A, B), as
+        two length-n diagonals where both are diagonal; the bottom pair
+        is their conjugate.  The curvature module symmetrizes the pair,
+        keeps its storage, and rejects any other return value.
     name : str, optional
         Label for reports and traces.
     """

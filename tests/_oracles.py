@@ -186,7 +186,11 @@ def quartic_norm_field(with_analytic: bool = False) -> ScalarField:
     """The loss (z^H z)^2 with hand-derived derivatives.
 
     df/dz = 2 (z^H z) z^H, curvature blocks
-    Hzz = 2 ||z||^2 I + 2 z z^H and Hzbz = 2 z z^T.
+    Hzz = 2 ||z||^2 I + 2 z z^H and Hzbz = 2 z z^T.  The analytic
+    blocks are built exactly Hermitian and symmetric: each lower
+    triangle mirrors the upper one, and the diagonal of Hzz is real,
+    2 ||z||^2 + 2 |z_k|^2, since a complex product z_k conj(z_k) need
+    not round to a real number.
     """
     def fn(z):
         return float(np.real(np.conj(z) @ z)) ** 2
@@ -200,9 +204,10 @@ def quartic_norm_field(with_analytic: bool = False) -> ScalarField:
 
         def hess(z):
             nrm2 = float(np.real(np.conj(z) @ z))
-            eye = np.eye(z.shape[0])
-            hzz = 2.0 * nrm2 * eye + 2.0 * np.outer(z, np.conj(z))
-            hzbz = 2.0 * np.outer(z, z)
+            upper = np.triu(2.0 * np.outer(z, np.conj(z)), 1)
+            hzz = upper + upper.conj().T + np.diag(2.0 * nrm2 + 2.0 * np.abs(z) ** 2)
+            upper = np.triu(2.0 * np.outer(z, z))
+            hzbz = upper + np.triu(upper, 1).T
             return HessianQuad(hzz, hzbz)
 
     return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="squared norm squared")
@@ -361,8 +366,15 @@ def reference_minimize(target, z0, strategy, config):
     return z, loss_here, grad_norm, converged, reason, iterations, records
 
 
+def dense_pair(a, b):
+    """Top blocks (A, B) as n x n matrices, given either so or as diagonals."""
+    if np.ndim(a) == 1:
+        return np.diag(a), np.diag(b)
+    return a, b
+
+
 def dense_descent_step(z, pair, a, b, kind):
-    """The descent step on the dense 2n x 2n real Hessian of (A, B).
+    """The descent step on the dense 2n x 2n real Hessian of (A, B), in either storage.
 
     The arithmetic the structured path must reproduce: the admissibility
     gate (A Hermitian, B symmetric to 1e-9 relative to the largest
@@ -372,6 +384,7 @@ def dense_descent_step(z, pair, a, b, kind):
     against the real derivative row.  Returns ``(delta_z, diagnostics,
     eigenvalues)``.
     """
+    a, b = dense_pair(a, b)
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     resid = HessianQuad(a, b).invariant_residual()
     if resid > 1e-9 * scale:
@@ -410,7 +423,7 @@ def dense_check_minimum(quad):
     magnitude is at most 1e-10 times it, else by the eigenvalue signs.
     """
     quad.check_invariants()
-    eigs = np.linalg.eigvalsh(real_hessian(quad.hzz, quad.hzbz))
+    eigs = np.linalg.eigvalsh(real_hessian(*dense_pair(quad.hzz, quad.hzbz)))
     radius = float(np.max(np.abs(eigs), initial=0.0))
     if radius == 0.0 or float(np.min(np.abs(eigs))) <= 1e-10 * radius:
         return "singular"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from crcalc import (
     AssembledHessians,
+    CrcalcError,
     DimensionError,
     HessianQuad,
     NonFiniteEvaluation,
@@ -16,6 +17,7 @@ from crcalc import (
     ScalarField,
     SingularQ,
     SymmetryViolation,
+    WirtingerPair,
     assemble,
     check_minimum,
     cogradients,
@@ -201,6 +203,95 @@ class TestQuadValidation:
         field = ScalarField(lambda z: float(np.real(np.conj(z) @ z)), hessian_fn=lambda z: quad)
         with pytest.raises(NonFiniteEvaluation):
             hessian_quad(field, np.array([1.0 + 0j]))
+
+
+def outcome(fn, *args):
+    """What a call gives, for comparing two storages: the bytes of its
+    value, or the type of the error it raises."""
+    try:
+        value = fn(*args)
+    except CrcalcError as exc:
+        return type(exc)
+    if isinstance(value, AssembledHessians):
+        return [form.tobytes() for form in (value.hc_complex, value.hc_real, value.hrr)]
+    return np.asarray(value).tobytes()
+
+
+class TestDiagonalStorage:
+    """A curvature held as two diagonals and as their n x n blocks gives the same results."""
+
+    def assert_same_results(self, diagonal, blocks, pair):
+        assert diagonal.hzz.shape == (diagonal.n,) and blocks.hzz.shape == (diagonal.n,) * 2
+        for fn in (HessianQuad.dense, assemble, HessianQuad.check_invariants):
+            assert outcome(fn, diagonal) == outcome(fn, blocks)
+        assert outcome(newton_update_z, diagonal, pair) == outcome(newton_update_z, blocks, pair)
+        assert outcome(check_minimum, diagonal) == outcome(check_minimum, blocks)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_a_separable_field_in_both_storages(self, seed, n):
+        rng = RNG(seed)
+        params = PolynomialParams(
+            rng.uniform(-2.0, 2.0, n),
+            random_complex_vector(rng, n),
+            random_complex_vector(rng, n),
+            float(rng.standard_normal()),
+        )
+        field = polynomial_field(params)
+        as_blocks = ScalarField(
+            field.fn,
+            cogradient_fn=field.cogradient_fn,
+            hessian_fn=lambda z: HessianQuad(np.diag(params.quad_diag), np.diag(np.conj(params.conj_diag))),
+        )
+        z, delta = random_complex_vector(rng, n), random_complex_vector(rng, n)
+        self.assert_same_results(hessian_quad(field, z), hessian_quad(as_blocks, z), cogradients(field, z))
+        for rep in TestSecondOrderPrediction.REPRESENTATIONS:
+            assert outcome(second_order_predict, field, z, delta, rep) == outcome(
+                second_order_predict, as_blocks, z, delta, rep
+            )
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from(("valid", "complex a", "nan")))
+    def test_random_diagonals_in_both_storages(self, seed, n, kind):
+        rng = RNG(seed)
+        a = rng.uniform(-2.0, 2.0, n).astype(complex)
+        b = random_complex_vector(rng, n)
+        k = int(rng.integers(n))
+        if kind == "complex a":
+            a[k] += 1e-6j
+        elif kind == "nan":
+            b[k] = np.nan
+        dz = random_complex_vector(rng, n)
+        pair = WirtingerPair(dz, np.conj(dz))
+        self.assert_same_results(HessianQuad(a, b), HessianQuad(np.diag(a), np.diag(b)), pair)
+
+    def test_a_scalar_is_a_length_one_diagonal(self):
+        quad = HessianQuad(2.0, 0.5j)
+        assert quad.hzz.shape == quad.hzbz.shape == (1,)
+        np.testing.assert_array_equal(quad.dense(), [[2.0, 0.5j], [-0.5j, 2.0]])
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.ones(2), np.eye(2)),
+            (np.eye(2), np.ones(2)),
+            (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+            (np.ones((2, 3)), np.ones((2, 3))),
+        ],
+        ids=["1-D A, 2-D B", "2-D A, 1-D B", "3-D", "not square"],
+    )
+    def test_blocks_in_no_storage_are_rejected(self, a, b):
+        with pytest.raises(DimensionError):
+            HessianQuad(a, b)
+
+    def test_diagonals_of_the_wrong_length_are_rejected(self):
+        field = ScalarField(
+            lambda z: float(np.real(np.conj(z) @ z)),
+            hessian_fn=lambda z: HessianQuad(np.ones(3), np.zeros(3)),
+            name="wrong length",
+        )
+        with pytest.raises(DimensionError, match="2 x 2 or length 2"):
+            hessian_quad(field, np.array([1.0 + 0j, 2.0 + 0j]))
 
 
 FINITE = {"allow_nan": False, "allow_infinity": False}
@@ -420,7 +511,7 @@ class TestIdentityProperties:
         hc = assemble(quad).hc_complex
         # The update eliminates through the conjugate block, so both it
         # and the full matrix must be safely invertible.
-        assume(np.linalg.cond(hc) < 1e6 and np.linalg.cond(quad.hzz) < 1e6)
+        assume(np.linalg.cond(hc) < 1e6 and np.linalg.cond(quad.blocks()[0]) < 1e6)
         pair = cogradients(field, z)
         rhs = np.concatenate([np.conj(pair.dz), np.conj(pair.dzbar)])
         expected = -np.linalg.solve(hc, rhs)[: z.shape[0]]

@@ -43,7 +43,6 @@ from crcalc import (
     vector_residual,
 )
 from crcalc import optim
-from crcalc.hessian import _uncoupled
 from ._oracles import (
     dense_check_minimum,
     dense_descent_step,
@@ -347,7 +346,7 @@ class TestScalingGate:
     def step(self, a, b):
         z = np.array([1.0 + 2.0j, -0.5 + 0j])
         pair = cogradients(modulus_squared_field(), z)
-        return optim._descent_step(z, pair, _uncoupled(a, b), "newton")
+        return optim._descent_step(z, pair, (a, b), "newton")
 
     def perturbed(self, rel):
         # The gate's scale is the largest entry, 3.
@@ -363,35 +362,38 @@ class TestScalingGate:
         for a, b in self.perturbed(1e-13):
             self.step(a, b)
 
+    def blocks(self, diagonal):
+        """(A, B), or their diagonals stored as such."""
+        return (np.diag(self.A), np.diag(self.B).copy()) if diagonal else (self.A, self.B.copy())
+
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_a_scaling_whose_real_form_overflows_is_singular(self, diagonal):
         # A damping of 1e308 keeps A finite and doubles it past the range.
-        a = (np.diag(np.diag(self.A)) if diagonal else self.A) + 1e308 * np.eye(2)
+        a, b = self.blocks(diagonal)
+        a = a + 1e308 * (1.0 if diagonal else np.eye(2))
         with pytest.raises(SingularQ, match="overflows its real-coordinate form"):
-            self.step(a, np.diag(np.diag(self.B)) if diagonal else self.B)
+            self.step(a, b)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, np.nan)])
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_a_non_finite_b_k_is_singular(self, bad, diagonal):
         # Its residual passes any tolerance test, and eigvalsh of a 2 x 2
         # block with a NaN diagonal can return finite eigenvalues.
-        a = np.diag(np.diag(self.A)) if diagonal else self.A
-        b = np.diag(np.diag(self.B)).astype(complex) if diagonal else self.B.copy()
-        b[1, 1] = bad
+        a, b = self.blocks(diagonal)
+        b[(1,) * b.ndim] = bad
         with pytest.raises(SingularQ):
             self.step(a, b)
 
 
 def structured_step(z, pair, a, b, kind):
-    """The package's step from the top blocks (A, B), with the sorted
-    eigenvalues of the real form of the scaling it solved against."""
-    scaling = _uncoupled(a, b)
-    delta_z, diag = optim._descent_step(z, pair, scaling, kind)
-    return delta_z, diag, np.sort(np.linalg.eigvalsh(real_hessian(*scaling)), axis=None)
+    """The package's step from the top blocks (A, B) in their storage, with
+    the sorted eigenvalues of the real form of the scaling it solved against."""
+    delta_z, diag = optim._descent_step(z, pair, (a, b), kind)
+    return delta_z, diag, np.sort(np.linalg.eigvalsh(real_hessian(a, b)), axis=None)
 
 
 def diagonal_blocks(rng, n, kind="mixed"):
-    """Diagonal top blocks (A, B) with |b_k| at least 30% away from |a_k|.
+    """Diagonals of top blocks (A, B) with |b_k| at least 30% away from |a_k|.
 
     ``kind`` picks the signs of the 2x2 real blocks' eigenvalues
     2 (a_k -+ |b_k|): ``"definite"``, ``"negative"`` or ``"mixed"``.
@@ -403,7 +405,7 @@ def diagonal_blocks(rng, n, kind="mixed"):
     elif kind == "mixed":
         ratio = np.where(rng.random(n) < 0.5, ratio, rng.uniform(1.3, 2.0, n))
     b = np.abs(a) * ratio * np.exp(2j * np.pi * rng.random(n))
-    return np.diag(a).astype(complex), np.diag(b)
+    return a.astype(complex), b
 
 
 def singular_diagonal_blocks(rng, n):
@@ -415,8 +417,8 @@ def singular_diagonal_blocks(rng, n):
     """
     a, b = diagonal_blocks(rng, n)
     k = int(rng.integers(n))
-    b[k, k] = abs(b[k, k]) * (1.0, -1.0)[int(rng.integers(2))]
-    a[k, k] = abs(b[k, k])
+    b[k] = abs(b[k]) * (1.0, -1.0)[int(rng.integers(2))]
+    a[k] = abs(b[k])
     return a, b
 
 
@@ -424,6 +426,18 @@ def step_point(rng, n):
     z = random_complex_vector(rng, n)
     dz = random_complex_vector(rng, n)
     return z, WirtingerPair(dz, np.conj(dz))
+
+
+def factored_shapes(monkeypatch):
+    """A list that records the shape of every matrix np.linalg.eigvalsh and solve are given."""
+    shapes = []
+    for name in ("eigvalsh", "solve"):
+        def spy(m, *args, _original=getattr(np.linalg, name)):
+            shapes.append(np.shape(m))
+            return _original(m, *args)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return shapes
 
 
 def assert_same_step(got, want):
@@ -440,7 +454,7 @@ class TestDiagonalScaling:
 
     def assert_close_step(self, a, b, rng):
         n = a.shape[0]
-        assert real_hessian(*_uncoupled(a, b)).shape == (n, 2, 2)
+        assert real_hessian(a, b).shape == (n, 2, 2)
         z, pair = step_point(rng, n)
         delta_z, diag, eigs = structured_step(z, pair, a, b, "newton")
         ref_z, ref_diag, ref_eigs = dense_descent_step(z, pair, a, b, "newton")
@@ -480,8 +494,8 @@ class TestDiagonalScaling:
     def test_uncoupled_scalings_keep_their_bits(self, seed, n):
         rng = RNG(seed)
         a, _ = diagonal_blocks(rng, n)
-        a[np.diag_indices(n)] *= np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        b = np.zeros((n, n), dtype=complex)
+        a *= np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        b = np.zeros(n, dtype=complex)
         z, pair = step_point(rng, n)
         assert_same_step(structured_step(z, pair, a, b, "quasi_newton"), dense_descent_step(z, pair, a, b, "quasi_newton"))
 
@@ -499,7 +513,7 @@ class TestDiagonalScaling:
             field, _ = random_polynomial(rng, n)
             z = random_complex_vector(rng, n)
             delta_c, diag = descent_step(field, z, QStrategy("quasi_newton", 0.5))
-            a = hessian_quad(field, z).hzz + 0.5 * np.eye(n)
+            a = hessian_quad(field, z).blocks()[0] + 0.5 * np.eye(n)
             pair = cogradients(field, z)
             ref_z, ref_diag, _ = dense_descent_step(z, pair, a, np.zeros((n, n), complex), "quasi_newton")
             assert_same_bits(delta_c[:n], ref_z)
@@ -522,7 +536,7 @@ class TestDiagonalScaling:
         rng = RNG(seed)
         a, b = diagonal_blocks(rng, n)
         k = int(rng.integers(n))
-        a[k, k] += 1e-6j
+        a[k] += 1e-6j
         z, pair = step_point(rng, n)
         with pytest.raises(InadmissibleQ):
             dense_descent_step(z, pair, a, b, "newton")
@@ -555,13 +569,7 @@ class TestDiagonalScaling:
 
     def test_no_2n_by_2n_real_hessian_is_factored(self, monkeypatch):
         # Every form factored is an (n, 2, 2) stack, never a 2n x 2n matrix.
-        shapes = []
-        for name in ("eigvalsh", "solve"):
-            def spy(m, *args, _original=getattr(np.linalg, name)):
-                shapes.append(np.shape(m))
-                return _original(m, *args)
-
-            monkeypatch.setattr(np.linalg, name, spy)
+        shapes = factored_shapes(monkeypatch)
         rng = RNG(117)
         field, _ = random_polynomial(rng, 5)
         z0 = random_complex_vector(rng, 5)
@@ -573,16 +581,22 @@ class TestDiagonalScaling:
         assert len(shapes) > 30
         assert set(shapes) == {(5, 2, 2)}
 
-    def test_one_tiny_off_diagonal_entry_takes_the_dense_path(self):
+    def test_n_by_n_blocks_are_factored_as_one_2n_by_2n_form(self, monkeypatch):
+        # Storage is what the source declares: n x n blocks whose
+        # off-diagonal entries are all zero are still factored dense, as
+        # is the differenced curvature of a separable field.
+        shapes = factored_shapes(monkeypatch)
         rng = RNG(115)
-        a, b = diagonal_blocks(rng, 5)
-        a[1, 3] = a[3, 1] = 1e-300
-        assert real_hessian(*_uncoupled(a, b)).shape == (10, 10)
+        a, b = (np.diag(block) for block in diagonal_blocks(rng, 5))
         z, pair = step_point(rng, 5)
         assert_same_step(structured_step(z, pair, a, b, "newton"), dense_descent_step(z, pair, a, b, "newton"))
-        a, b = diagonal_blocks(rng, 5)
-        b[0, 4] = b[4, 0] = 1e-300j
-        assert_same_step(structured_step(z, pair, a, b, "newton"), dense_descent_step(z, pair, a, b, "newton"))
+        check_minimum(HessianQuad(a, b))
+        field, _ = random_polynomial(rng, 5)
+        differenced = ScalarField(field.fn, cogradient_fn=field.cogradient_fn, name="differenced")
+        for kind in ("newton", "quasi_newton"):
+            descent_step(differenced, z, QStrategy(kind, 0.5))
+        check_minimum(hessian_quad(differenced, z))
+        assert set(shapes) == {(10, 10)}
 
 
 class TestNewtonUpdate:

@@ -249,11 +249,21 @@ class TestPolynomialFamily:
         with pytest.raises(Unidentifiable):
             polynomial_stationary_point(params)
 
-    @pytest.mark.parametrize("c, d, b", [(1e155, 0j, 1.0), (1.0, 1e155j, 1.0), (2.0, 0j, 1.7e308)])
+    @pytest.mark.parametrize("c, d, b", [(1e155, 0j, 1.0), (1.0, 1e155j, 1.0), (2.0, 1.99j, 1e307)])
     def test_a_closed_form_past_the_float_range_is_not_returned(self, c, d, b):
+        # The last point is about 3.5e308, past the range although c b is not.
         params = PolynomialParams(np.array([c]), np.array([d]), np.array([b + 0j]))
         with pytest.raises(Unidentifiable, match="overflows"):
             polynomial_stationary_point(params)
+
+    def test_a_closed_form_near_the_top_of_the_float_range_is_returned(self):
+        # c b overflows on the way, but the point, -b / 4, is representable.
+        params = PolynomialParams(np.array([2.0, 2.0]), np.array([0j, 0.5j]), np.array([1.7e308, 1.7e308j]))
+        point = polynomial_stationary_point(params)
+        assert point[0] == -1.7e308 / 4.0
+        # Component 2 couples z and conj(z): its point is 1.7e308 times that for b = 1j.
+        expected = 0.5 * (2.0 * 1j - np.conj(0.5j) * np.conj(1j)) / (0.25 - 4.0)
+        assert point[1] == pytest.approx(expected * 1.7e308, rel=1e-15)
 
     def test_newton_reaches_stationary_point(self):
         params = self.params()
