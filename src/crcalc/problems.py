@@ -203,7 +203,8 @@ class PolynomialParams:
     with real c, complex d and b.  Component k has positive definite
     curvature exactly when c_k > |d_k| and an indefinite one when
     c_k < |d_k|, so the family covers well-posed and pathological
-    optimization targets alike.
+    optimization targets alike.  Every coefficient must be finite, or
+    ValueError is raised.
     """
 
     quad_diag: np.ndarray
@@ -217,9 +218,13 @@ class PolynomialParams:
         b = np.atleast_1d(np.asarray(self.linear, dtype=complex))
         if not (c.shape == d.shape == b.shape) or c.ndim != 1 or c.shape[0] < 1:
             raise DimensionError("coefficient vectors must share a positive length")
+        constant = float(self.constant)
+        if not all(np.all(np.isfinite(v)) for v in (c, d, b, constant)):
+            raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "quad_diag", c)
         object.__setattr__(self, "conj_diag", d)
         object.__setattr__(self, "linear", b)
+        object.__setattr__(self, "constant", constant)
 
     @property
     def n(self) -> int:
@@ -227,14 +232,15 @@ class PolynomialParams:
 
 
 def polynomial_field(params: PolynomialParams) -> ScalarField:
-    """The separable quadratic as a scalar field, its analytic curvature given as diagonals."""
+    """The separable quadratic as a batched scalar field, its analytic curvature given as diagonals."""
     c, d, b, e0 = params.quad_diag, params.conj_diag, params.linear, params.constant
 
     def fn(z):
-        return float(
-            np.sum(c * np.abs(z) ** 2)
-            + np.sum(np.real(d * z**2))
-            + np.sum(np.real(np.conj(b) * z))
+        # Summed over the last axis, so a (k, n) stack gives k values.
+        return (
+            np.sum(c * np.abs(z) ** 2, axis=-1)
+            + np.sum(np.real(d * z**2), axis=-1)
+            + np.sum(np.real(np.conj(b) * z), axis=-1)
             + e0
         )
 
@@ -245,7 +251,7 @@ def polynomial_field(params: PolynomialParams) -> ScalarField:
     def hess(z):
         return HessianQuad(c, np.conj(d))
 
-    return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="polynomial loss")
+    return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="polynomial loss", batched=True)
 
 
 def polynomial_stationary_point(params: PolynomialParams) -> np.ndarray:

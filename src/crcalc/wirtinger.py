@@ -121,6 +121,16 @@ class ScalarField:
         keeps its storage, and rejects any other return value.
     name : str, optional
         Label for reports and traces.
+    batched : bool, optional
+        Declares that ``fn`` also maps a (k, n) stack of points to k
+        values, one per row.  Differencing then evaluates a whole probe
+        set in one call; a single point is still passed as a 1-D array.
+        Each value is checked as a single call's would be, and the
+        first failing row raises that call's error.  A batched ``fn``
+        that computes each row as the row-wise one does gives the same
+        bits, but numpy does not promise that for every shape (a
+        complex product can round differently for a 1-row stack), so
+        pin it for the shapes used.
     """
 
     def __init__(
@@ -129,20 +139,40 @@ class ScalarField:
         cogradient_fn: Callable[[np.ndarray], WirtingerPair] | None = None,
         hessian_fn=None,
         name: str = "scalar field",
+        batched: bool = False,
     ):
         self.fn = fn
         self.cogradient_fn = cogradient_fn
         self.hessian_fn = hessian_fn
         self.name = name
+        self.batched = bool(batched)
 
     def __call__(self, p) -> float:
         z = as_complex_vector(p)
-        value = complex(self.fn(z))
+        return self._checked(complex(self.fn(z)), z)
+
+    def _checked(self, value: complex, z: np.ndarray) -> float:
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise NonFiniteEvaluation(f"{self.name} returned a non-finite value at {z!r}")
         if abs(value.imag) > _REAL_DUST * max(1.0, abs(value.real)):
             raise ValueError(f"{self.name} must be real-valued, got {value!r}")
         return value.real
+
+    def _evaluate_stack(self, stack: np.ndarray) -> np.ndarray:
+        """The field at each row of a (k, n) stack, as k reals in row order."""
+        if not self.batched:
+            return np.array([self(row) for row in stack])
+        k = stack.shape[0]
+        values = np.asarray(self.fn(stack), dtype=complex)
+        if values.shape != (k,):
+            raise DimensionError(
+                f"{self.name} returned shape {values.shape} for {k} points, expected ({k},)"
+            )
+        re, im = values.real, values.imag
+        if not np.all(np.isfinite(values) & (np.abs(im) <= _REAL_DUST * np.fmax(1.0, np.abs(re)))):
+            for value, z in zip(values, stack):
+                self._checked(complex(value), z)
+        return re
 
 
 class VectorField:
@@ -184,14 +214,18 @@ class VectorField:
             raise NonFiniteEvaluation(f"{self.name} returned non-finite values at {z!r}")
         return value
 
+    def _evaluate_stack(self, stack: np.ndarray) -> np.ndarray:
+        """The map at each row of a (k, n) stack, as a (k, m) array in row order."""
+        return np.array([self(row) for row in stack])
 
-def _fd_blocks(call: Callable[[np.ndarray], float | np.ndarray], z: np.ndarray, base: float, m: int):
-    """Central-difference jz and jzbar of a callable with m outputs.
+
+def _fd_blocks(field: ScalarField | VectorField, z: np.ndarray, base: float, m: int):
+    """Central-difference jz and jzbar of a field with m outputs.
 
     Only the 4n probes are evaluated, never the centre point itself:
-    coordinate by coordinate, +x, -x, +y, -y.  The probe sets and the
-    blocks are formed as whole arrays; ``call`` still sees each probe
-    once, as a row of one of the four n x n probe sets.
+    coordinate by coordinate, +x, -x, +y, -y.  They form one (4n, n)
+    stack in that order, which a batched field takes in one call and
+    any other field one row at a time.
     """
     n = z.shape[0]
     # fmax, like the builtin max, keeps the base step for a NaN coordinate.
@@ -199,10 +233,16 @@ def _fd_blocks(call: Callable[[np.ndarray], float | np.ndarray], z: np.ndarray, 
     hy = base * np.fmax(1.0, np.abs(z.imag))
     ex = np.diag(hx)
     ey = np.diag(1j * hy)
-    probes = (z + ex, z - ex, z + ey, z - ey)
-    values = [call(side[i]) for i in range(n) for side in probes]
+    # Row 4i + s is side s of coordinate i.  z - ex is not z + (-ex) for a
+    # signed zero, so each side keeps its own add or subtract.
+    stack = np.empty((n, 4, n), dtype=complex)
+    np.add(z, ex, out=stack[:, 0])
+    np.subtract(z, ex, out=stack[:, 1])
+    np.add(z, ey, out=stack[:, 2])
+    np.subtract(z, ey, out=stack[:, 3])
+    values = field._evaluate_stack(stack.reshape(4 * n, n))
     # (n, 4, m) in call order -> four C-ordered m x n blocks.
-    f = np.ascontiguousarray(np.array(values).reshape(n, 4, m).transpose(1, 2, 0))
+    f = np.ascontiguousarray(values.reshape(n, 4, m).transpose(1, 2, 0))
     dfdx = (f[0] - f[1]) / (2.0 * hx)
     dfdy = (f[2] - f[3]) / (2.0 * hy)
     return 0.5 * (dfdx - 1j * dfdy), 0.5 * (dfdx + 1j * dfdy)

@@ -265,6 +265,16 @@ class TestPolynomialFamily:
         expected = 0.5 * (2.0 * 1j - np.conj(0.5j) * np.conj(1j)) / (0.25 - 4.0)
         assert point[1] == pytest.approx(expected * 1.7e308, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "key, bad", [("quad_diag", np.inf), ("conj_diag", complex(0.0, np.nan)), ("linear", np.nan),
+                     ("constant", -np.inf)]
+    )
+    def test_non_finite_coefficients_are_rejected(self, key, bad):
+        coefficients = {"quad_diag": [1.0, 2.0], "conj_diag": [0j, 0.5j], "linear": [1 + 0j, 0j], "constant": 0.5}
+        coefficients[key] = bad if key == "constant" else [coefficients[key][0], bad]
+        with pytest.raises(ValueError, match="finite"):
+            PolynomialParams(**coefficients)
+
     def test_newton_reaches_stationary_point(self):
         params = self.params()
         field = polynomial_field(params)

@@ -11,6 +11,7 @@ from crcalc import (
     JacobianPair,
     MetricTensor,
     NonFiniteEvaluation,
+    PolynomialParams,
     ScalarField,
     VectorField,
     WirtingerPair,
@@ -22,6 +23,7 @@ from crcalc import (
     first_order_predict,
     gradient,
     is_holomorphic,
+    polynomial_field,
     stationarity_residual,
 )
 from crcalc.hessian import FD_SECOND_STEP, hessian_quad
@@ -142,24 +144,49 @@ _COMPONENTS = st.one_of(
 
 @st.composite
 def stencil_cases(draw):
-    """A field without derivatives, a point and a differencing step."""
-    n = draw(st.integers(1, 5))
+    """A field without derivatives, a point and a differencing step.
+
+    The batched polynomial field is drawn at larger n as well, since its
+    stack grows with n.
+    """
+    kind = draw(st.sampled_from(("quadratic", "map", "polynomial")))
+    n = draw(st.integers(1, 64 if kind == "polynomial" else 5))
     z = np.empty(n, dtype=complex)
     z.real = draw(st.lists(_COMPONENTS, min_size=n, max_size=n))
     z.imag = draw(st.lists(_COMPONENTS, min_size=n, max_size=n))
     rng = RNG(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    if kind == "quadratic":
         field = ScalarField(random_quadratic_loss(rng, n)[0].fn, name="plain quadratic")
-    else:
+    elif kind == "map":
         m = draw(st.integers(1, 3))
         field = VectorField(m, random_poly_vector_field(rng, n, m).fn, name="plain map")
+    else:
+        params = PolynomialParams(
+            rng.uniform(-1.0, 3.0, n), random_complex_vector(rng, n), random_complex_vector(rng, n, 2.0),
+            rng.uniform(-1.0, 1.0),
+        )
+        field = polynomial_field(params)
+        assert field.batched
     return field, z, draw(st.sampled_from((None, FD_SECOND_STEP)))
+
+
+def probe_stack(field, z, step):
+    """The (4n, n) probe stack that differencing hands a batched field."""
+    stacks = []
+
+    def spy(w):
+        stacks.append(w.copy())
+        return field.fn(w)
+
+    cogradients_fd(ScalarField(spy, name="spy", batched=True), z, step=step)
+    (stack,) = stacks
+    return stack
 
 
 class TestBatchedStencil:
     """Differencing matches the per-coordinate stencil bit for bit."""
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(stencil_cases())
     def test_blocks_equal_the_per_coordinate_loop(self, case):
         field, z, step = case
@@ -172,6 +199,14 @@ class TestBatchedStencil:
             assert pair.jz.flags.c_contiguous and pair.jzbar.flags.c_contiguous
             assert_same_bits(pair.jz, jz)
             assert_same_bits(pair.jzbar, jzbar)
+        if isinstance(field, ScalarField) and field.batched:
+            # The same fn taken row by row, and fn on the stack against fn on each row.
+            row_wise = cogradients_fd(ScalarField(field.fn, name="row-wise"), z, step=step)
+            assert_same_bits(row_wise.dz, jz[0])
+            assert_same_bits(row_wise.dzbar, jzbar[0])
+            stack = probe_stack(field, z, step)
+            assert stack.shape == (4 * z.shape[0], z.shape[0])
+            assert_same_bits(field.fn(stack), np.array([field.fn(row) for row in stack]))
 
 
 def recording_field(points, vector=False):
@@ -240,6 +275,89 @@ class TestProbeOrder:
     def test_complex_value_at_one_probe_is_rejected(self, probe):
         with pytest.raises(ValueError, match="real-valued"):
             cogradients_fd(self.failing_at(probe, 1.0 + 0.5j), self.Z)
+
+    def batched_failing_at(self, failures):
+        """|z|^2 over a stack, with ``failures`` mapping a 1-based probe to its value."""
+
+        def fn(stack):
+            values = np.real(np.sum(np.conj(stack) * stack, axis=-1)).astype(complex)
+            for probe, bad in failures.items():
+                values[probe - 1] = bad
+            return values
+
+        return ScalarField(fn, name="fails once", batched=True)
+
+    def raised(self, field):
+        with pytest.raises(Exception) as info:
+            cogradients_fd(field, self.Z)
+        return type(info.value), str(info.value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), complex(1.0, np.inf), 1.0 + 0.5j])
+    @pytest.mark.parametrize("probe", [1, 6, 12])
+    def test_a_batched_failure_raises_what_the_row_wise_call_raises(self, probe, bad):
+        expected = self.raised(self.failing_at(probe, bad))
+        assert expected[0] in (NonFiniteEvaluation, ValueError)
+        assert self.raised(self.batched_failing_at({probe: bad})) == expected
+
+    def test_the_first_failing_probe_in_call_order_is_reported(self):
+        got = self.raised(self.batched_failing_at({9: float("nan"), 4: 2.0 + 1.0j}))
+        assert got == self.raised(self.failing_at(4, 2.0 + 1.0j))
+        assert got[0] is ValueError and "real-valued" in got[1]
+
+    def test_real_dust_in_a_batch_is_dropped(self):
+        dusty = self.batched_failing_at({3: 7.0 + 5e-10j})
+        exact = self.batched_failing_at({3: 7.0})
+        assert_same_bits(cogradients_fd(dusty, self.Z).dz, cogradients_fd(exact, self.Z).dz)
+
+    @pytest.mark.parametrize(
+        "shape_of", [lambda k: (k, 1), lambda k: (k - 1,), lambda k: (), lambda k: (2 * k,)]
+    )
+    def test_a_wrongly_shaped_batch_is_a_dimension_error(self, shape_of):
+        field = ScalarField(lambda stack: np.ones(shape_of(stack.shape[0])), name="misshapen", batched=True)
+        with pytest.raises(DimensionError, match="misshapen returned shape"):
+            cogradients_fd(field, self.Z)
+
+    # Signed zeros survive or flip in a probe exactly as the old probe sets had them.
+    SIGNED = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 2.0)])
+
+    @pytest.mark.parametrize("z", [Z, SIGNED], ids=["plain", "signed zeros"])
+    def test_a_batched_field_sees_the_probes_in_one_call(self, z):
+        stacks = []
+
+        def fn(w):
+            stacks.append(w.copy())
+            return np.real(np.sum(np.conj(w) * w, axis=-1))
+
+        field = ScalarField(fn, name="recorded batch", batched=True)
+        cogradients_fd(field, z)
+        (stack,) = stacks
+        expected = self.expected_probes(z)
+        assert stack.shape == (len(expected), z.shape[0])
+        for got, want in zip(stack, expected):
+            assert_same_bits(got, want)
+        # A single point is still passed as a 1-D array.
+        field(z)
+        assert stacks[-1].shape == z.shape
+
+    @pytest.mark.parametrize("z", [Z, SIGNED], ids=["plain", "signed zeros"])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_a_row_wise_field_sees_each_probe_through_call_once(self, monkeypatch, vector, z):
+        cls = VectorField if vector else ScalarField
+        seen = []
+        inner = cls.__call__
+
+        def spy(self, p):
+            seen.append(np.array(p, copy=True))
+            return inner(self, p)
+
+        monkeypatch.setattr(cls, "__call__", spy)
+        points = []
+        cogradients_fd(recording_field(points, vector), z)
+        expected = self.expected_probes(z)
+        assert len(seen) == len(points) == len(expected)
+        for via_call, via_fn, want in zip(seen, points, expected):
+            assert_same_bits(via_call, want)
+            assert_same_bits(via_fn, want)
 
     def test_nan_from_a_vector_field_probe_is_non_finite(self):
         calls = []
