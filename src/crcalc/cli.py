@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -57,10 +59,19 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _fmt_complex(z: complex) -> str:
-    re, im = float(np.real(z)), float(np.imag(z))
-    sign = "+" if im >= 0 or np.isnan(im) else "-"
-    return f"{re:.12g}{sign}{abs(im):.12g}j"
+def _fmt_vector(values: np.ndarray) -> str:
+    """``[a+bj, ...]`` with 12 significant digits; a NaN or signed-zero imaginary part prints as ``+``."""
+    parts = (f"{v.real:.12g}{'-' if v.imag < 0 else '+'}{abs(v.imag):.12g}j" for v in values.tolist())
+    return f"[{', '.join(parts)}]"
+
+
+@contextlib.contextmanager
+def _file_errors(path: str):
+    """Report an OS error on ``path``, such as a directory or a missing parent, as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
 
 
 def _finite(convert, value, path: str):
@@ -201,6 +212,8 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(raw, dict):
@@ -398,13 +411,13 @@ def _write_optimize_trace(path: str, trace, n: int) -> None:
     for i in range(n):
         header += [f"z{i}.re", f"z{i}.im"]
     header += ["loss", "grad_norm", "step_norm", "q_condition", "q_positive_definite"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _file_errors(path), open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for rec in trace:
             row = [str(rec.iteration)]
-            for i in range(n):
-                row += [_fmt(rec.z[i].real), _fmt(rec.z[i].imag)]
+            for v in rec.z.tolist():
+                row += [f"{v.real:.17g}", f"{v.imag:.17g}"]
             row += [_fmt(rec.loss), _fmt(rec.grad_norm), _fmt(rec.step_norm), _fmt(rec.q_condition)]
             if rec.q_positive_definite is None:
                 row.append("")
@@ -416,7 +429,7 @@ def _write_optimize_trace(path: str, trace, n: int) -> None:
 def _write_lms_trace(path: str, sim) -> None:
     # CSV as csv.writer writes it (rows end in \r\n); no field ever needs quoting.
     rows = zip(range(1, sim.steps + 1), sim.smoothed_error_power.tolist(), sim.misalignment[1:].tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _file_errors(path), open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("step,err_power_smoothed,misalignment\r\n")
         fh.writelines(f"{k},{p:.17g},{m:.17g}\r\n" for k, p, m in rows)
 
@@ -432,11 +445,10 @@ def cmd_optimize(cfg: RunConfig) -> int:
         _write_optimize_trace(cfg.out_path, result.trace, z0.shape[0])
     classification = check_minimum(hessian_quad(field, result.z))
     if not cfg.quiet:
-        coords = ", ".join(_fmt_complex(v) for v in result.z)
         print(f"problem: {cfg.problem_name}")
         print(f"algorithm: {cfg.strategy.kind} (damping {_fmt(cfg.strategy.damping)})")
         print(f"status: {result.reason} after {result.iterations} iteration(s)")
-        print(f"z: [{coords}]")
+        print(f"z: {_fmt_vector(result.z)}")
         print(f"loss: {_fmt(result.loss)}")
         print(f"grad_norm: {_fmt(result.grad_norm)}")
         print(f"hessian: {classification}")
@@ -586,13 +598,13 @@ def cmd_check(cfg: RunConfig) -> int:
         lines.append(f"{chk.name}: residual={chk.residual:.3e} tol={chk.tol:.1e} {status}")
     failed = [chk for chk in checks if not chk.passed]
     summary = f"{len(checks) - len(failed)}/{len(checks)} checks passed"
+    if cfg.out_path:
+        with _file_errors(cfg.out_path), open(cfg.out_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines + [summary]) + "\n")
     if not cfg.quiet:
         for line in lines:
             print(line)
         print(summary)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines + [summary]) + "\n")
     return 0 if not failed else 2
 
 
@@ -604,8 +616,8 @@ def cmd_lms(cfg: RunConfig) -> int:
         _write_lms_trace(cfg.out_path, sim)
     if not cfg.quiet:
         print(f"steps: {sim.steps}")
-        print(f"wiener: [{', '.join(_fmt_complex(v) for v in sim.wiener)}]")
-        print(f"estimate: [{', '.join(_fmt_complex(v) for v in sim.a_hat)}]")
+        print(f"wiener: {_fmt_vector(sim.wiener)}")
+        print(f"estimate: {_fmt_vector(sim.a_hat)}")
         print(f"final_misalignment: {_fmt(sim.misalignment[-1])}")
         if sim.steps:
             print(f"final_smoothed_error_power: {_fmt(sim.smoothed_error_power[-1])}")
@@ -614,7 +626,9 @@ def cmd_lms(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="crcalc",
         description="Complex-valued optimization with conjugate-coordinate calculus.",

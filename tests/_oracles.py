@@ -432,3 +432,10 @@ def dense_check_minimum(quad):
     if np.all(eigs < 0.0):
         return "saddle_or_max"
     return "indefinite"
+
+
+def reference_fmt_complex(z: complex) -> str:
+    """One complex entry as the CLI printed it entry by entry through numpy scalars."""
+    re, im = float(np.real(z)), float(np.imag(z))
+    sign = "+" if im >= 0 or np.isnan(im) else "-"
+    return f"{re:.12g}{sign}{abs(im):.12g}j"

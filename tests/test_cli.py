@@ -1,5 +1,6 @@
 """Command line entry points, config handling, and trace files."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -15,8 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crcalc import ConfigError
-from crcalc.cli import build_run_config, load_config, main
+from crcalc import ConfigError, cli
+from crcalc.cli import _fmt_vector, _write_optimize_trace, build_run_config, load_config, main
+from crcalc.optim import IterationRecord
+
+from ._oracles import reference_fmt_complex
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -129,6 +133,27 @@ class TestConfigParsing:
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("command", ["optimize", "check", "lms"])
+    @pytest.mark.parametrize(
+        "flag, relative, message",
+        [
+            ("--config", ".", "{path}: Is a directory"),
+            ("--config", "absent.json", "config file not found: {path}"),
+            ("--out", ".", "{path}: Is a directory"),
+            ("--out", "absent/out.csv", "{path}: No such file or directory"),
+        ],
+    )
+    def test_unusable_paths_are_one_line_config_errors(self, tmp_path, capsys, command, flag, relative, message):
+        path = str(tmp_path / relative)
+        argv = [command, flag, path]
+        if flag == "--out":
+            payload = {"problem": {"name": "lms"}, "lms": {"steps": 20}} if command == "lms" else {}
+            argv += ["--config", write_config(tmp_path, payload)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message.format(path=path)}\n"
+        assert captured.out == ""
 
 
 OVERFLOW_POLYNOMIAL = {"name": "custom-polynomial", "conj_diag": ["0"], "linear": ["1"], "z0": ["1"]}
@@ -528,6 +553,36 @@ class TestDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestNumberFormatting:
+    SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1.7e308, -1.7e308, 1.0, -1.0 / 3.0, 123456.789e-7]
+
+    def pairs(self):
+        """Every special value as the real part with every one as the imaginary part."""
+        z = np.empty(len(self.SPECIAL) ** 2, dtype=complex)
+        z.real = np.repeat(self.SPECIAL, len(self.SPECIAL))
+        z.imag = np.tile(self.SPECIAL, len(self.SPECIAL))
+        return z
+
+    def test_vectors_print_as_the_entrywise_formatter_did(self):
+        special = self.pairs()
+        rng = np.random.default_rng(5)
+        vectors = [special, special.real.copy(), np.array([complex(-0.0, -0.0)])] + [
+            (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-300, 300, n)
+            for n in (1, 2, 17, 256)
+        ]
+        for values in vectors:
+            assert _fmt_vector(values) == f"[{', '.join(reference_fmt_complex(v) for v in values)}]"
+
+    def test_trace_z_columns_print_as_the_entrywise_formatter_did(self, tmp_path):
+        z = self.pairs()
+        path = tmp_path / "trace.csv"
+        _write_optimize_trace(str(path), [IterationRecord(0, z, 1.0, 0.0, 0.0, 1.0, None)], z.shape[0])
+        with open(path, newline="") as fh:
+            row = list(csv.reader(fh))[1]
+        expected = [f"{float(c):.17g}" for v in z for c in (np.real(v), np.imag(v))]
+        assert row[1 : 1 + 2 * z.shape[0]] == expected
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = run_cli("optimize", "--quiet")
@@ -539,3 +594,46 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for name in ("optimize", "check", "lms"):
             assert name in proc.stdout
+
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            if parser.prog == "crcalc":  # subparsers are named "crcalc <command>"
+                built.append(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        lms = write_config(tmp_path, {"problem": {"name": "lms"}, "lms": {"steps": 20}})
+        cli._build_parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["optimize", "--quiet"]) == 0
+                assert main(["check", "--quiet"]) == 0
+                assert main(["lms", "--config", lms, "--quiet"]) == 0
+        finally:
+            cli._build_parser.cache_clear()
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("command", ["optimize", "check", "lms"])
+    def test_a_call_after_a_usage_error_and_help_matches_a_fresh_process(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as usage:
+            main([command, "--no-such-flag"])
+        assert usage.value.code == 2
+        with pytest.raises(SystemExit) as shown:
+            main(["--help"])
+        assert shown.value.code == 0
+        captured = capsys.readouterr()
+        assert "usage: crcalc" in captured.err and "usage: crcalc" in captured.out
+
+        payload = {"problem": {"name": "lms"}, "lms": {"steps": 30, "n": 2}} if command == "lms" else {}
+        out = tmp_path / "out.txt"
+        argv = [command, "--config", write_config(tmp_path, payload), "--out", str(out), "--seed", "7"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out.read_bytes()
+        out.unlink()
+        fresh = run_cli(*argv)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert written == out.read_bytes()

@@ -26,6 +26,7 @@ from crcalc import (
     hessian_quad,
     is_admissible_matrix,
     is_admissible_vector,
+    loss_field,
     newton_update_z,
     polynomial_field,
     second_order_predict,
@@ -39,6 +40,7 @@ from ._oracles import (
     real_fd_hessian,
     z_to_r,
 )
+from .test_lsq import nonlinear_problems
 
 RNG = np.random.default_rng
 
@@ -449,13 +451,17 @@ def curvature_fields(draw):
     """A real field with hand-derived derivatives, a point and a step.
 
     The field is a random separable polynomial or a random quadratic
-    loss in n = 1 to 6 unknowns.  Its curvature comes from its analytic
-    blocks, from differencing its analytic rows, or from differencing
-    differenced rows.
+    loss in n = 1 to 6 unknowns, or the loss of a random nonlinear
+    least-squares problem in n = 1 to 4 unknowns under no, a scalar, a
+    diagonal or a dense weight, at that problem's point.  Its curvature
+    comes from its analytic blocks, from differencing its analytic
+    rows, or from differencing differenced rows.
     """
     rng = RNG(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 6))
-    if draw(st.booleans()):
+    source = draw(st.sampled_from(("polynomial", "quadratic", "least squares")))
+    z = random_complex_vector(rng, n)
+    if source == "polynomial":
         params = PolynomialParams(
             rng.uniform(-2.0, 2.0, n),
             random_complex_vector(rng, n),
@@ -463,14 +469,17 @@ def curvature_fields(draw):
             float(rng.standard_normal()),
         )
         field = polynomial_field(params)
-    else:
+    elif source == "quadratic":
         field, _ = random_quadratic_loss(rng, n)
+    else:
+        problem, z = draw(nonlinear_problems())
+        field, n = loss_field(problem), z.shape[0]
     derivatives = draw(st.sampled_from(("analytic", "differenced curvature", "differenced")))
     if derivatives == "differenced curvature":
         field = ScalarField(field.fn, cogradient_fn=field.cogradient_fn, name=derivatives)
     elif derivatives == "differenced":
         field = ScalarField(field.fn, name=derivatives)
-    return field, random_complex_vector(rng, n), random_complex_vector(rng, n)
+    return field, z, random_complex_vector(rng, n)
 
 
 class TestIdentityProperties:
