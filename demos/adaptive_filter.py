@@ -39,10 +39,7 @@ print()
 # One-sample gradients average to the closed-form expected gradient.
 a_probe = np.array([0.3 + 0j, 0.0 + 0j, 0.1 - 0.2j])
 xi, eta = draw_signals(model, 20000)
-mean_grad = np.mean(
-    [instantaneous_gradient(a_probe, xi[k], eta[k]) for k in range(xi.shape[0])],
-    axis=0,
-)
+mean_grad = np.mean(instantaneous_gradient(a_probe, xi, eta), axis=0)
 print("sample-mean gradient:", mean_grad)
 print("expected gradient:   ", model.r_matrix @ a_probe - model.p)
 print()

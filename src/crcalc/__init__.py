@@ -63,12 +63,10 @@ from .hessian import (
     second_order_predict,
 )
 from .lms import (
-    LmsState,
     SignalModel,
     SimulationResult,
     draw_signals,
     instantaneous_gradient,
-    lms_step,
     max_stable_step,
     simulate,
     wiener_solution,

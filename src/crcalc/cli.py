@@ -32,7 +32,7 @@ import numpy as np
 from .coords import StructureMatrices, matrix_residual, project_admissible, vector_residual
 from .errors import ConfigError, CrcalcError
 from .hessian import assemble, hessian_quad, second_order_predict
-from .lms import SignalModel, draw_signals, simulate, wiener_solution
+from .lms import SignalModel, draw_signals, instantaneous_gradient, simulate, wiener_solution
 from .lsq import LsqProblem, gauss_newton_hessian, loss_field
 from .optim import (
     OptimizerConfig,
@@ -53,6 +53,15 @@ from .problems import (
 from .wirtinger import cogradients, cogradients_fd, stationarity_residual
 
 PROBLEM_NAMES = ("example1", "example2", "lms", "custom-polynomial")
+
+#: Most entries of any array a run sizes from its config: the (steps, n)
+#: signal and estimate histories of ``lms``, the (20000, n) sample that
+#: ``check`` draws for an lms problem, and the n_samples-long data of
+#: example1 and example2.  Runs at this bound peak below about 2 GB.
+_MAX_ENTRIES = 10**7
+
+#: Samples ``check`` draws to average the stochastic gradient of an lms problem.
+_CHECK_SAMPLES = 20000
 
 
 def _fmt(x: float) -> str:
@@ -216,6 +225,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return raw
@@ -253,6 +264,8 @@ def build_run_config(
             raise ConfigError("problem.noise_var: must be nonnegative")
         if example.n_samples < 1:
             raise ConfigError("problem.n_samples: must be positive")
+        if example.n_samples > _MAX_ENTRIES:
+            raise ConfigError(f"problem.n_samples: must be at most {_MAX_ENTRIES}")
     elif name == "custom-polynomial":
         quad_diag = problem.get("quad_diag", _parse_real_list)
         poly = PolySettings(
@@ -275,6 +288,8 @@ def build_run_config(
         n = lms_sec.get("n", _parse_int, 4)
         if n < 1:
             raise ConfigError("lms.n: must be positive")
+        if n > _MAX_ENTRIES // _CHECK_SAMPLES:
+            raise ConfigError(f"lms.n: must be at most {_MAX_ENTRIES // _CHECK_SAMPLES}")
         default_ref = np.zeros(n, dtype=complex)
         default_ref[0] = 1.0
         lms_settings = LmsSettings(
@@ -290,6 +305,8 @@ def build_run_config(
         lms_sec.finish()
         if lms_settings.steps < 0:
             raise ConfigError("lms.steps: must be nonnegative")
+        if lms_settings.steps > _MAX_ENTRIES // n:
+            raise ConfigError(f"lms.steps: must be at most {_MAX_ENTRIES // n} for lms.n = {n}")
         if lms_settings.step_size <= 0:
             raise ConfigError("lms.step_size: must be positive")
         if lms_settings.noise_var < 0:
@@ -577,9 +594,8 @@ def _lms_checks(cfg: RunConfig) -> list[_Check]:
     a_probe = target + 0.5 * (rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n))
 
     def gradient_agreement():
-        xi, eta = draw_signals(model, 20000)
-        err = eta - xi @ np.conj(a_probe)
-        sample_grad = -np.mean(xi * np.conj(err)[:, None], axis=0)
+        xi, eta = draw_signals(model, _CHECK_SAMPLES)
+        sample_grad = np.mean(instantaneous_gradient(a_probe, xi, eta), axis=0)
         expected = model.r_matrix @ a_probe - model.p
         return float(np.linalg.norm(sample_grad - expected) / max(np.linalg.norm(expected), 1e-12))
 

@@ -48,7 +48,9 @@ class SignalModel:
 
     Every entry must be finite, and so must the squared norm and the
     output power p^H inv(R) p of the Wiener solution; ValueError is
-    raised otherwise.
+    raised otherwise.  The Wiener solution is solved here, once, and
+    read by :func:`wiener_solution`, :func:`draw_signals` and
+    :func:`simulate`.
     """
 
     n: int
@@ -79,6 +81,7 @@ class SignalModel:
         object.__setattr__(self, "r_matrix", r)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_chol", chol)
+        object.__setattr__(self, "_wiener", wiener)
 
     @classmethod
     def from_reference(cls, r_matrix, a_ref, noise_var: float = 0.0, seed: int = 0) -> "SignalModel":
@@ -101,59 +104,28 @@ class SignalModel:
         return cls.from_reference(np.eye(a.shape[0]), a, noise_var=noise_var, seed=seed)
 
 
-@dataclass(frozen=True, eq=False)
-class LmsState:
-    """Filter estimate, step index, and stepsize schedule.
-
-    With ``decay`` the stepsize at index k is ``step_size / (k + 1)``,
-    otherwise it stays constant.
-    """
-
-    a_hat: np.ndarray
-    k: int = 0
-    step_size: float = 0.01
-    decay: bool = False
-
-    def __post_init__(self):
-        a = as_complex_vector(self.a_hat)
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
-        if self.k < 0:
-            raise ValueError("step index must be nonnegative")
-        object.__setattr__(self, "a_hat", a)
-
-    @property
-    def current_step(self) -> float:
-        return self.step_size / (self.k + 1) if self.decay else self.step_size
-
-
 def instantaneous_gradient(a_hat, xi, eta) -> np.ndarray:
-    """Single-sample estimate of the conjugate derivative of the cost.
+    """Stochastic estimate of the conjugate derivative of the cost.
 
     Returns -xi conj(e) with e = eta - a_hat^H xi; its expectation is
-    R a_hat - p, which vanishes exactly at the Wiener solution.
+    R a_hat - p, which vanishes exactly at the Wiener solution.  ``xi``
+    is one input of length n with a scalar ``eta``, or a (k, n) stack
+    of inputs with k references, giving one row per sample.
     """
     a = as_complex_vector(a_hat)
-    x = as_complex_vector(xi)
-    if x.shape != a.shape:
-        raise DimensionError("input and filter lengths differ")
-    err = complex(eta) - complex(np.conj(a) @ x)
-    return -x * np.conj(err)
-
-
-def lms_step(state: LmsState, xi, eta) -> LmsState:
-    """One stochastic descent update of the filter estimate."""
-    grad = instantaneous_gradient(state.a_hat, xi, eta)
-    a_next = state.a_hat - state.current_step * grad
-    return LmsState(a_next, k=state.k + 1, step_size=state.step_size, decay=state.decay)
+    x = np.atleast_1d(np.asarray(xi, dtype=complex))
+    e = np.asarray(eta, dtype=complex)
+    if x.ndim > 2 or x.shape[-1] != a.shape[0]:
+        raise DimensionError(f"expected one input of length {a.shape[0]} or a stack of them, got shape {x.shape}")
+    if e.shape != x.shape[:-1]:
+        raise DimensionError(f"expected one reference per input, got shape {e.shape}")
+    err = e - x @ np.conj(a)
+    return -x * np.conj(err)[..., None]
 
 
 def wiener_solution(model: SignalModel) -> np.ndarray:
-    """The mean-square-error minimizer inv(R) p."""
-    try:
-        return np.linalg.solve(model.r_matrix, model.p)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("input covariance is singular") from exc
+    """The mean-square-error minimizer inv(R) p, solved once by the model."""
+    return getattr(model, "_wiener").copy()
 
 
 def max_stable_step(model: SignalModel) -> float:
@@ -182,7 +154,7 @@ def draw_signals(model: SignalModel, steps: int, a_ref=None) -> tuple[np.ndarray
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    a = wiener_solution(model) if a_ref is None else as_complex_vector(a_ref)
+    a = getattr(model, "_wiener") if a_ref is None else as_complex_vector(a_ref)
     if a.shape != (model.n,):
         raise DimensionError("reference filter length differs from the model")
     rng = np.random.default_rng(model.seed)
@@ -250,9 +222,10 @@ def simulate(
 
     Notes
     -----
-    The loop runs the :func:`lms_step` recursion on plain arrays and
-    visits the same estimates bit for bit; misalignment and error power
-    are computed from the stored history after it.
+    The loop is the update a <- a + alpha_k xi_k conj(e_k) on plain
+    arrays, with alpha_k = step_size / (k + 1) under ``decay``;
+    misalignment and error power are computed from the stored history
+    after it.
 
     Raises
     ------

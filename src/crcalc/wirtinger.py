@@ -112,7 +112,7 @@ class ScalarField:
         package assumes real-valued losses.
     cogradient_fn : callable, optional
         Maps a point to a :class:`WirtingerPair`.  Used instead of
-        differencing when present.
+        differencing when present; any other return value is rejected.
     hessian_fn : callable, optional
         Maps a point to its curvature as a
         :class:`~crcalc.hessian.HessianQuad`, the top pair (A, B), as
@@ -186,7 +186,7 @@ class VectorField:
         Maps a 1-D complex array to a length-m complex array.
     jacobian_fn : callable, optional
         Maps a point to a :class:`JacobianPair`.  Used instead of
-        differencing when present.
+        differencing when present; any other return value is rejected.
     name : str, optional
         Label for reports and traces.
     """
@@ -281,17 +281,20 @@ def cogradients(field, p):
 
     For a :class:`ScalarField` the conjugate pairing dzbar = conj(dz) is
     checked and :class:`ConjugationMismatch` raised on failure, with the
-    tighter tolerance applied to analytic derivatives.  Analytic rows
-    whose length differs from the point's, and analytic jacobian blocks
-    of a :class:`VectorField` that are not m x n, raise
-    :class:`DimensionError`.
+    tighter tolerance applied to analytic derivatives.  A
+    ``cogradient_fn`` that does not return a :class:`WirtingerPair`, or
+    rows whose length differs from the point's, and a ``jacobian_fn``
+    that does not return a :class:`JacobianPair`, or blocks that are not
+    m x n, raise :class:`DimensionError`.
     """
     z = as_complex_vector(p)
     if isinstance(field, ScalarField):
         if field.cogradient_fn is not None:
             pair = field.cogradient_fn(z)
             if not isinstance(pair, WirtingerPair):
-                pair = WirtingerPair(*pair)
+                raise DimensionError(
+                    f"{field.name}: cogradient_fn must return a WirtingerPair, got {type(pair).__name__}"
+                )
             if pair.n != z.shape[0]:
                 raise DimensionError(
                     f"{field.name}: derivative rows have length {pair.n}, expected {z.shape[0]}"
@@ -312,7 +315,9 @@ def cogradients(field, p):
         if field.jacobian_fn is not None:
             pair = field.jacobian_fn(z)
             if not isinstance(pair, JacobianPair):
-                pair = JacobianPair(*pair)
+                raise DimensionError(
+                    f"{field.name}: jacobian_fn must return a JacobianPair, got {type(pair).__name__}"
+                )
             if pair.shape != (field.m, z.shape[0]):
                 raise DimensionError(
                     f"{field.name}: jacobian blocks have shape {pair.shape}, "

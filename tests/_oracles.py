@@ -434,6 +434,26 @@ def dense_check_minimum(quad):
     return "indefinite"
 
 
+def reference_lms(xi: np.ndarray, eta: np.ndarray, step_size: float, decay: bool = False, a0=None) -> np.ndarray:
+    """Every estimate the LMS recursion visits on the given signals, the start first.
+
+    One sample at a time: the error e = eta - a^H xi, the stochastic
+    gradient -xi conj(e) of the cost with respect to conj(a), and the
+    step a <- a - alpha_k (-xi conj(e)) with alpha_k = step_size / (k + 1)
+    under ``decay``.  The recursion runs on past a divergence, so the
+    history has steps + 1 rows.
+    """
+    a = np.zeros(xi.shape[1], dtype=complex) if a0 is None else np.asarray(a0, dtype=complex)
+    visited = [a]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(xi.shape[0]):
+            alpha = step_size / (k + 1) if decay else step_size
+            err = complex(eta[k]) - complex(np.conj(a) @ xi[k])
+            a = a - alpha * (-xi[k] * np.conj(err))
+            visited.append(a)
+    return np.array(visited)
+
+
 def reference_fmt_complex(z: complex) -> str:
     """One complex entry as the CLI printed it entry by entry through numpy scalars."""
     re, im = float(np.real(z)), float(np.imag(z))

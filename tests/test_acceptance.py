@@ -445,11 +445,11 @@ def _criterion_11(capsys=None):
         noisy = SignalModel.from_reference(r, np.array([1.0 + 0j, -0.5 + 0.5j, 0.25 - 1.0j]), noise_var=0.1, seed=7)
         a = np.array([0.4 - 0.1j, 0.9 + 0.2j, -0.3 + 0.6j])
         xi, eta = draw_signals(noisy, 100000)
-        grads = xi * np.conj(eta - xi @ np.conj(a))[:, None] * -1.0
+        grads = instantaneous_gradient(a, xi, eta)
         sample_mean = grads.mean(axis=0)
         expected = noisy.r_matrix @ a - noisy.p
         assert np.abs(sample_mean - expected).max() <= 0.02 * max(1.0, float(np.abs(expected).max()))
-        # Spot check the vectorized form against the update-rule helper.
+        # Spot check the stacked form against the one-sample form.
         np.testing.assert_allclose(
             grads[0], instantaneous_gradient(a, xi[0], eta[0]), atol=1e-12
         )

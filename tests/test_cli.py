@@ -140,11 +140,14 @@ class TestConfigParsing:
         [
             ("--config", ".", "{path}: Is a directory"),
             ("--config", "absent.json", "config file not found: {path}"),
+            ("--config", "utf16.json", "{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte"),
             ("--out", ".", "{path}: Is a directory"),
             ("--out", "absent/out.csv", "{path}: No such file or directory"),
         ],
     )
     def test_unusable_paths_are_one_line_config_errors(self, tmp_path, capsys, command, flag, relative, message):
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
         path = str(tmp_path / relative)
         argv = [command, flag, path]
         if flag == "--out":
@@ -153,6 +156,41 @@ class TestConfigParsing:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"config error: {message.format(path=path)}\n"
+        assert captured.out == ""
+
+
+class TestSizeBound:
+    """At most 10**7 entries in any array a run sizes from its config.
+
+    Only ``build_run_config`` runs here, so nothing of these sizes is
+    allocated.
+    """
+
+    @pytest.mark.parametrize("n, most", [(1, 10**7), (3, 3333333), (4, 2500000), (500, 20000)])
+    def test_steps_up_to_the_bound_for_each_n(self, n, most):
+        raw = {"problem": {"name": "lms"}, "lms": {"n": n, "steps": most}}
+        assert build_run_config(raw).lms.steps == most
+        raw["lms"]["steps"] = most + 1
+        with pytest.raises(ConfigError, match=rf"^lms\.steps: must be at most {most} for lms\.n = {n}$"):
+            build_run_config(raw)
+
+    def test_lms_n_up_to_the_check_sample(self):
+        # check draws 20000 samples of length n.
+        assert build_run_config({"lms": {"n": 500, "steps": 0}}).lms.n == 500
+        with pytest.raises(ConfigError, match=r"^lms\.n: must be at most 500$"):
+            build_run_config({"lms": {"n": 501, "steps": 0}})
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_n_samples_up_to_the_bound(self, name):
+        assert build_run_config({"problem": {"name": name, "n_samples": 10**7}}).example.n_samples == 10**7
+        with pytest.raises(ConfigError, match=r"^problem\.n_samples: must be at most 10000000$"):
+            build_run_config({"problem": {"name": name, "n_samples": 10**7 + 1}})
+
+    def test_past_the_bound_is_one_line_and_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"problem": {"name": "lms"}, "lms": {"n": 16, "steps": 625001}})
+        assert main(["lms", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: lms.steps: must be at most 625000 for lms.n = 16\n"
         assert captured.out == ""
 
 
@@ -289,9 +327,8 @@ class TestUnallocatableSizes:
         ],
     )
     def test_size_past_the_address_space_is_a_config_error(self, tmp_path, command, config):
-        # Each size is past the address space or numpy's index type, so
-        # numpy refuses it at once (MemoryError or ValueError) and
-        # nothing is allocated.
+        # Each size is past the address space or numpy's index type; the
+        # size bound refuses it before anything is allocated.
         cfg = write_config(tmp_path, config)
         proc = run_cli(command, "--config", cfg)
         assert proc.returncode == 1

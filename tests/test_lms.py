@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from crcalc import (
     Diverged,
-    LmsState,
     SignalModel,
     draw_signals,
     instantaneous_gradient,
-    lms_step,
     max_stable_step,
     simulate,
     wiener_solution,
 )
+from crcalc.coords import DimensionError
 from crcalc.lms import DIVERGENCE_NORM
+
+from ._oracles import random_complex_matrix, random_complex_vector, reference_lms
 
 RNG = np.random.default_rng
 
@@ -89,12 +92,12 @@ class TestClosedForms:
 
 
 class TestUpdateRule:
+    """The reference recursion ``simulate`` is held to, on hand-worked numbers."""
+
     def test_frozen_scalar_step(self):
         # a=0, xi=1, eta=1, alpha=1/2: error is 1 and the update lands at 1/2.
-        state = LmsState(np.zeros(1, dtype=complex), step_size=0.5)
-        new = lms_step(state, np.array([1.0 + 0j]), 1.0 + 0j)
-        np.testing.assert_allclose(new.a_hat, [0.5 + 0j])
-        assert new.k == 1
+        visited = reference_lms(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), 0.5)
+        np.testing.assert_allclose(visited, [[0.0], [0.5 + 0j]])
 
     def test_instantaneous_gradient_frozen(self):
         a = np.array([0.5 + 0j])
@@ -103,19 +106,45 @@ class TestUpdateRule:
         e = eta - np.conj(a) @ xi
         np.testing.assert_allclose(instantaneous_gradient(a, xi, eta), -xi * np.conj(e))
 
+    def test_a_stack_gives_one_gradient_per_sample(self):
+        rng = RNG(8)
+        a = random_complex_vector(rng, 3)
+        xi = random_complex_matrix(rng, 5, 3)
+        eta = random_complex_vector(rng, 5)
+        rows = instantaneous_gradient(a, xi, eta)
+        assert rows.shape == (5, 3)
+        for k in range(5):
+            np.testing.assert_allclose(rows[k], instantaneous_gradient(a, xi[k], eta[k]), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "xi, eta",
+        [
+            (np.ones(2), 1.0),
+            (np.ones((4, 2)), np.ones(4)),
+            (np.ones((4, 3)), np.ones(3)),
+            (np.ones((4, 3)), 1.0),
+            (np.ones(3), np.ones(1)),
+            (np.ones((2, 4, 3)), np.ones((2, 4))),
+        ],
+    )
+    def test_mismatched_shapes_rejected(self, xi, eta):
+        with pytest.raises(DimensionError):
+            instantaneous_gradient(np.ones(3), xi, eta)
+
     def test_update_moves_against_gradient(self):
-        state = LmsState(np.array([0.2 + 0.1j, -0.4 + 0j]), step_size=0.05)
+        a = np.array([0.2 + 0.1j, -0.4 + 0j])
         xi = np.array([1.0 - 1.0j, 0.5 + 0.5j])
         eta = 0.3 + 0.7j
-        new = lms_step(state, xi, eta)
-        expected = state.a_hat - 0.05 * instantaneous_gradient(state.a_hat, xi, eta)
-        np.testing.assert_allclose(new.a_hat, expected)
+        visited = reference_lms(xi[None, :], np.array([eta]), 0.05, a0=a)
+        expected = a - 0.05 * instantaneous_gradient(a, xi, eta)
+        np.testing.assert_allclose(visited[1], expected)
 
     def test_decay_schedule(self):
-        state = LmsState(np.zeros(1, dtype=complex), k=3, step_size=0.1, decay=True)
-        assert state.current_step == pytest.approx(0.025)
-        fixed = LmsState(np.zeros(1, dtype=complex), k=3, step_size=0.1)
-        assert fixed.current_step == pytest.approx(0.1)
+        # xi=1, eta=1 from a=0 with alpha=1/2: the second step moves by
+        # 1/4 of the error 1/2 under decay and by 1/2 of it without.
+        xi, eta = np.ones((2, 1), dtype=complex), np.ones(2, dtype=complex)
+        np.testing.assert_allclose(reference_lms(xi, eta, 0.5, decay=True)[:, 0], [0.0, 0.5, 0.625])
+        np.testing.assert_allclose(reference_lms(xi, eta, 0.5)[:, 0], [0.0, 0.5, 0.75])
 
 
 class TestSignalSynthesis:
@@ -149,10 +178,7 @@ class TestSignalSynthesis:
         model, _ = toeplitz_model(noise_var=0.1, seed=17)
         a = np.array([0.3 - 0.2j, 1.0 + 0j, -0.7 + 0.4j])
         xi, eta = draw_signals(model, 100000)
-        grads = np.empty_like(xi)
-        for i in range(xi.shape[0]):
-            grads[i] = instantaneous_gradient(a, xi[i], eta[i])
-        sample_mean = grads.mean(axis=0)
+        sample_mean = instantaneous_gradient(a, xi, eta).mean(axis=0)
         expected = model.r_matrix @ a - model.p
         scale = max(1.0, float(np.abs(expected).max()))
         assert np.abs(sample_mean - expected).max() <= 0.02 * scale
@@ -242,23 +268,39 @@ class TestSimulation:
 
 
 def iterated_estimates(model, steps, step_size, decay=False, a_ref=None, a0=None):
-    """Every estimate visited by ``lms_step`` on the ``draw_signals`` inputs."""
+    """Every estimate the reference recursion visits on the ``draw_signals`` inputs."""
     xi, eta = draw_signals(model, steps, a_ref=a_ref)
-    state = LmsState(
-        np.zeros(model.n, dtype=complex) if a0 is None else a0, step_size=step_size, decay=decay
-    )
-    visited = [state.a_hat]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            state = lms_step(state, xi[k], eta[k])
-            visited.append(state.a_hat)
-    return np.array(visited)
+    return reference_lms(xi, eta, step_size, decay=decay, a0=a0)
+
+
+@st.composite
+def lms_runs(draw):
+    """A random Hermitian positive definite model in n = 1 to 16 and a run on it.
+
+    The step is a drawn multiple of ``max_stable_step``, from well below
+    it to far above, constant or decaying; ``a0`` and ``a_ref`` are the
+    defaults or drawn.
+    """
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 16))
+    m = random_complex_matrix(rng, n, n)
+    r = m @ m.conj().T + draw(st.sampled_from([1e-3, 0.1, 1.0])) * np.eye(n)
+    r = 0.5 * (r + r.conj().T)
+    noise_var, seed = draw(st.sampled_from([0.0, 0.1])), draw(st.integers(0, 2**16))
+    model = SignalModel.from_reference(r, random_complex_vector(rng, n), noise_var=noise_var, seed=seed)
+    step_size = draw(st.sampled_from([0.01, 0.3, 0.9, 1.1, 3.0, 30.0])) * max_stable_step(model)
+    kwargs = {}
+    if draw(st.booleans()):
+        kwargs["a0"] = random_complex_vector(rng, n)
+    if draw(st.booleans()):
+        kwargs["a_ref"] = random_complex_vector(rng, n)
+    return model, draw(st.integers(0, 300)), step_size, draw(st.booleans()), kwargs
 
 
 class TestSimulationMatchesSingleSteps:
     @pytest.mark.parametrize("decay", [False, True])
     @pytest.mark.parametrize("given", [False, True])
-    def test_estimate_is_iterated_lms_step(self, decay, given):
+    def test_estimate_is_the_reference_recursion(self, decay, given):
         model, a_ref = toeplitz_model(noise_var=0.1, seed=31)
         kwargs = {}
         if given:
@@ -276,3 +318,30 @@ class TestSimulationMatchesSingleSteps:
         xi, eta = draw_signals(model, 400, a_ref=kwargs.get("a_ref"))
         errors = np.array([eta[k] - np.conj(estimates[k]) @ xi[k] for k in range(400)])
         np.testing.assert_allclose(result.error_power, np.abs(errors) ** 2, rtol=1e-14)
+
+    @settings(derandomize=True, deadline=None)
+    @given(lms_runs())
+    def test_simulate_visits_the_reference_estimates(self, run):
+        # A divergent run's partial trace is the reference's prefix up
+        # to the first estimate past the bound.
+        model, steps, step_size, decay, kwargs = run
+        estimates = iterated_estimates(model, steps, step_size, decay=decay, **kwargs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            past = np.flatnonzero(~(np.linalg.norm(estimates[1:], axis=1) <= DIVERGENCE_NORM))
+        done = int(past[0]) + 1 if past.size else steps
+        event("diverged" if past.size else "stayed within the bound")
+        try:
+            result = simulate(model, steps, step_size, decay=decay, **kwargs)
+        except Diverged as exc:
+            assert past.size
+            result = exc.trace
+        else:
+            assert not past.size
+        assert result.steps == done
+        np.testing.assert_array_equal(result.a_hat, estimates[done])
+        wiener = wiener_solution(model)
+        expected = np.linalg.norm(estimates[: done + 1] - wiener, axis=1) / np.linalg.norm(wiener)
+        np.testing.assert_allclose(result.misalignment, expected, rtol=1e-14)
+        xi, eta = draw_signals(model, steps, a_ref=kwargs.get("a_ref"))
+        errors = np.array([complex(eta[k]) - complex(np.conj(estimates[k]) @ xi[k]) for k in range(done)])
+        np.testing.assert_array_equal(result.error_power, np.abs(errors) ** 2)

@@ -392,6 +392,15 @@ class TestValidation:
         with pytest.raises(DimensionError, match="length 3, expected 2"):
             cogradients(field, np.array([1.0 + 0j, 2.0 + 0j]))
 
+    @pytest.mark.parametrize(
+        "rows, kind",
+        [((np.ones(2), np.ones(2)), "tuple"), ([np.ones(2), np.ones(2)], "list"), (np.ones(2), "ndarray")],
+    )
+    def test_rows_that_are_not_a_pair_rejected(self, rows, kind):
+        field = ScalarField(lambda z: float(np.real(np.conj(z) @ z)), cogradient_fn=lambda z: rows, name="bare rows")
+        with pytest.raises(DimensionError, match=f"^bare rows: cogradient_fn must return a WirtingerPair, got {kind}$"):
+            cogradients(field, np.array([1.0 + 0j, 2.0 + 0j]))
+
     def test_scalar_field_rejects_complex_values(self):
         field = ScalarField(lambda z: z[0], name="not real")
         with pytest.raises(ValueError):
@@ -422,6 +431,15 @@ class TestValidation:
             name="misshapen jacobian",
         )
         with pytest.raises(DimensionError, match=r"\(2, 2\)"):
+            cogradients(field, np.array([1.0 + 0j, 2.0 + 0j]))
+
+    @pytest.mark.parametrize(
+        "blocks, kind",
+        [((np.eye(2), np.zeros((2, 2))), "tuple"), (np.eye(2), "ndarray")],
+    )
+    def test_jacobian_that_is_not_a_pair_rejected(self, blocks, kind):
+        field = VectorField(2, lambda z: z, jacobian_fn=lambda z: blocks, name="bare blocks")
+        with pytest.raises(DimensionError, match=f"^bare blocks: jacobian_fn must return a JacobianPair, got {kind}$"):
             cogradients(field, np.array([1.0 + 0j, 2.0 + 0j]))
 
 
