@@ -28,6 +28,12 @@ DIVERGENCE_NORM = 1e9
 #: Smoothing weight for the reported error-power average.
 ERROR_SMOOTHING = 0.05
 
+#: Steps whose array entries are converted to Python numbers at once, by
+#: the LMS loop, the error-power smoothing and the CLI's trace writer.
+#: Converting a whole run at once would take up to about 70 B per step;
+#: a chunk keeps it near 100 kB, at no measurable cost per step.
+CHUNK_STEPS = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class SignalModel:
@@ -195,6 +201,45 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
+def _recursion(xi: np.ndarray, eta: np.ndarray, mu: np.ndarray, a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every estimate a <- a + mu_k xi_k conj(e_k) visits, the start first, and every error.
+
+    Each step makes the numpy calls a plain ``a + mu[k] * (xi[k] *
+    np.conj(e))`` makes, on the same operands in the same order, so the
+    bits are the same.  The scalars are Python numbers taken from
+    ``tolist`` chunks, and conj(e) and mu_k reach numpy through two 0-d
+    complex buffers: that skips numpy's conversion of a scalar operand
+    on every call, and a 0-d operand is cheaper than a shape-(1,) one,
+    which takes the broadcast path.  numpy casts a real mu_k to complex
+    for the product anyway.  The loop runs on past a divergence.
+    """
+    steps, n = xi.shape
+    estimates = np.empty((steps + 1, n), dtype=complex)
+    estimates[0] = a0
+    errors = np.empty(steps, dtype=complex)
+    t = np.empty(n, dtype=complex)
+    # Zeroed, not empty: uninitialised memory can hold subnormals.
+    conj_err = np.zeros((), dtype=complex)
+    alpha = np.zeros((), dtype=complex)
+    a = estimates[0]
+    for start in range(0, steps, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, steps)
+        chunk_errors = []
+        for x, a_next, eta_k, mu_k in zip(
+            xi[start:stop], estimates[start + 1 : stop + 1], eta[start:stop].tolist(), mu[start:stop].tolist()
+        ):
+            err = eta_k - complex(np.vdot(a, x))
+            chunk_errors.append(err)
+            conj_err[()] = err.conjugate()
+            alpha[()] = mu_k
+            np.multiply(x, conj_err, out=t)
+            np.multiply(alpha, t, out=t)
+            np.add(a, t, out=a_next)
+            a = a_next
+        errors[start:stop] = chunk_errors
+    return estimates, errors
+
+
 def simulate(
     model: SignalModel,
     steps: int,
@@ -223,9 +268,9 @@ def simulate(
     Notes
     -----
     The loop is the update a <- a + alpha_k xi_k conj(e_k) on plain
-    arrays, with alpha_k = step_size / (k + 1) under ``decay``;
-    misalignment and error power are computed from the stored history
-    after it.
+    arrays, with alpha_k = step_size / (k + 1) under ``decay``, and 0-d
+    buffers for its scalar operands; misalignment and error power are
+    computed from the stored history after it.
 
     Raises
     ------
@@ -241,17 +286,10 @@ def simulate(
     if a.shape != (model.n,):
         raise DimensionError("input and filter lengths differ")
     mu = step_size / (np.arange(steps) + 1) if decay else np.full(steps, float(step_size))
-    estimates = np.empty((steps + 1, model.n), dtype=complex)
-    estimates[0] = a
-    errors = np.empty(steps, dtype=complex)
     # Past a divergence the estimate overflows; the first bad step is
     # found and reported below, so the overflow itself is expected.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            x = xi[k]
-            err = eta[k] - np.vdot(a, x)
-            errors[k] = err
-            a = estimates[k + 1] = a + mu[k] * (x * np.conj(err))
+        estimates, errors = _recursion(xi, eta, mu, a)
         norms = _row_norms(estimates[1:])
         bad = np.flatnonzero(~(norms <= DIVERGENCE_NORM))
         done = int(bad[0]) + 1 if bad.size else steps
@@ -265,9 +303,10 @@ def simulate(
     misalignment = dist / target_norm if target_norm > 0.0 else dist
     smoothed = np.empty(done)
     running = 0.0
-    for k, power in enumerate(err_power.tolist()):
-        running = power if k == 0 else (1.0 - ERROR_SMOOTHING) * running + ERROR_SMOOTHING * power
-        smoothed[k] = running
+    for start in range(0, done, CHUNK_STEPS):
+        for k, power in enumerate(err_power[start : start + CHUNK_STEPS].tolist(), start):
+            running = power if k == 0 else (1.0 - ERROR_SMOOTHING) * running + ERROR_SMOOTHING * power
+            smoothed[k] = running
     result = SimulationResult(
         a_hat=a_hat,
         wiener=target,

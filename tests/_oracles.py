@@ -454,6 +454,35 @@ def reference_lms(xi: np.ndarray, eta: np.ndarray, step_size: float, decay: bool
     return np.array(visited)
 
 
+def numpy_scalar_lms_loop(xi: np.ndarray, eta: np.ndarray, step_size: float, decay: bool, a) -> tuple[np.ndarray, np.ndarray]:
+    """The LMS loop as ``simulate`` ran it on numpy scalars: every estimate, the start first, and every error.
+
+    The body is kept verbatim from the loop that the 0-d-buffer loop
+    replaced, so ``simulate`` can be held to it bit for bit.  It runs on
+    past a divergence.
+    """
+    steps = eta.shape[0]
+    mu = step_size / (np.arange(steps) + 1) if decay else np.full(steps, float(step_size))
+    estimates = np.empty((steps + 1, a.shape[0]), dtype=complex)
+    estimates[0] = a
+    errors = np.empty(steps, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x = xi[k]
+            err = eta[k] - np.vdot(a, x)
+            errors[k] = err
+            a = estimates[k + 1] = a + mu[k] * (x * np.conj(err))
+    return estimates, errors
+
+
+def per_row_lms_trace(path: str, sim) -> None:
+    """The LMS trace as the CLI wrote it, one f-string per row."""
+    rows = zip(range(1, sim.steps + 1), sim.smoothed_error_power.tolist(), sim.misalignment[1:].tolist())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("step,err_power_smoothed,misalignment\r\n")
+        fh.writelines(f"{k},{p:.17g},{m:.17g}\r\n" for k, p, m in rows)
+
+
 def reference_fmt_complex(z: complex) -> str:
     """One complex entry as the CLI printed it entry by entry through numpy scalars."""
     re, im = float(np.real(z)), float(np.imag(z))

@@ -17,10 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crcalc import ConfigError, cli
-from crcalc.cli import _fmt_vector, _write_optimize_trace, build_run_config, load_config, main
+from crcalc.cli import _fmt_vector, _write_lms_trace, _write_optimize_trace, build_run_config, load_config, main
+from crcalc.lms import CHUNK_STEPS, SimulationResult
 from crcalc.optim import IterationRecord
 
-from ._oracles import reference_fmt_complex
+from ._oracles import per_row_lms_trace, reference_fmt_complex
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -508,6 +509,36 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "wiener-stationarity" in out and "expected-gradient-agreement: residual=nan" in out
 
+    @pytest.mark.parametrize("n", [64, 256, 500])
+    def test_lms_checks_pass_on_long_filters(self, tmp_path, capsys, n):
+        # A fixed tolerance failed these correct models once the
+        # sampling error, which grows with n, passed it.
+        cfg = write_config(tmp_path, {"problem": {"name": "lms"}, "lms": {"n": n}})
+        assert main(["check", "--config", cfg]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_gradient_biased_by_ten_standard_errors_fails(self, tmp_path, capsys, monkeypatch):
+        # The tolerance is five standard errors of the drawn sample,
+        # relative to |R a - p|, so a shift of ten of them fails.
+        config = {"problem": {"name": "lms"}, "lms": {"n": 16}}
+        drawn = []
+        unbiased = cli.instantaneous_gradient
+
+        def biased(a, xi, eta):
+            sample = unbiased(a, xi, eta)
+            standard_error = np.sqrt(np.sum(np.var(sample, axis=0)) / sample.shape[0])
+            drawn.append((a, standard_error))
+            return sample + 10.0 * standard_error / np.sqrt(sample.shape[1])
+
+        monkeypatch.setattr(cli, "instantaneous_gradient", biased)
+        assert main(["check", "--config", write_config(tmp_path, config)]) == 2
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("expected-gradient-agreement")]
+        ((a, standard_error),) = drawn
+        model = cli._build_signal_model(build_run_config(config))
+        tol = 5.0 * standard_error / np.linalg.norm(model.r_matrix @ a - model.p)
+        assert line.endswith(f"tol={tol:.1e} FAIL")
+        assert float(line.split()[1].removeprefix("residual=")) > 1.5 * tol
+
     def test_unidentifiable_closed_form_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"problem": {"alpha": "1+0j", "beta": "1+0j"}})
         code = main(["check", "--config", cfg])
@@ -618,6 +649,35 @@ class TestNumberFormatting:
             row = list(csv.reader(fh))[1]
         expected = [f"{float(c):.17g}" for v in z for c in (np.real(v), np.imag(v))]
         assert row[1 : 1 + 2 * z.shape[0]] == expected
+
+
+class TestLmsTraceBytes:
+    SPECIAL = [-0.0, 5e-324, 1e308, np.inf, 0.0, np.nan, -np.inf, 1.0 / 3.0]
+
+    @pytest.mark.parametrize("steps", [0, 1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1])
+    def test_chunked_writer_writes_the_per_row_bytes(self, tmp_path, steps):
+        rng = np.random.default_rng(steps)
+
+        def column(length, shift):
+            values = np.abs(rng.standard_normal(length)) * 10.0 ** rng.integers(-320, 308, length)
+            special = np.roll(self.SPECIAL, shift)[:length]
+            values[: special.shape[0]] = special
+            values[-special.shape[0] :] = special[::-1]
+            return values
+
+        sim = SimulationResult(
+            a_hat=np.zeros(2, dtype=complex),
+            wiener=np.ones(2, dtype=complex),
+            misalignment=column(steps + 1, 3),
+            error_power=column(steps, 0),
+            smoothed_error_power=column(steps, 0),
+            steps=steps,
+        )
+        _write_lms_trace(str(tmp_path / "chunked.csv"), sim)
+        per_row_lms_trace(str(tmp_path / "per_row.csv"), sim)
+        chunked = (tmp_path / "chunked.csv").read_bytes()
+        assert chunked == (tmp_path / "per_row.csv").read_bytes()
+        assert chunked.count(b"\r\n") == steps + 1
 
 
 class TestEntryPoint:

@@ -1,5 +1,7 @@
 """Stochastic-gradient adaptive filtering against closed-form moments."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -14,10 +16,11 @@ from crcalc import (
     simulate,
     wiener_solution,
 )
+from crcalc import lms
 from crcalc.coords import DimensionError
-from crcalc.lms import DIVERGENCE_NORM
+from crcalc.lms import CHUNK_STEPS, DIVERGENCE_NORM, ERROR_SMOOTHING
 
-from ._oracles import random_complex_matrix, random_complex_vector, reference_lms
+from ._oracles import numpy_scalar_lms_loop, random_complex_matrix, random_complex_vector, reference_lms
 
 RNG = np.random.default_rng
 
@@ -345,3 +348,88 @@ class TestSimulationMatchesSingleSteps:
         xi, eta = draw_signals(model, steps, a_ref=kwargs.get("a_ref"))
         errors = np.array([complex(eta[k]) - complex(np.conj(estimates[k]) @ xi[k]) for k in range(done)])
         np.testing.assert_array_equal(result.error_power, np.abs(errors) ** 2)
+
+
+def simulate_with_history(model, steps, step_size, decay=False, **kwargs):
+    """``simulate``'s result, or a divergence's partial one, with copies of its loop's estimates and errors."""
+    histories = []
+    recursion = lms._recursion
+
+    def spy(*args):
+        estimates, errors = recursion(*args)
+        # simulate shifts the history by the Wiener solution in place.
+        histories.append((estimates.copy(), errors.copy()))
+        return estimates, errors
+
+    with mock.patch.object(lms, "_recursion", spy):
+        try:
+            result = simulate(model, steps, step_size, decay=decay, **kwargs)
+        except Diverged as exc:
+            result = exc.trace
+    ((estimates, errors),) = histories
+    return result, estimates, errors
+
+
+def assert_bits_of_numpy_scalar_loop(model, steps, step_size, decay=False, a_ref=None, a0=None):
+    """``simulate`` visits the numpy-scalar loop's estimates and errors, as uint64 views, up to its reported prefix."""
+    result, estimates, errors = simulate_with_history(model, steps, step_size, decay=decay, a_ref=a_ref, a0=a0)
+    xi, eta = draw_signals(model, steps, a_ref=a_ref)
+    start = np.zeros(model.n, dtype=complex) if a0 is None else np.asarray(a0, dtype=complex)
+    want_estimates, want_errors = numpy_scalar_lms_loop(xi, eta, step_size, decay, start)
+    done = result.steps
+    np.testing.assert_array_equal(estimates[: done + 1].view(np.uint64), want_estimates[: done + 1].view(np.uint64))
+    np.testing.assert_array_equal(errors[:done].view(np.uint64), want_errors[:done].view(np.uint64))
+    np.testing.assert_array_equal(result.a_hat.view(np.uint64), want_estimates[done].view(np.uint64))
+    return result, estimates, errors
+
+
+class TestLoopMatchesNumpyScalarLoop:
+    @settings(derandomize=True, deadline=None)
+    @given(lms_runs())
+    def test_simulate_is_the_numpy_scalar_loop_bit_for_bit(self, run):
+        model, steps, step_size, decay, kwargs = run
+        result, _, _ = assert_bits_of_numpy_scalar_loop(model, steps, step_size, decay=decay, **kwargs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            within = np.linalg.norm(result.a_hat) <= DIVERGENCE_NORM
+        event("stayed within the bound" if within else "diverged")
+
+    @pytest.mark.parametrize(
+        "n, steps, decay",
+        [
+            (3, 0, False),
+            (3, 1, False),
+            (1, 500, False),
+            (3, 500, True),
+            (2, CHUNK_STEPS - 1, False),
+            (2, CHUNK_STEPS, True),
+            (2, CHUNK_STEPS + 1, False),
+        ],
+    )
+    def test_edge_lengths(self, n, steps, decay):
+        rng = RNG(n + steps)
+        model = SignalModel.white(random_complex_vector(rng, n), noise_var=0.05, seed=steps)
+        result, _, errors = assert_bits_of_numpy_scalar_loop(model, steps, 0.3 / n, decay=decay, a0=random_complex_vector(rng, n))
+        assert result.steps == steps
+        # The smoothing runs on across chunk boundaries.
+        smoothed, running = [], 0.0
+        for k, power in enumerate((np.abs(errors) ** 2).tolist()):
+            running = power if k == 0 else (1.0 - ERROR_SMOOTHING) * running + ERROR_SMOOTHING * power
+            smoothed.append(running)
+        np.testing.assert_array_equal(result.smoothed_error_power, smoothed)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_start_at_the_wiener_solution_without_noise_has_zero_errors(self, n):
+        # At n = 1, and for a Wiener solution with one nonzero entry,
+        # draw_signals' a^H xi and the loop's vdot round alike, so every
+        # error is exactly zero and the estimate never moves.  Elsewhere
+        # the two products may sum in different orders.
+        rng = RNG(n)
+        a_ref = np.zeros(n, dtype=complex)
+        a_ref[0] = complex(*rng.standard_normal(2))
+        r = np.diag(np.geomspace(1.0, 10.0, n))
+        model = SignalModel.from_reference(r, a_ref, noise_var=0.0, seed=n)
+        wiener = wiener_solution(model)
+        result, estimates, errors = assert_bits_of_numpy_scalar_loop(model, 300, 0.1, a0=wiener)
+        assert result.steps == 300
+        assert np.all(errors == 0.0)
+        np.testing.assert_array_equal(estimates, np.broadcast_to(wiener, estimates.shape))
