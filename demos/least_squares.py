@@ -15,11 +15,11 @@ from crcalc import (
     LsqProblem,
     QStrategy,
     VectorField,
-    gauss_newton_hessian,
+    gauss_newton_quad,
     loss,
     loss_pair,
     minimize,
-    newton_hessian,
+    newton_quad,
     residual,
 )
 
@@ -69,14 +69,14 @@ print()
 
 # Away from the solution the full curvature and its residual-free
 # approximation differ by the correction terms.
-gn = gauss_newton_hessian(problem, z)
-hn = newton_hessian(problem, z)
+gn = gauss_newton_quad(problem, z).dense()
+hn = newton_quad(problem, z).dense()
 print("max |newton - gauss_newton| away from the solution:",
       np.abs(hn - gn).max())
 
 # At the solution the residuals vanish and so do the corrections.
-gn0 = gauss_newton_hessian(problem, z_true)
-hn0 = newton_hessian(problem, z_true)
+gn0 = gauss_newton_quad(problem, z_true).dense()
+hn0 = newton_quad(problem, z_true).dense()
 print("max |newton - gauss_newton| at the solution:   ",
       np.abs(hn0 - gn0).max())
 print()

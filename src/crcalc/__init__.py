@@ -72,16 +72,11 @@ from .lms import (
     wiener_solution,
 )
 from .lsq import (
-    CompoundJacobian,
     LsqProblem,
-    compound_jacobian,
-    gauss_newton_blocks,
-    gauss_newton_hessian,
+    gauss_newton_quad,
     loss,
-    loss_cogradient,
     loss_field,
     loss_pair,
-    newton_hessian,
     newton_quad,
     residual,
 )

@@ -25,6 +25,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .coords import StructureMatrices, matrix_residual, project_admissible, vect
 from .errors import ConfigError, CrcalcError
 from .hessian import assemble, hessian_quad, second_order_predict
 from .lms import CHUNK_STEPS, SignalModel, draw_signals, instantaneous_gradient, simulate, wiener_solution
-from .lsq import LsqProblem, gauss_newton_hessian, loss_field
+from .lsq import LsqProblem, gauss_newton_quad, loss_field
 from .optim import (
     OptimizerConfig,
     QStrategy,
@@ -57,8 +58,10 @@ PROBLEM_NAMES = ("example1", "example2", "lms", "custom-polynomial")
 
 #: Most entries of any array a run sizes from its config: the (steps, n)
 #: signal and estimate histories of ``lms``, the (20000, n) sample that
-#: ``check`` draws for an lms problem, and the n_samples-long data of
-#: example1 and example2.  Runs at this bound peak below about 2 GB.
+#: ``check`` draws for an lms problem, the n_samples-long data of
+#: example1 and example2, and the dense 2n x 2n forms that ``check``
+#: builds for a custom-polynomial.  Runs at this bound peak below about
+#: 2 GB.
 _MAX_ENTRIES = 10**7
 
 #: Samples ``check`` draws to average the stochastic gradient of an lms problem.
@@ -274,6 +277,9 @@ def build_run_config(
             raise ConfigError(f"problem.n_samples: must be at most {_MAX_ENTRIES}")
     elif name == "custom-polynomial":
         quad_diag = problem.get("quad_diag", _parse_real_list)
+        most = math.isqrt(_MAX_ENTRIES) // 2
+        if quad_diag.shape[0] > most:
+            raise ConfigError(f"problem.quad_diag: must have at most {most} entries")
         poly = PolySettings(
             quad_diag=quad_diag,
             conj_diag=problem.get("conj_diag", _parse_complex_list),
@@ -580,7 +586,7 @@ def _optimization_checks(cfg: RunConfig) -> list[_Check]:
         checks.append(_Check(f"descent-step-{kind}", _guarded(lambda: step_residual(kind)), 1e-9))
 
     def gauss_newton_admissibility():
-        gn = gauss_newton_hessian(target, z0)
+        gn = gauss_newton_quad(target, z0).dense()
         return matrix_residual(gn) / max(1.0, float(np.max(np.abs(gn))))
 
     if isinstance(target, LsqProblem):

@@ -9,20 +9,27 @@ positive real scalar (W = w I), a positive real diagonal, or a dense
 Hermitian positive definite m x m matrix.  The loss, its derivative row
 and both curvatures touch W only through three products, W e, e^H W e
 and G^H W G, so a scalar or diagonal weight costs O(m) and no m x m
-array is formed.  Both derivative blocks of
-the model enter through the m x 2n compound jacobian G = [jz, jzbar].
-The raw normal matrix G^H W G is not an admissible curvature matrix,
-but its admissible projection is, and that projection is the
-Gauss-Newton Hessian.  The full Newton Hessian subtracts the projected
-derivative of one weighted row, (W e) @ conj(G), differenced once with
-the weight held fixed; that correction vanishes for models linear in
-(z, conj(z)) and at zero residual.
+array is formed.  Both derivative blocks of the model enter through the
+m x 2n compound jacobian G = [jz, jzbar], stacked from
+:func:`~crcalc.wirtinger.cogradients` of the model.
 
-Both curvatures are built as their top blocks (A, B) only: an
-admissible matrix is [[A, B], [conj(B), conj(A)]], so the projection
-needs just the top blocks of the matrix it projects.  The dense
-2n x 2n forms are :meth:`~crcalc.hessian.HessianQuad.dense` views of
-those blocks.
+Each quantity has one form:
+
+- :func:`loss_pair`, the derivative row as a
+  :class:`~crcalc.wirtinger.WirtingerPair`; the gradient is its
+  conjugate.
+- :func:`gauss_newton_quad`, the Gauss-Newton Hessian: the admissible
+  projection of the normal matrix G^H W G, which is itself not
+  admissible.
+- :func:`newton_quad`, the full Newton Hessian: the Gauss-Newton blocks
+  minus the projected derivative of one weighted row, (W e) @ conj(G),
+  differenced once with the weight held fixed.  That correction
+  vanishes for models linear in (z, conj(z)) and at zero residual.
+
+Both curvatures are :class:`~crcalc.hessian.HessianQuad` top blocks
+(A, B): an admissible matrix is [[A, B], [conj(B), conj(A)]], so the
+projection needs just the top blocks of the matrix it projects, and
+the dense 2n x 2n form is :meth:`~crcalc.hessian.HessianQuad.dense`.
 """
 
 from __future__ import annotations
@@ -35,35 +42,6 @@ import numpy as np
 from .coords import DimensionError, _hpd_cholesky, as_complex_vector, swap
 from .hessian import FD_SECOND_STEP, HessianQuad
 from .wirtinger import ScalarField, VectorField, WirtingerPair, cogradients, cogradients_fd
-
-
-@dataclass(frozen=True, eq=False)
-class CompoundJacobian:
-    """The m x 2n model jacobian [d g / d z, d g / d conj(z)]."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.atleast_2d(np.asarray(self.matrix, dtype=complex))
-        if mat.ndim != 2 or mat.shape[1] % 2:
-            raise DimensionError(f"expected an m x 2n matrix, got shape {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[1] // 2
-
-    @property
-    def jz(self) -> np.ndarray:
-        return self.matrix[:, : self.n]
-
-    @property
-    def jzbar(self) -> np.ndarray:
-        return self.matrix[:, self.n :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +167,10 @@ def residual(problem: LsqProblem, p) -> np.ndarray:
     return problem.y - problem.g(p)
 
 
-def compound_jacobian(problem: LsqProblem, p) -> CompoundJacobian:
-    """Stack the model's derivative blocks into the m x 2n matrix G."""
+def _compound_jacobian(problem: LsqProblem, p) -> np.ndarray:
+    """The m x 2n model jacobian G = [d g / d z, d g / d conj(z)]."""
     pair = cogradients(problem.g, p)
-    return CompoundJacobian(np.hstack([pair.jz, pair.jzbar]))
+    return np.hstack([pair.jz, pair.jzbar])
 
 
 def loss(problem: LsqProblem, p) -> float:
@@ -207,28 +185,17 @@ def loss(problem: LsqProblem, p) -> float:
     return value if np.isfinite(value) else float("inf")
 
 
-def loss_cogradient(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]:
-    """First derivative of the loss in conjugate coordinates.
+def loss_pair(problem: LsqProblem, p) -> WirtingerPair:
+    """The loss derivative row [d loss / d z, d loss / d conj(z)], split in halves.
 
-    Returns
-    -------
-    row : ndarray
-        The 1 x 2n derivative row [d loss / d z, d loss / d conj(z)].
-    grad : ndarray
-        Its conjugate transpose as a length-2n vector, equal to
-        (B + S conj(B)) / 2 with B = -G^H W e.  Admissible by
-        construction.
+    The row is the conjugate of the admissible gradient
+    (B + S conj(B)) / 2 with B = -G^H W e, so ``dzbar`` is ``conj(dz)``
+    and the gradient stack is ``conj`` of the row.
     """
     e = residual(problem, p)
-    gmat = compound_jacobian(problem, p).matrix
+    gmat = _compound_jacobian(problem, p)
     b = -(gmat.conj().T @ problem._weight.apply(e))
-    grad = 0.5 * (b + swap(np.conj(b)))
-    return np.conj(grad), grad
-
-
-def loss_pair(problem: LsqProblem, p) -> WirtingerPair:
-    """The loss derivative row split into its z and conj(z) halves."""
-    row, _ = loss_cogradient(problem, p)
+    row = np.conj(0.5 * (b + swap(np.conj(b))))
     n = row.shape[0] // 2
     return WirtingerPair(row[:n], row[n:])
 
@@ -238,26 +205,18 @@ def _projected_blocks(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (mat[:n, :n] + np.conj(mat[n:, n:])), 0.5 * (mat[:n, n:] + np.conj(mat[n:, :n]))
 
 
-def gauss_newton_blocks(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]:
-    """Top blocks (U_zz, U_zbz) of the Gauss-Newton Hessian.
+def gauss_newton_quad(problem: LsqProblem, p) -> HessianQuad:
+    """Gauss-Newton curvature blocks: the admissible projection of G^H W G.
 
-    They are the top blocks of the admissible projection of the normal
-    matrix G^H W G, formed once.  The bottom row of blocks is their
-    conjugate, so these two carry the whole matrix.
+    The top blocks (U_zz, U_zbz) of the projected normal matrix, formed
+    once; the bottom row of blocks is their conjugate.  The dense form
+    is Hermitian to rounding and positive semidefinite, positive
+    definite whenever G has full column rank, and agrees with the raw
+    normal matrix on every admissible variation even though the raw
+    matrix itself is not admissible.
     """
-    jac = compound_jacobian(problem, p)
-    return _projected_blocks(problem._weight.congruence(jac.matrix), jac.n)
-
-
-def gauss_newton_hessian(problem: LsqProblem, p) -> np.ndarray:
-    """Admissible projection of the normal matrix G^H W G, dense 2n x 2n.
-
-    Assembled from :func:`gauss_newton_blocks`.  Hermitian and positive
-    semidefinite; positive definite whenever G has full column rank.
-    Agrees with the raw normal matrix on every admissible variation even
-    though the raw matrix itself is not admissible.
-    """
-    return HessianQuad(*gauss_newton_blocks(problem, p)).dense()
+    gmat = _compound_jacobian(problem, p)
+    return HessianQuad(*_projected_blocks(problem._weight.congruence(gmat), gmat.shape[1] // 2))
 
 
 def newton_quad(problem: LsqProblem, p) -> HessianQuad:
@@ -277,20 +236,15 @@ def newton_quad(problem: LsqProblem, p) -> HessianQuad:
     we = problem._weight.apply(residual(problem, z))
     weighted_row = VectorField(
         2 * n,
-        lambda w: we @ np.conj(compound_jacobian(problem, w).matrix),
+        lambda w: we @ np.conj(_compound_jacobian(problem, w)),
         name="weighted conjugate jacobian row",
     )
     jac = cogradients_fd(weighted_row, z, step=FD_SECOND_STEP)
-    gn_a, gn_b = gauss_newton_blocks(problem, z)
+    gauss = gauss_newton_quad(problem, z)
     corr_a, corr_b = _projected_blocks(np.hstack([jac.jz, jac.jzbar]), n)
-    a, b = gn_a - corr_a, gn_b - corr_b
+    a, b = gauss.hzz - corr_a, gauss.hzbz - corr_b
     a, b = 0.5 * (a + a.conj().T), 0.5 * (b + b.T)
     return HessianQuad(a, b)
-
-
-def newton_hessian(problem: LsqProblem, p) -> np.ndarray:
-    """Full 2n x 2n curvature of the loss: the :func:`newton_quad` blocks, dense."""
-    return newton_quad(problem, p).dense()
 
 
 def loss_field(problem: LsqProblem, name: str | None = None) -> ScalarField:

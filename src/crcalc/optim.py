@@ -52,7 +52,7 @@ from .hessian import (
     hessian_quad,
     real_hessian,
 )
-from .lsq import LsqProblem, gauss_newton_blocks, loss_field
+from .lsq import LsqProblem, gauss_newton_quad, loss_field
 from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients
 
 STRATEGY_KINDS = (
@@ -205,10 +205,10 @@ def _scaling(
     if kind == "identity":
         return np.full(n, 1.0 + strategy.damping, dtype=complex), np.zeros(n, dtype=complex)
     if kind.endswith("gauss_newton"):
-        a, b = gauss_newton_blocks(target, z)
+        quad = gauss_newton_quad(target, z)
     else:
         quad = hessian_quad(field, z)
-        a, b = quad.hzz, quad.hzbz
+    a, b = quad.hzz, quad.hzbz
     if kind.startswith("quasi_"):
         b = np.zeros_like(b, dtype=complex)
     if strategy.damping > 0.0:

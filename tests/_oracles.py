@@ -14,7 +14,7 @@ import numpy as np
 
 from crcalc.errors import Diverged, InadmissibleQ, NonFiniteEvaluation, SingularQ
 from crcalc.hessian import FD_SECOND_STEP, HessianQuad, real_hessian
-from crcalc.lsq import LsqProblem, compound_jacobian, loss_field, residual
+from crcalc.lsq import LsqProblem, loss_field, residual
 from crcalc.optim import DEFAULT_STEP_SIZE, StepDiagnostics, descent_step
 from crcalc.wirtinger import (
     JacobianPair,
@@ -253,6 +253,12 @@ def random_complex_matrix(rng: np.random.Generator, rows: int, cols: int, scale:
     return scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
 
 
+def stacked_jacobian(problem, z: np.ndarray) -> np.ndarray:
+    """The m x 2n model jacobian G = [jz, jzbar], hstacked from the model's cogradients."""
+    pair = cogradients(problem.g, z)
+    return np.hstack([pair.jz, pair.jzbar])
+
+
 def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Newton and Newton curvature of a least-squares loss, built 2n x 2n.
 
@@ -268,10 +274,10 @@ def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     def project(m):
         return 0.5 * (m + s @ np.conj(m) @ s)
 
-    gmat = compound_jacobian(problem, z).matrix
+    gmat = stacked_jacobian(problem, z)
     gauss = project(gmat.conj().T @ problem.w @ gmat)
     we = problem.w @ residual(problem, z)
-    row = VectorField(2 * z.shape[0], lambda w: we @ np.conj(compound_jacobian(problem, w).matrix))
+    row = VectorField(2 * z.shape[0], lambda w: we @ np.conj(stacked_jacobian(problem, w)))
     jac = cogradients_fd(row, z, step=FD_SECOND_STEP)
     newton = gauss - project(np.hstack([jac.jz, jac.jzbar]))
     newton = 0.5 * (newton + newton.conj().T)

@@ -36,8 +36,7 @@ from crcalc import (
     example1_closed_form,
     example1_loss_field,
     example2_as_lsq,
-    gauss_newton_blocks,
-    gauss_newton_hessian,
+    gauss_newton_quad,
     hessian_quad,
     instantaneous_gradient,
     is_admissible_matrix,
@@ -45,7 +44,7 @@ from crcalc import (
     loss,
     matrix_residual,
     minimize,
-    newton_hessian,
+    newton_quad,
     project_admissible,
     second_order_predict,
     simulate,
@@ -348,12 +347,12 @@ def _criterion_08(capsys=None):
         for _ in range(5):
             z = random_complex_vector(rng, 1, scale=2.0)
             assert abs(loss(lsq, z) - field(z)) <= 1e-12 * max(1.0, field(z))
-            hn = newton_hessian(lsq, z)
-            gn = gauss_newton_hessian(lsq, z)
+            hn = newton_quad(lsq, z).dense()
+            gn = gauss_newton_quad(lsq, z).dense()
             assert np.abs(hn - gn).max() <= 1e-12 * max(1.0, float(np.abs(gn).max()))
 
         # The conjugate-coupling entry of the curvature is alpha-bar beta.
-        gn = gauss_newton_hessian(lsq, np.array([0.0 + 0j]))
+        gn = gauss_newton_quad(lsq, np.array([0.0 + 0j])).dense()
         coupling = np.conj(problem.alpha) * problem.beta
         assert abs(gn[0, 1] - coupling) <= 1e-12
         assert abs(coupling) > 0.1
@@ -377,7 +376,7 @@ def _criterion_09(capsys=None):
             problem = LsqProblem(g, y, w_half @ w_half.conj().T + np.eye(m))
             z = random_complex_vector(rng, n, scale=0.4)
 
-            hn = newton_hessian(problem, z)
+            hn = newton_quad(problem, z).dense()
             hrr = real_fd_hessian(lambda r: loss(problem, r[:n] + 1j * r[n:]), z_to_r(z))
             j = dense_j(n)
             oracle = 0.25 * j @ hrr @ j.conj().T
@@ -390,7 +389,8 @@ def _criterion_09(capsys=None):
             g = random_poly_vector_field(rng, n, m, scale=0.4, holomorphic=True)
             problem = LsqProblem(g, random_complex_vector(rng, m))
             z = random_complex_vector(rng, n)
-            uzz, uzbz = gauss_newton_blocks(problem, z)
+            quad = gauss_newton_quad(problem, z)
+            uzz, uzbz = quad.hzz, quad.hzbz
             assert np.abs(uzbz).max() <= 1e-10
             jz = cogradients(g, z).jz
             expected = 0.5 * jz.conj().T @ problem.w @ jz

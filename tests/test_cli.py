@@ -187,6 +187,17 @@ class TestSizeBound:
         with pytest.raises(ConfigError, match=r"^problem\.n_samples: must be at most 10000000$"):
             build_run_config({"problem": {"name": name, "n_samples": 10**7 + 1}})
 
+    def test_polynomial_n_up_to_the_dense_check_forms(self):
+        # check builds 2n x 2n dense forms, so (2n)**2 stays within 10**7.
+        def raw(n):
+            coeffs = ["1"] * n
+            return {"problem": {"name": "custom-polynomial", "quad_diag": [2.0] * n,
+                                "conj_diag": coeffs, "linear": coeffs}}
+
+        assert build_run_config(raw(1581)).poly.quad_diag.shape == (1581,)
+        with pytest.raises(ConfigError, match=r"^problem\.quad_diag: must have at most 1581 entries$"):
+            build_run_config(raw(1582))
+
     def test_past_the_bound_is_one_line_and_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"problem": {"name": "lms"}, "lms": {"n": 16, "steps": 625001}})
         assert main(["lms", "--config", cfg]) == 1

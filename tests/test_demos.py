@@ -1,6 +1,7 @@
-"""Every demo script runs to completion without a warning or traceback."""
+"""Every demo script and README Python block runs to completion without a warning or traceback."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,14 +10,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
-def test_demo_runs_cleanly(demo):
+def run_cleanly(*args):
+    """Run python on ``args`` from the repo root with ``src`` on the path; RuntimeWarnings are errors."""
     paths = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
@@ -24,3 +26,17 @@ def test_demo_runs_cleanly(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_runs_cleanly(demo):
+    run_cleanly(str(demo))
+
+
+def test_readme_has_a_python_session():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs_cleanly(block):
+    run_cleanly("-c", block)

@@ -31,6 +31,7 @@ from crcalc import (
     polynomial_field,
     second_order_predict,
 )
+from crcalc.hessian import SYM_TOL_FD
 from ._oracles import (
     dense_j,
     dense_s,
@@ -107,6 +108,24 @@ class TestFrozenSecondDerivatives:
         assert len(calls) == 4 * n
         assert np.abs(got.hzz - quad.hzz).max() <= 1e-6
         assert np.abs(got.hzbz - quad.hzbz).max() <= 1e-6
+
+    def test_fully_differenced_path_differences_a_differenced_row(self):
+        # Neither rows nor curvature are analytic: 4n row probes, each a
+        # differenced row of 4n field calls.  The nested differences are
+        # not exactly symmetric, and the symmetrization records by how much.
+        rng = RNG(63)
+        n = 3
+        quartic = quartic_norm_field()
+        calls = []
+
+        def counted(z):
+            calls.append(1)
+            return quartic.fn(z)
+
+        got = hessian_quad(ScalarField(counted, name="values only"), random_complex_vector(rng, n))
+        assert len(calls) == 16 * n**2
+        scale = max(1.0, float(np.abs(got.hzz).max()), float(np.abs(got.hzbz).max()))
+        assert 0.0 < got.presym_residual <= SYM_TOL_FD * scale
 
 
 class TestQuadValidation:

@@ -11,24 +11,21 @@ from hypothesis import strategies as st
 from crcalc import (
     DimensionError,
     Example1Problem,
+    HessianQuad,
     JacobianPair,
     LsqProblem,
     VectorField,
     cogradients,
     cogradients_fd,
-    compound_jacobian,
     complex_from_real,
     example2_as_lsq,
-    gauss_newton_blocks,
-    gauss_newton_hessian,
+    gauss_newton_quad,
     hessian_quad,
     is_admissible_matrix,
     is_admissible_vector,
     loss,
-    loss_cogradient,
     loss_field,
     loss_pair,
-    newton_hessian,
     newton_quad,
     real_hessian,
     residual,
@@ -43,6 +40,7 @@ from ._oracles import (
     random_complex_vector,
     random_poly_vector_field,
     real_fd_hessian,
+    stacked_jacobian,
     z_to_r,
 )
 
@@ -201,22 +199,13 @@ class TestLossAndDerivatives:
             warnings.simplefilter("error")
             assert loss(problem, np.zeros(2)) == np.inf
 
-    def test_compound_jacobian_layout(self):
-        rng = RNG(80)
-        problem = random_problem(rng, 2, 3)
-        z = random_complex_vector(rng, 2)
-        jac = compound_jacobian(problem, z)
-        assert jac.matrix.shape == (3, 4)
-        pair = cogradients(problem.g, z)
-        np.testing.assert_allclose(jac.jz, pair.jz)
-        np.testing.assert_allclose(jac.jzbar, pair.jzbar)
-
     def test_cogradient_row_and_gradient_are_conjugate_pair(self):
         rng = RNG(81)
         problem = random_problem(rng, 2, 4)
         z = random_complex_vector(rng, 2)
-        row, grad = loss_cogradient(problem, z)
-        np.testing.assert_allclose(row, np.conj(grad), atol=1e-14)
+        pair = loss_pair(problem, z)
+        np.testing.assert_array_equal(pair.dzbar, np.conj(pair.dz))
+        grad = np.conj(np.concatenate([pair.dz, pair.dzbar]))
         assert is_admissible_vector(grad, tol=1e-12)
 
     def test_cogradient_matches_differenced_loss(self):
@@ -247,7 +236,7 @@ class TestLossAndDerivatives:
             np.testing.assert_array_equal(pair.dz, loss_pair(problem, z).dz)
             # The optimiser reads Newton blocks through this path; it must not round.
             quad = hessian_quad(field, z)
-            hc = newton_hessian(problem, z)
+            hc = newton_quad(problem, z).dense()
             np.testing.assert_array_equal(quad.hzz, hc[:n, :n])
             np.testing.assert_array_equal(quad.hzbz, hc[:n, n:])
 
@@ -260,7 +249,7 @@ class TestGaussNewton:
             m = int(rng.integers(1, 5))
             problem = random_problem(rng, n, m)
             z = random_complex_vector(rng, n)
-            gn = gauss_newton_hessian(problem, z)
+            gn = gauss_newton_quad(problem, z).dense()
             assert is_admissible_matrix(gn, tol=1e-10)
             assert np.abs(gn - gn.conj().T).max() <= 1e-12
             assert np.linalg.eigvalsh(gn).min() >= -1e-10
@@ -270,9 +259,9 @@ class TestGaussNewton:
         rng = RNG(85)
         problem = random_problem(rng, 2, 3)
         z = random_complex_vector(rng, 2)
-        jac = compound_jacobian(problem, z)
-        raw = jac.matrix.conj().T @ problem.w @ jac.matrix
-        gn = gauss_newton_hessian(problem, z)
+        gmat = stacked_jacobian(problem, z)
+        raw = gmat.conj().T @ problem.w @ gmat
+        gn = gauss_newton_quad(problem, z).dense()
         for _ in range(10):
             dz = random_complex_vector(rng, 2)
             dc = np.concatenate([dz, np.conj(dz)])
@@ -284,7 +273,8 @@ class TestGaussNewton:
         rng = RNG(86)
         problem = random_problem(rng, 3, 4, holomorphic=True)
         z = random_complex_vector(rng, 3)
-        uzz, uzbz = gauss_newton_blocks(problem, z)
+        quad = gauss_newton_quad(problem, z)
+        uzz, uzbz = quad.hzz, quad.hzbz
         assert np.abs(uzbz).max() <= 1e-10
         jz = cogradients(problem.g, z).jz
         expected = 0.5 * jz.conj().T @ problem.w @ jz
@@ -305,7 +295,7 @@ class TestNewton:
                 [-e, 2.0 * abs(z0) ** 2],
             ]
         )
-        got = newton_hessian(problem, z)
+        got = newton_quad(problem, z).dense()
         assert np.abs(got - expected).max() <= 1e-9
 
     def test_matches_real_space_oracle_on_random_problems(self):
@@ -328,14 +318,14 @@ class TestNewton:
             scale = max(1.0, float(np.abs(oracle).max()))
             plain = VectorField(m, problem.g.fn, name="differenced model")
             for model in (problem.g, plain):
-                hn = newton_hessian(LsqProblem(model, problem.y, problem.w), z)
+                hn = newton_quad(LsqProblem(model, problem.y, problem.w), z).dense()
                 assert np.abs(hn - oracle).max() <= 1e-4 * scale
 
     def test_result_is_hermitian_and_admissible(self):
         rng = RNG(88)
         problem = random_problem(rng, 2, 3)
         z = random_complex_vector(rng, 2)
-        hn = newton_hessian(problem, z)
+        hn = newton_quad(problem, z).dense()
         assert np.abs(hn - hn.conj().T).max() <= 1e-12
         assert is_admissible_matrix(hn, tol=1e-12)
 
@@ -352,7 +342,7 @@ class TestNewton:
         problem = LsqProblem(g, random_complex_vector(rng, 3))
         z = random_complex_vector(rng, 2)
         np.testing.assert_allclose(
-            newton_hessian(problem, z), gauss_newton_hessian(problem, z), atol=1e-12
+            newton_quad(problem, z).dense(), gauss_newton_quad(problem, z).dense(), atol=1e-12
         )
 
     def test_zero_residual_collapses_to_gauss_newton(self):
@@ -360,16 +350,16 @@ class TestNewton:
         problem_model = random_poly_vector_field(rng, 2, 3, scale=0.4)
         z_star = random_complex_vector(rng, 2)
         problem = LsqProblem(problem_model, problem_model(z_star))
-        gn = gauss_newton_hessian(problem, z_star)
-        hn = newton_hessian(problem, z_star)
+        gn = gauss_newton_quad(problem, z_star).dense()
+        hn = newton_quad(problem, z_star).dense()
         assert np.abs(hn - gn).max() <= 1e-9
 
     def test_quad_view_matches_matrix_blocks(self):
         rng = RNG(91)
         problem = random_problem(rng, 2, 3)
         z = random_complex_vector(rng, 2)
-        hn = newton_hessian(problem, z)
         quad = newton_quad(problem, z)
+        hn = quad.dense()
         np.testing.assert_allclose(quad.hzz, hn[:2, :2], atol=1e-12)
         np.testing.assert_allclose(quad.hzbz, hn[:2, 2:], atol=1e-12)
 
@@ -388,7 +378,7 @@ class TestNewton:
                 return _inner(z)
 
             g = VectorField(m, problem.g.fn, jacobian_fn=counted, name="counted model")
-            newton_hessian(LsqProblem(g, problem.y, problem.w), random_complex_vector(rng, n, scale=0.3))
+            newton_quad(LsqProblem(g, problem.y, problem.w), random_complex_vector(rng, n, scale=0.3))
             assert len(calls) == 4 * n + 1
 
 
@@ -399,17 +389,18 @@ class TestCurvatureBlockProperties:
         problem, z = draw
         n = z.shape[0]
         gauss, newton = dense_lsq_curvature(problem, z)
-        a, b = gauss_newton_blocks(problem, z)
-        np.testing.assert_array_equal(a, gauss[:n, :n])
-        np.testing.assert_array_equal(b, gauss[:n, n:])
-        np.testing.assert_array_equal(gauss_newton_hessian(problem, z), gauss)
+        gn = gauss_newton_quad(problem, z)
+        assert isinstance(gn, HessianQuad)
+        np.testing.assert_array_equal(gn.hzz, gauss[:n, :n])
+        np.testing.assert_array_equal(gn.hzbz, gauss[:n, n:])
+        np.testing.assert_array_equal(gn.dense(), gauss)
         quad = newton_quad(problem, z)
         for got, want in zip(
             (quad.hzz, quad.hzbz, quad.hzzb, quad.hzbzb),
             (newton[:n, :n], newton[:n, n:], newton[n:, :n], newton[n:, n:]),
         ):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(newton_hessian(problem, z), newton)
+        np.testing.assert_array_equal(quad.dense(), newton)
 
     @settings(derandomize=True, deadline=None)
     @given(nonlinear_problems())
@@ -426,9 +417,10 @@ class TestCurvatureBlockProperties:
         # Gr = G J maps real steps to model changes, so the real-coordinate
         # Gauss-Newton Hessian is Re(Gr^H W Gr).
         problem, z = draw
-        gr = compound_jacobian(problem, z).matrix @ dense_j(z.shape[0])
+        gr = stacked_jacobian(problem, z) @ dense_j(z.shape[0])
         want = np.real(gr.conj().T @ problem.w @ gr)
-        got = real_hessian(*gauss_newton_blocks(problem, z))
+        gn = gauss_newton_quad(problem, z)
+        got = real_hessian(gn.hzz, gn.hzbz)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
 
     @settings(derandomize=True, deadline=None)
@@ -439,13 +431,13 @@ class TestCurvatureBlockProperties:
         problem, z = draw
         dense = LsqProblem(problem.g, problem.y, problem.w)
         np.testing.assert_array_equal(loss(problem, z), loss(dense, z))
-        for got, want in zip(loss_cogradient(problem, z), loss_cogradient(dense, z)):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(gauss_newton_blocks(problem, z), gauss_newton_blocks(dense, z)):
-            np.testing.assert_array_equal(got, want)
-        got, want = newton_quad(problem, z), newton_quad(dense, z)
-        for name in ("hzz", "hzbz", "hzzb", "hzbzb"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        got, want = loss_pair(problem, z), loss_pair(dense, z)
+        np.testing.assert_array_equal(got.dz, want.dz)
+        np.testing.assert_array_equal(got.dzbar, want.dzbar)
+        for quad in (gauss_newton_quad, newton_quad):
+            got, want = quad(problem, z), quad(dense, z)
+            for name in ("hzz", "hzbz", "hzzb", "hzbzb"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestSwapConsistency:
@@ -455,6 +447,7 @@ class TestSwapConsistency:
         rng = RNG(93)
         problem = random_problem(rng, 3, 4)
         z = random_complex_vector(rng, 3)
-        row, grad = loss_cogradient(problem, z)
+        pair = loss_pair(problem, z)
+        grad = np.conj(np.concatenate([pair.dz, pair.dzbar]))
         np.testing.assert_allclose(swap(grad), np.conj(grad), atol=1e-13)
         np.testing.assert_allclose(dense_s(3) @ grad, np.conj(grad), atol=1e-13)

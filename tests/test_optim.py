@@ -28,14 +28,14 @@ from crcalc import (
     check_minimum,
     cogradients,
     descent_step,
-    gauss_newton_hessian,
+    gauss_newton_quad,
     hessian_quad,
     is_admissible_vector,
     lagrangian,
     loss_field,
     loss_pair,
     minimize,
-    newton_hessian,
+    newton_quad,
     newton_update_z,
     polynomial_field,
     real_hessian,
@@ -275,7 +275,7 @@ def gate_draws():
         problem = LsqProblem(random_poly_vector_field(rng, n, m_obs), random_complex_vector(rng, m_obs))
         z = random_complex_vector(rng, n, scale=0.5)
         pair = loss_pair(problem, z)
-        newton, gauss = newton_hessian(problem, z), gauss_newton_hessian(problem, z)
+        newton, gauss = newton_quad(problem, z).dense(), gauss_newton_quad(problem, z).dense()
         dense = {
             "identity": np.eye(2 * n, dtype=complex),
             "newton": newton,
