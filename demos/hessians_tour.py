@@ -28,7 +28,8 @@ field = ScalarField(
 )
 z = np.array([0.7 - 0.3j])
 
-# The four blocks, estimated by nested differencing here.
+# The field gives values only, so its real Hessian is differenced from
+# 4n^2 + 2n + 1 of them and mapped to the four blocks.
 quad = hessian_quad(field, z)
 print("Hzz        =", quad.hzz.ravel())
 print("Hconj(z)z  =", quad.hzbz.ravel())

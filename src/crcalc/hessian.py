@@ -32,7 +32,7 @@ from .wirtinger import ScalarField, VectorField, cogradients, cogradients_fd
 #: Relative step for differencing first-derivative rows a second time.
 FD_SECOND_STEP = float(np.finfo(float).eps) ** 0.25
 
-#: Pre-symmetrization residual allowance for differenced blocks.
+#: Pre-symmetrization residual allowance for blocks differenced from a row.
 SYM_TOL_FD = 1e-4
 
 #: Pre-symmetrization residual allowance for analytic blocks.
@@ -176,26 +176,77 @@ def _finish_quad(a: np.ndarray, b: np.ndarray, tol: float, context: str) -> Hess
     return HessianQuad(hzz, hzbz, presym_residual=resid)
 
 
-def hessian_quad(field: ScalarField, p) -> HessianQuad:
-    """Curvature blocks of a real field at a point.
+def _values_only_hessian(field: ScalarField, z: np.ndarray) -> np.ndarray:
+    """Real Hessian in r = (Re z, Im z) from the field's values alone.
 
-    Uses the field's analytic second derivatives when present, given
-    by its ``hessian_fn`` as a :class:`HessianQuad` in either storage;
-    symmetry is enforced at 1e-8 relative.  Otherwise the conjugated row
-    (df/dz)^H, analytic or differenced, is differenced once more with
-    a relative step of eps**(1/4), giving n x n blocks A and B.  A real
-    field has df/dconj = conj(df/dz), so the other two blocks are
-    C = conj(B) and D = conj(A) without a second differencing.  The
-    blocks are symmetrized with the looser 1e-4 allowance.
+    With h_i = eps**(1/4) max(1, |r_i|), the diagonal is the 3-point
+    stencil (f(+i) - 2 f(r) + f(-i)) / h_i^2 and entry (i, j) off it the
+    seven-point stencil
+
+        (f(++) - f(+i) - f(+j) + 2 f(r) - f(-i) - f(-j) + f(--)) / (2 h_i h_j),
+
+    which reuses the diagonal probes: 4n^2 + 2n + 1 probes for n complex
+    coordinates.  The field takes them in 2n chunks, one per real
+    coordinate i in order: +i, -i, then ++ and -- for each j > i; the
+    centre closes the last chunk.  No chunk has more than 4n rows.  The
+    upper triangle is mirrored, so the result is symmetric bit for bit.
+    """
+    n = z.shape[0]
+    dim = 2 * n
+    r = np.concatenate([z.real, z.imag])
+    # fmax, like the builtin max, keeps the base step for a NaN coordinate.
+    h = FD_SECOND_STEP * np.fmax(1.0, np.abs(r))
+    up, down = r + h, r - h
+    f_up, f_down = np.empty(dim), np.empty(dim)
+    pair_sums = np.zeros((dim, dim))
+    for i in range(dim):
+        later = np.arange(i + 1, dim)
+        k = 2 * later.size + 2
+        rows = np.tile(r, (k + (i == dim - 1), 1))
+        rows[:k:2, i] = up[i]
+        rows[1:k:2, i] = down[i]
+        rows[2 * (later - i), later] = up[later]
+        rows[2 * (later - i) + 1, later] = down[later]
+        points = np.empty((rows.shape[0], n), dtype=complex)
+        points.real, points.imag = rows[:, :n], rows[:, n:]
+        values = field._evaluate_stack(points)
+        f_up[i], f_down[i] = values[0], values[1]
+        pair_sums[i, later] = values[2:k:2] + values[3:k:2]
+    centre = values[-1]
+    bend = f_up + f_down - 2.0 * centre
+    mixed = np.triu((pair_sums - 2.0 * centre - bend[:, None] - bend) / (2.0 * np.outer(h, h)), 1)
+    return mixed + mixed.T + np.diag(bend / h**2)
+
+
+def hessian_quad(field: ScalarField, p) -> HessianQuad:
+    """Curvature blocks of a real field at a point, by one of three paths.
+
+    - A field with a ``hessian_fn`` gives its blocks as a
+      :class:`HessianQuad` in either storage, symmetrized with the 1e-8
+      relative allowance.  No field calls.
+    - A field with a ``cogradient_fn`` but no ``hessian_fn`` has its
+      conjugated row (df/dz)^H differenced once more with a relative
+      step of eps**(1/4): 4n row calls.  A real field has
+      df/dconj = conj(df/dz), so C = conj(B) and D = conj(A) need no
+      second differencing.  The two differencing orders disagree by
+      O(h^2), and the blocks are symmetrized with the 1e-4 allowance.
+    - A field with values only has its real Hessian H in r = (x, y)
+      differenced from 4n^2 + 2n + 1 field calls (3-point stencil on the
+      diagonal, seven-point mixed stencil off it, same step).  H is
+      symmetric by construction, so ``presym_residual`` is 0.0 and no
+      symmetry gate applies; the top pair is read off H by the
+      congruence that :func:`complex_from_real` inverts.  The probes go
+      to the field in 2n chunks of at most 4n points, so a batched field
+      gets 2n calls.
 
     Raises
     ------
     SymmetryViolation
-        If the raw blocks sit farther from the symmetrized ones than
-        the applicable tolerance, which signals inconsistent analytic
-        derivatives or a rough field.
+        If the raw blocks of the first two paths sit farther from the
+        symmetrized ones than the allowance, which signals inconsistent
+        analytic derivatives or a rough field.
     NonFiniteEvaluation
-        If either raw block holds NaN or infinity.
+        If a probe's value or a raw block holds NaN or infinity.
     DimensionError
         If ``hessian_fn`` returns anything but a :class:`HessianQuad`,
         or its blocks are not n x n or length n at a point of length n.
@@ -211,6 +262,13 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
         if quad.n != n:
             raise DimensionError(f"{field.name}: curvature blocks must be {n} x {n} or length {n}")
         return _finish_quad(quad.hzz, quad.hzbz, SYM_TOL_ANALYTIC, field.name)
+
+    if field.cogradient_fn is None:
+        # Overflow and inf - inf make non-finite blocks, which _finish_quad rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            hzz, hzbz = _top_pair(_values_only_hessian(field, z))
+        # The pair is exactly Hermitian and symmetric: a zero allowance holds.
+        return _finish_quad(hzz, hzbz, 0.0, field.name)
 
     dz_conj = VectorField(n, lambda w: np.conj(cogradients(field, w).dz), name=f"d({field.name})/dz^H")
     ju = cogradients_fd(dz_conj, z, step=FD_SECOND_STEP)
@@ -276,6 +334,20 @@ def assemble(quad: HessianQuad) -> AssembledHessians:
     return AssembledHessians(hc_complex=hc, hc_real=swap_rows(hc), hrr=real_hessian(*quad.blocks()))
 
 
+def _top_pair(hrr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The top pair (A, B) of a real symmetric 2n x 2n Hessian.
+
+    A = (Hxx + Hyy)/4 + i(Hyx - Hxy)/4 and B = (Hxx - Hyy)/4 + i(Hyx + Hxy)/4;
+    an exactly symmetric H gives an exactly Hermitian A and symmetric B.
+    """
+    n = hrr.shape[0] // 2
+    p = hrr[:n, :n]
+    q = hrr[:n, n:]
+    qt = hrr[n:, :n]
+    r = hrr[n:, n:]
+    return 0.25 * (p + r + 1j * (qt - q)), 0.25 * (p - r + 1j * (qt + q))
+
+
 def complex_from_real(hrr: np.ndarray) -> np.ndarray:
     """Recover the Hermitian conjugate-coordinate form from a real Hessian.
 
@@ -287,14 +359,7 @@ def complex_from_real(hrr: np.ndarray) -> np.ndarray:
     hrr = np.asarray(hrr, dtype=float)
     if hrr.ndim != 2 or hrr.shape[0] != hrr.shape[1] or hrr.shape[0] % 2:
         raise DimensionError(f"expected an even square matrix, got shape {hrr.shape}")
-    n = hrr.shape[0] // 2
-    p = hrr[:n, :n]
-    q = hrr[:n, n:]
-    qt = hrr[n:, :n]
-    r = hrr[n:, n:]
-    hzz = 0.25 * (p + r + 1j * (qt - q))
-    hzbz = 0.25 * (p - r + 1j * (qt + q))
-    return HessianQuad(hzz, hzbz).dense()
+    return HessianQuad(*_top_pair(hrr)).dense()
 
 
 _REPRESENTATIONS = ("z", "c-complex", "c-real", "r")

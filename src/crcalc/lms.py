@@ -164,15 +164,23 @@ def draw_signals(model: SignalModel, steps: int, a_ref=None) -> tuple[np.ndarray
     if a.shape != (model.n,):
         raise DimensionError("reference filter length differs from the model")
     rng = np.random.default_rng(model.seed)
-    w_re = rng.standard_normal((steps, model.n))
-    w_im = rng.standard_normal((steps, model.n))
-    v_re = rng.standard_normal(steps)
-    v_im = rng.standard_normal(steps)
-    w = (w_re + 1j * w_im) / np.sqrt(2.0)
-    chol = getattr(model, "_chol")
-    xi = w @ chol.T
-    noise = np.sqrt(model.noise_var / 2.0) * (v_re + 1j * v_im)
-    eta = xi @ np.conj(a) + noise
+    # The draws keep their order and every value its arithmetic, but each
+    # goes through one real buffer into a preallocated complex array, and
+    # the noise reuses the unit draws' memory once xi is formed.
+    draws = np.empty((steps, model.n))
+    w = np.empty((steps, model.n), dtype=complex)
+    w.real = rng.standard_normal(out=draws)
+    w.imag = rng.standard_normal(out=draws)
+    w /= np.sqrt(2.0)
+    xi = w @ getattr(model, "_chol").T
+    noise = w.reshape(-1)[:steps]
+    part = draws.reshape(-1)[:steps]
+    noise.real = rng.standard_normal(out=part)
+    noise.imag = rng.standard_normal(out=part)
+    del draws, part
+    noise *= np.sqrt(model.noise_var / 2.0)
+    eta = xi @ np.conj(a)
+    eta += noise
     return xi, eta
 
 

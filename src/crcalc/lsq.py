@@ -205,18 +205,29 @@ def _projected_blocks(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (mat[:n, :n] + np.conj(mat[n:, n:])), 0.5 * (mat[:n, n:] + np.conj(mat[n:, :n]))
 
 
+def _hermitized(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A Hermitized and B symmetrized, so the block invariants hold exactly."""
+    return 0.5 * (a + a.conj().T), 0.5 * (b + b.T)
+
+
+def _gauss_newton_blocks(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]:
+    """Top blocks of the projected normal matrix, Hermitian to rounding."""
+    gmat = _compound_jacobian(problem, p)
+    return _projected_blocks(problem._weight.congruence(gmat), gmat.shape[1] // 2)
+
+
 def gauss_newton_quad(problem: LsqProblem, p) -> HessianQuad:
     """Gauss-Newton curvature blocks: the admissible projection of G^H W G.
 
     The top blocks (U_zz, U_zbz) of the projected normal matrix, formed
-    once; the bottom row of blocks is their conjugate.  The dense form
-    is Hermitian to rounding and positive semidefinite, positive
-    definite whenever G has full column rank, and agrees with the raw
-    normal matrix on every admissible variation even though the raw
-    matrix itself is not admissible.
+    once, with A Hermitized and B symmetrized so the block invariants
+    hold exactly; the bottom row of blocks is their conjugate.  The
+    dense form is positive semidefinite, positive definite whenever G
+    has full column rank, and agrees with the raw normal matrix on
+    every admissible variation even though the raw matrix itself is not
+    admissible.
     """
-    gmat = _compound_jacobian(problem, p)
-    return HessianQuad(*_projected_blocks(problem._weight.congruence(gmat), gmat.shape[1] // 2))
+    return HessianQuad(*_hermitized(*_gauss_newton_blocks(problem, p)))
 
 
 def newton_quad(problem: LsqProblem, p) -> HessianQuad:
@@ -240,11 +251,9 @@ def newton_quad(problem: LsqProblem, p) -> HessianQuad:
         name="weighted conjugate jacobian row",
     )
     jac = cogradients_fd(weighted_row, z, step=FD_SECOND_STEP)
-    gauss = gauss_newton_quad(problem, z)
+    gauss_a, gauss_b = _gauss_newton_blocks(problem, z)
     corr_a, corr_b = _projected_blocks(np.hstack([jac.jz, jac.jzbar]), n)
-    a, b = gauss.hzz - corr_a, gauss.hzbz - corr_b
-    a, b = 0.5 * (a + a.conj().T), 0.5 * (b + b.T)
-    return HessianQuad(a, b)
+    return HessianQuad(*_hermitized(gauss_a - corr_a, gauss_b - corr_b))
 
 
 def loss_field(problem: LsqProblem, name: str | None = None) -> ScalarField:

@@ -213,6 +213,71 @@ def quartic_norm_field(with_analytic: bool = False) -> ScalarField:
     return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="squared norm squared")
 
 
+class ConvexQuartic:
+    """f = q + q^2 / 4 with q(z) = u^H P u + Re(u^T D u), u = z - center.
+
+    The family of the benchmark's differenced field: P Hermitian
+    positive definite and D complex symmetric and small, so q is a
+    positive definite quadratic in (Re z, Im z) and f is smooth,
+    strictly convex and quartic, with its minimum at the center.  With
+    g = dq/dz = u^H P + u^T D the hand-derived derivatives are
+
+        df/dz = (1 + q/2) g
+        A = (1 + q/2) P + g^H g / 2
+        B = (1 + q/2) conj(D) + g^H conj(g) / 2
+
+    where g^H g is the outer product conj(g) g^T.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        m = random_complex_matrix(rng, n, n, 1.0 / np.sqrt(2.0 * n))
+        self.p = m.conj().T @ m + 0.5 * np.eye(n)
+        d = random_complex_matrix(rng, n, n, 0.15 / n)
+        self.d = 0.5 * (d + d.T)
+        self.center = random_complex_vector(rng, n, 1.5)
+
+    def q_and_row(self, z):
+        u = z - self.center
+        q = float(np.real(np.conj(u) @ self.p @ u) + np.real(u @ self.d @ u))
+        return q, np.conj(u) @ self.p + u @ self.d
+
+    def fn(self, z):
+        q = self.q_and_row(z)[0]
+        return q + 0.25 * q * q
+
+    def row(self, z):
+        q, g = self.q_and_row(z)
+        dz = (1.0 + 0.5 * q) * g
+        return WirtingerPair(dz, np.conj(dz))
+
+    def blocks(self, z):
+        q, g = self.q_and_row(z)
+        a = (1.0 + 0.5 * q) * self.p + 0.5 * np.outer(np.conj(g), g)
+        b = (1.0 + 0.5 * q) * np.conj(self.d) + 0.5 * np.outer(np.conj(g), np.conj(g))
+        return a, b
+
+    def max_fourth_derivative(self) -> float:
+        """A bound on every fourth partial of f in r = (Re z, Im z).
+
+        With Q the real Hessian of q, a fourth partial of q^2 is
+        2 (Q_ab Q_cd + Q_ac Q_bd + Q_ad Q_bc), so one of f is at most
+        6 max|Q|^2 / 4.
+        """
+        return 1.5 * float(np.abs(real_hessian(self.p, np.conj(self.d))).max()) ** 2
+
+
+def nested_fd_blocks(field: ScalarField, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The top pair by differencing a differenced row: 16n^2 field calls.
+
+    Each of the 4n probes of the second differencing is the conjugated
+    row differenced from 4n field values; the pair is then symmetrized.
+    """
+    n = z.shape[0]
+    row = VectorField(n, lambda w: np.conj(cogradients_fd(field, w).dz))
+    jac = cogradients_fd(row, z, step=FD_SECOND_STEP)
+    return 0.5 * (jac.jz + jac.jz.conj().T), 0.5 * (jac.jzbar + jac.jzbar.T)
+
+
 def per_coordinate_fd_blocks(call, z: np.ndarray, base: float, m: int):
     """Central-difference jz and jzbar, one coordinate at a time.
 
@@ -264,10 +329,12 @@ def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     The dense recipe the block-wise library path must reproduce bit for
     bit: project the normal matrix G^H W G onto the admissible set with
-    the dense swap S; subtract the projection of the weighted row
-    (W e) @ conj(G(w)), differenced once with W e held fixed; Hermitize;
-    project again.  The model jacobian and the differencing are the
-    package's own, so both sides start from the same bits.
+    the dense swap S and Hermitize it for Gauss-Newton; for Newton,
+    subtract the projection of the weighted row (W e) @ conj(G(w)),
+    differenced once with W e held fixed, from the unhermitized
+    projection; Hermitize; project again.  The model jacobian and the
+    differencing are the package's own, so both sides start from the
+    same bits.
     """
     s = dense_s(z.shape[0])
 
@@ -281,7 +348,7 @@ def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     jac = cogradients_fd(row, z, step=FD_SECOND_STEP)
     newton = gauss - project(np.hstack([jac.jz, jac.jzbar]))
     newton = 0.5 * (newton + newton.conj().T)
-    return gauss, project(newton)
+    return 0.5 * (gauss + gauss.conj().T), project(newton)
 
 
 def reference_minimize(target, z0, strategy, config):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, note, settings
 from hypothesis import strategies as st
 
 from crcalc import (
@@ -27,14 +27,17 @@ from crcalc import (
     is_admissible_matrix,
     is_admissible_vector,
     loss_field,
+    minimize,
     newton_update_z,
     polynomial_field,
     second_order_predict,
 )
-from crcalc.hessian import SYM_TOL_FD
+from crcalc.hessian import FD_SECOND_STEP
 from ._oracles import (
+    ConvexQuartic,
     dense_j,
     dense_s,
+    nested_fd_blocks,
     quartic_norm_field,
     random_complex_vector,
     random_quadratic_loss,
@@ -109,10 +112,10 @@ class TestFrozenSecondDerivatives:
         assert np.abs(got.hzz - quad.hzz).max() <= 1e-6
         assert np.abs(got.hzbz - quad.hzbz).max() <= 1e-6
 
-    def test_fully_differenced_path_differences_a_differenced_row(self):
-        # Neither rows nor curvature are analytic: 4n row probes, each a
-        # differenced row of 4n field calls.  The nested differences are
-        # not exactly symmetric, and the symmetrization records by how much.
+    def test_values_only_path_differences_the_loss(self):
+        # Neither rows nor curvature are analytic: the real Hessian is
+        # differenced from 4n^2 + 2n + 1 loss values, symmetric by
+        # construction, so nothing is left to symmetrize.
         rng = RNG(63)
         n = 3
         quartic = quartic_norm_field()
@@ -123,9 +126,157 @@ class TestFrozenSecondDerivatives:
             return quartic.fn(z)
 
         got = hessian_quad(ScalarField(counted, name="values only"), random_complex_vector(rng, n))
-        assert len(calls) == 16 * n**2
-        scale = max(1.0, float(np.abs(got.hzz).max()), float(np.abs(got.hzbz).max()))
-        assert 0.0 < got.presym_residual <= SYM_TOL_FD * scale
+        assert len(calls) == 4 * n**2 + 2 * n + 1
+        assert got.presym_residual == 0.0
+        assert got.invariant_residual() == 0.0
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def stencil_bound(z, fourth: float, value_error: float, value: float) -> float:
+    """Entrywise bound on the values-only blocks' error, from h^2 and rounding.
+
+    With h_i = eps**(1/4) max(1, |r_i|), the 3-point and seven-point
+    stencils miss a fourth partial bounded by ``fourth`` by at most
+    (7/12) h_max^2 ``fourth`` (the mixed stencil's h_i^2/6 + h_i h_j/4 +
+    h_j^2/6; exact for a quartic, whose Taylor series ends there).  A
+    stencil's weights sum to 8 in magnitude over 2 h_i h_j, so a value
+    error ``value_error`` costs 4 ``value_error`` / h_min^2, and forming
+    the sums of values near ``value`` another 32 eps |value| / h_min^2.
+    A top block entry is a quarter of four Hessian entries, so it is off
+    by at most what one Hessian entry is.
+    """
+    r = z_to_r(z)
+    h = FD_SECOND_STEP * np.maximum(1.0, np.abs(r))
+    truncation = 7.0 / 12.0 * h.max() ** 2 * fourth
+    rounding = (4.0 * value_error + 32.0 * EPS * abs(value)) / h.min() ** 2
+    return truncation + rounding
+
+
+def quadratic_value_error(conv: ConvexQuartic, z) -> tuple[float, float]:
+    """q at z and a bound on its evaluation error.
+
+    q = u^H P u + Re(u^T D u) sums about 2n + 4 rounded operations per
+    term of |u|^T |P| |u| + |u|^T |D| |u|.
+    """
+    n = z.shape[0]
+    u = np.abs(z - conv.center)
+    terms = float(u @ np.abs(conv.p) @ u + u @ np.abs(conv.d) @ u)
+    q = conv.q_and_row(z)[0]
+    return q, (2 * n + 4) * EPS * terms + EPS * abs(q)
+
+
+@st.composite
+def convex_cases(draw, sizes=st.integers(1, 8)):
+    """A convex quartic and a point within a few units of its center."""
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    n = draw(sizes)
+    conv = ConvexQuartic(rng, n)
+    return conv, conv.center + random_complex_vector(rng, n, draw(st.sampled_from((0.1, 0.5, 1.0))))
+
+
+class TestValuesOnlyCurvature:
+    """Blocks differenced from loss values against the hand-derived ones."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(convex_cases())
+    def test_blocks_of_convex_quartics_within_the_stencil_bound(self, case):
+        conv, z = case
+        got = hessian_quad(ScalarField(conv.fn, name="values only"), z)
+        a, b = conv.blocks(z)
+        q, q_error = quadratic_value_error(conv, z)
+        # f = q + q^2/4 carries q's error times |1 + q/2|, and two more roundings.
+        value = conv.fn(z)
+        value_error = q_error * (1.0 + 0.5 * abs(q)) + 2.0 * EPS * abs(value)
+        tol = stencil_bound(z, conv.max_fourth_derivative(), value_error, value)
+        assert got.presym_residual == 0.0
+        assert np.abs(got.hzz - a).max() <= tol
+        assert np.abs(got.hzbz - b).max() <= tol
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(convex_cases())
+    def test_blocks_of_quadratics_to_rounding(self, case):
+        conv, z = case
+        q = ScalarField(lambda w: conv.q_and_row(w)[0], name="values-only quadratic")
+        got = hessian_quad(q, z)
+        value, value_error = quadratic_value_error(conv, z)
+        tol = stencil_bound(z, 0.0, value_error, value)
+        assert np.abs(got.hzz - conv.p).max() <= tol
+        assert np.abs(got.hzbz - np.conj(conv.d)).max() <= tol
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((0.1, 0.5, 1.0)))
+    def test_no_less_accurate_than_differencing_a_differenced_row(self, seed, radius):
+        # The benchmark's field size, with the worst error over 16 points:
+        # near the center rounding dominates both, and either may win a point.
+        rng = RNG(seed)
+        conv = ConvexQuartic(rng, 8)
+        field = ScalarField(conv.fn, name="values only")
+        direct, nested = [], []
+        for _ in range(16):
+            z = conv.center + random_complex_vector(rng, 8, radius)
+            a, b = conv.blocks(z)
+            scale = max(np.abs(a).max(), np.abs(b).max())
+            got = hessian_quad(field, z)
+            nested_a, nested_b = nested_fd_blocks(field, z)
+            direct.append(max(np.abs(got.hzz - a).max(), np.abs(got.hzbz - b).max()) / scale)
+            nested.append(max(np.abs(nested_a - a).max(), np.abs(nested_b - b).max()) / scale)
+        note(f"worst relative error: values only {max(direct):.2e}, nested {max(nested):.2e}")
+        assert max(direct) <= max(nested)
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(convex_cases(sizes=st.integers(1, 6)))
+    def test_newton_converges_as_with_an_analytic_row(self, case):
+        conv, z0 = case
+        newton = QStrategy("newton")
+        values_only = minimize(ScalarField(conv.fn, name="values only"), z0, newton)
+        with_row = minimize(ScalarField(conv.fn, cogradient_fn=conv.row, name="analytic row"), z0, newton)
+        counts = f"values only {values_only.iterations}, analytic row {with_row.iterations}"
+        event("newton iterations", counts)
+        note(f"iterations: {counts}")
+        assert values_only.converged and with_row.converged
+        atol = 1e-6 * max(1.0, np.abs(conv.center).max())
+        np.testing.assert_allclose(values_only.z, with_row.z, rtol=0, atol=atol)
+        np.testing.assert_allclose(values_only.z, conv.center, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("probe", [1, 8, 21])
+    def test_a_non_finite_probe_is_rejected(self, probe):
+        # n = 2 makes 21 probes; the last is the centre.
+        calls = []
+
+        def fn(w):
+            calls.append(None)
+            return float("nan") if len(calls) == probe else float(np.real(np.conj(w) @ w))
+
+        with pytest.raises(NonFiniteEvaluation):
+            hessian_quad(ScalarField(fn, name="fails once"), np.array([0.5 + 1j, -1.0 + 0j]))
+
+    def test_values_whose_differences_overflow_are_rejected(self):
+        field = ScalarField(lambda w: 1.7e308 * (1.0 - 0.1 * float(np.real(np.conj(w) @ w))), name="near the top")
+        with pytest.raises(NonFiniteEvaluation):
+            hessian_quad(field, np.array([0.5 + 0.5j]))
+
+    def test_a_batched_field_gets_one_call_per_real_coordinate(self):
+        rng = RNG(64)
+        n = 4
+        conv = ConvexQuartic(rng, n)
+        sizes = []
+
+        def fn(w):
+            if w.ndim == 1:
+                return conv.fn(w)
+            sizes.append(w.shape)
+            return np.array([conv.fn(row) for row in w])
+
+        z = conv.center + random_complex_vector(rng, n)
+        got = hessian_quad(ScalarField(fn, name="batched values", batched=True), z)
+        assert len(sizes) == 2 * n
+        assert all(rows <= 4 * n and width == n for rows, width in sizes)
+        assert sum(rows for rows, _ in sizes) == 4 * n**2 + 2 * n + 1
+        row_wise = hessian_quad(ScalarField(conv.fn, name="row-wise values"), z)
+        assert got.hzz.tobytes() == row_wise.hzz.tobytes()
+        assert got.hzbz.tobytes() == row_wise.hzbz.tobytes()
 
 
 class TestQuadValidation:

@@ -424,6 +424,23 @@ class TestCurvatureBlockProperties:
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
 
     @settings(derandomize=True, deadline=None)
+    @given(nonlinear_problems())
+    def test_both_curvatures_hold_their_invariants_exactly(self, draw):
+        problem, z = draw
+        for quad in (gauss_newton_quad(problem, z), newton_quad(problem, z)):
+            assert quad.invariant_residual() == 0.0
+
+    def test_gauss_newton_is_newton_on_a_linear_model(self):
+        # A linear model's Newton correction is exactly zero, so the two
+        # Hermitized curvatures are the same bits.
+        sample = Example1Problem.synthesize(1 + 1j, 0.3 - 0.2j, 2 - 1j, 0.05, 200, 0)
+        problem = example2_as_lsq(sample)
+        z = np.array([0.5 + 0.5j])
+        gauss = gauss_newton_quad(problem, z)
+        assert np.all(np.imag(np.diagonal(gauss.hzz)) == 0.0)
+        np.testing.assert_array_equal(newton_quad(problem, z).dense(), gauss.dense())
+
+    @settings(derandomize=True, deadline=None)
     @given(nonlinear_problems(weights=("identity", "scalar", "diagonal")))
     def test_structured_weight_matches_its_dense_matrix(self, draw):
         # The structured products only drop the exact zeros of the

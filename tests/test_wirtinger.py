@@ -249,13 +249,37 @@ class TestProbeOrder:
         assert len(points) == 12
         assert not any(np.array_equal(w, self.Z) for w in points)
 
+    def expected_curvature_probes(self, z):
+        """The values-only curvature's probes in call order, one coordinate at a time.
+
+        For each real coordinate i of r = (Re z, Im z): +i, -i, then
+        +i+j and -i-j for each later j; the centre comes last.
+        """
+        r = z_to_r(z)
+        h = [FD_SECOND_STEP * max(1.0, abs(c)) for c in r]
+
+        def probe(*moves):
+            rr = r.copy()
+            for k, sign in moves:
+                rr[k] = r[k] + sign * h[k]
+            return np.array([complex(x, y) for x, y in zip(rr[: z.shape[0]], rr[z.shape[0] :])])
+
+        out = []
+        for i in range(r.shape[0]):
+            out += [probe((i, 1)), probe((i, -1))]
+            for j in range(i + 1, r.shape[0]):
+                out += [probe((i, 1), (j, 1)), probe((i, -1), (j, -1))]
+        return out + [z.copy()]
+
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_fully_differenced_curvature_costs_16_n_squared(self, n):
+    def test_values_only_curvature_costs_4n2_2n_1(self, n):
         points = []
         z = self.Z[:n]
         hessian_quad(recording_field(points), z)
-        assert len(points) == 16 * n * n
-        assert not any(np.array_equal(w, z) for w in points)
+        expected = self.expected_curvature_probes(z)
+        assert len(points) == len(expected) == 4 * n * n + 2 * n + 1
+        for got, want in zip(points, expected):
+            assert_same_bits(got, want)
 
     def failing_at(self, probe, bad):
         calls = []
