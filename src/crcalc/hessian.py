@@ -299,10 +299,17 @@ def real_hessian(hzz: np.ndarray, hzbz: np.ndarray) -> np.ndarray:
     """
     total = hzz + hzbz
     diff = hzz - hzbz
-    blocks = [[total.real, -diff.imag], [total.imag, diff.real]]
+    n = total.shape[0]
     if total.ndim == 1:
-        return 2.0 * np.moveaxis(np.array(blocks), -1, 0)
-    return 2.0 * np.block(blocks)
+        form = np.empty((n, 2, 2))
+        form[:, 0, 0], form[:, 0, 1] = total.real, -diff.imag
+        form[:, 1, 0], form[:, 1, 1] = total.imag, diff.real
+    else:
+        form = np.empty((2 * n, 2 * n))
+        form[:n, :n], form[:n, n:] = total.real, -diff.imag
+        form[n:, :n], form[n:, n:] = total.imag, diff.real
+    form *= 2.0
+    return form
 
 
 def _solve_real(form: np.ndarray, rhs: np.ndarray) -> np.ndarray:

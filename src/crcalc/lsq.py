@@ -30,6 +30,16 @@ Both curvatures are :class:`~crcalc.hessian.HessianQuad` top blocks
 (A, B): an admissible matrix is [[A, B], [conj(B), conj(A)]], so the
 projection needs just the top blocks of the matrix it projects, and
 the dense 2n x 2n form is :meth:`~crcalc.hessian.HessianQuad.dense`.
+
+The model is evaluated once per point.  A problem keeps one record, of
+the last point it was asked about: a read-only copy of the point, keyed
+by its bytes, with e and G each formed on first need.  So the loss, the
+derivative row and a curvature at one point cost one model call and one
+jacobian between them, and the Newton correction adds its 4n probe
+jacobians.  An Armijo trial forms only e and its loss, and the row at
+an accepted trial reuses that e.  The record's arrays and ``y`` are
+the problem's own and read-only, so no caller's write can make the
+record stale; :func:`residual` returns a writable copy of e.
 """
 
 from __future__ import annotations
@@ -40,8 +50,9 @@ from functools import cached_property
 import numpy as np
 
 from .coords import DimensionError, _hpd_cholesky, as_complex_vector, swap
+from .errors import NonFiniteEvaluation
 from .hessian import FD_SECOND_STEP, HessianQuad
-from .wirtinger import ScalarField, VectorField, WirtingerPair, cogradients, cogradients_fd
+from .wirtinger import ScalarField, VectorField, WirtingerPair, _fd_blocks, cogradients
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +129,7 @@ class LsqProblem:
         Model map from C^n to C^m.
     y : ndarray
         Observations, length m, every entry finite; a NaN or infinite
-        observation raises ValueError.
+        observation raises ValueError.  Kept as a read-only copy.
     w : float, ndarray, optional
         Hermitian positive definite weight, in one of three forms, each
         validated once here at the cost its structure allows:
@@ -144,14 +155,16 @@ class LsqProblem:
     def __init__(self, g: VectorField, y, w=None):
         if not isinstance(g, VectorField):
             raise TypeError("the model must be a VectorField")
-        y = np.atleast_1d(np.asarray(y, dtype=complex))
+        y = np.atleast_1d(np.array(y, dtype=complex))
         if y.shape != (g.m,):
             raise DimensionError(f"observations have shape {y.shape}, expected ({g.m},)")
         if not np.all(np.isfinite(y)):
             raise ValueError("observations must be finite")
+        y.flags.writeable = False
         self.g = g
         self.y = y
         self._weight = _Weight.build(w, g.m)
+        self._last: _Point | None = None
 
     @property
     def m(self) -> int:
@@ -161,16 +174,54 @@ class LsqProblem:
     def w(self) -> np.ndarray:
         return self._weight.dense(self.m)
 
+    def _point(self, p) -> "_Point":
+        """The evaluation record of p: the last one while p keeps its bytes, else a new one."""
+        z = as_complex_vector(p)
+        point = self._last
+        if point is None or point.key != z.tobytes():
+            point = self._last = _Point(self.g, self.y, z)
+        return point
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Point:
+    """One point of a fit with its residual e and compound jacobian G, each formed on first read.
+
+    All three arrays are the record's own and read-only.  It is keyed by
+    the point's bytes, so -0 and +0 or two NaN payloads are distinct points.
+    """
+
+    __slots__ = ("key", "z", "_g", "_y", "_e", "_gmat")
+
+    def __init__(self, g: VectorField, y: np.ndarray, z: np.ndarray):
+        self.key = z.tobytes()
+        self.z = _read_only(z.copy())
+        self._g, self._y = g, y
+        self._e = self._gmat = None
+
+    @property
+    def e(self) -> np.ndarray:
+        """Data misfit y - g(z)."""
+        if self._e is None:
+            self._e = _read_only(self._y - self._g(self.z))
+        return self._e
+
+    @property
+    def gmat(self) -> np.ndarray:
+        """The m x 2n model jacobian G = [d g / d z, d g / d conj(z)]."""
+        if self._gmat is None:
+            pair = cogradients(self._g, self.z)
+            self._gmat = _read_only(np.concatenate([pair.jz, pair.jzbar], axis=1))
+        return self._gmat
+
 
 def residual(problem: LsqProblem, p) -> np.ndarray:
-    """Data misfit e = y - g(z)."""
-    return problem.y - problem.g(p)
-
-
-def _compound_jacobian(problem: LsqProblem, p) -> np.ndarray:
-    """The m x 2n model jacobian G = [d g / d z, d g / d conj(z)]."""
-    pair = cogradients(problem.g, p)
-    return np.hstack([pair.jz, pair.jzbar])
+    """Data misfit e = y - g(z), a fresh writable array."""
+    return problem._point(p).e.copy()
 
 
 def loss(problem: LsqProblem, p) -> float:
@@ -179,7 +230,7 @@ def loss(problem: LsqProblem, p) -> float:
     The form is nonnegative, so where it overflows on a finite residual
     the loss is inf.
     """
-    e = residual(problem, p)
+    e = problem._point(p).e
     with np.errstate(over="ignore", invalid="ignore"):
         value = 0.5 * float(np.real(problem._weight.form(e)))
     return value if np.isfinite(value) else float("inf")
@@ -192,9 +243,8 @@ def loss_pair(problem: LsqProblem, p) -> WirtingerPair:
     (B + S conj(B)) / 2 with B = -G^H W e, so ``dzbar`` is ``conj(dz)``
     and the gradient stack is ``conj`` of the row.
     """
-    e = residual(problem, p)
-    gmat = _compound_jacobian(problem, p)
-    b = -(gmat.conj().T @ problem._weight.apply(e))
+    point = problem._point(p)
+    b = -(point.gmat.conj().T @ problem._weight.apply(point.e))
     row = np.conj(0.5 * (b + swap(np.conj(b))))
     n = row.shape[0] // 2
     return WirtingerPair(row[:n], row[n:])
@@ -210,9 +260,9 @@ def _hermitized(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (a + a.conj().T), 0.5 * (b + b.T)
 
 
-def _gauss_newton_blocks(problem: LsqProblem, p) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_newton_blocks(problem: LsqProblem, point: _Point) -> tuple[np.ndarray, np.ndarray]:
     """Top blocks of the projected normal matrix, Hermitian to rounding."""
-    gmat = _compound_jacobian(problem, p)
+    gmat = point.gmat
     return _projected_blocks(problem._weight.congruence(gmat), gmat.shape[1] // 2)
 
 
@@ -227,7 +277,7 @@ def gauss_newton_quad(problem: LsqProblem, p) -> HessianQuad:
     every admissible variation even though the raw matrix itself is not
     admissible.
     """
-    return HessianQuad(*_hermitized(*_gauss_newton_blocks(problem, p)))
+    return HessianQuad(*_hermitized(*_gauss_newton_blocks(problem, problem._point(p))))
 
 
 def newton_quad(problem: LsqProblem, p) -> HessianQuad:
@@ -241,18 +291,36 @@ def newton_quad(problem: LsqProblem, p) -> HessianQuad:
     analytic jacobians that are linear in (z, conj(z)) get exactly zero
     correction.  A is then Hermitized and B symmetrized, so the block
     invariants hold exactly.
+
+    e and G come from the point's record, shared with :func:`loss` and
+    :func:`loss_pair`; the curvature adds the 4n probe jacobians of the
+    differenced row, each read through
+    :func:`~crcalc.wirtinger.cogradients` and so checked as any other.
     """
-    z = as_complex_vector(p)
-    n = z.shape[0]
-    we = problem._weight.apply(residual(problem, z))
-    weighted_row = VectorField(
-        2 * n,
-        lambda w: we @ np.conj(_compound_jacobian(problem, w)),
-        name="weighted conjugate jacobian row",
-    )
-    jac = cogradients_fd(weighted_row, z, step=FD_SECOND_STEP)
-    gauss_a, gauss_b = _gauss_newton_blocks(problem, z)
-    corr_a, corr_b = _projected_blocks(np.hstack([jac.jz, jac.jzbar]), n)
+    point = problem._point(p)
+    g, n = problem.g, point.z.shape[0]
+    we = problem._weight.apply(point.e)
+
+    def weighted_rows(stack: np.ndarray) -> np.ndarray:
+        """we @ conj(G(w)) at each probe w, both blocks conjugated into one reused buffer."""
+        buf = np.empty((g.m, 2 * n), dtype=complex)
+        left, right = buf[:, :n], buf[:, n:]
+        rows = np.empty((stack.shape[0], 2 * n), dtype=complex)
+        for w, row in zip(stack, rows):
+            pair = cogradients(g, w)
+            np.conjugate(pair.jz, out=left)
+            np.conjugate(pair.jzbar, out=right)
+            np.matmul(we, buf, out=row)
+            # The first non-finite probe raises before any later one is evaluated.
+            if not np.isfinite(row).all():
+                raise NonFiniteEvaluation(
+                    f"weighted conjugate jacobian row returned non-finite values at {w!r}"
+                )
+        return rows
+
+    jz, jzbar = _fd_blocks(weighted_rows, point.z, FD_SECOND_STEP, 2 * n)
+    gauss_a, gauss_b = _gauss_newton_blocks(problem, point)
+    corr_a, corr_b = _projected_blocks(np.concatenate([jz, jzbar], axis=1), n)
     return HessianQuad(*_hermitized(gauss_a - corr_a, gauss_b - corr_b))
 
 

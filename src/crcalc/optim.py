@@ -147,7 +147,8 @@ class IterationRecord:
 
     ``z`` and ``loss`` describe the iterate the step was taken from;
     the remaining fields describe that step.  The terminal row carries
-    a zero step, and NaN and None diagnostics unless its line search failed.
+    a zero step, and NaN and None diagnostics unless its line search
+    failed or its step left z unchanged.
     """
 
     iteration: int
@@ -169,7 +170,18 @@ class IterationTrace(list):
 
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
-    """Terminal state of a :func:`minimize` run."""
+    """Terminal state of a :func:`minimize` run.
+
+    ``reason`` is one of:
+
+    - ``"converged"``: the derivative row's infinity norm is at most
+      ``grad_tol``; the only reason with ``converged`` true;
+    - ``"max_iters"``: ``max_iters`` steps were taken;
+    - ``"line_search_failed"``: the scaled direction does not point
+      downhill, or 60 Armijo trials all failed the decrease test;
+    - ``"no_progress"``: an accepted step left z unchanged bit for bit,
+      so every later iteration would repeat it.
+    """
 
     z: np.ndarray
     loss: float
@@ -376,8 +388,9 @@ def minimize(
     MinimizeResult
         Its ``z`` is a fresh array, never the caller's ``z0``.  The
         trace holds one row per step taken and one terminal row with a
-        zero step; after a failed line search that row carries the
-        failed step's scaling diagnostics, otherwise NaN and None.
+        zero step; after a failed line search or a step that leaves z
+        unchanged, that row carries the step's scaling diagnostics,
+        otherwise NaN and None.
 
     Raises
     ------
@@ -443,6 +456,10 @@ def minimize(
                 break
             step_norm = float(np.linalg.norm(alpha * delta_z))
 
+        if candidate.tobytes() == z.tobytes():
+            # The step rounds away: every later iteration would repeat this one.
+            reason = "no_progress"
+            break
         record(step_norm)
         if not loss_new <= loss_limit:
             raise Diverged(f"loss reached {loss_new!r} at iteration {k}", trace=trace)

@@ -219,13 +219,14 @@ class VectorField:
         return np.array([self(row) for row in stack])
 
 
-def _fd_blocks(field: ScalarField | VectorField, z: np.ndarray, base: float, m: int):
-    """Central-difference jz and jzbar of a field with m outputs.
+def _fd_blocks(evaluate: Callable[[np.ndarray], np.ndarray], z: np.ndarray, base: float, m: int):
+    """Central-difference jz and jzbar of a map with m outputs.
 
     Only the 4n probes are evaluated, never the centre point itself:
     coordinate by coordinate, +x, -x, +y, -y.  They form one (4n, n)
-    stack in that order, which a batched field takes in one call and
-    any other field one row at a time.
+    stack in that order, which ``evaluate`` maps to (4n, m) values in
+    row order; a field's ``_evaluate_stack`` gives a batched field the
+    whole stack in one call and any other field one row at a time.
     """
     n = z.shape[0]
     # fmax, like the builtin max, keeps the base step for a NaN coordinate.
@@ -240,7 +241,7 @@ def _fd_blocks(field: ScalarField | VectorField, z: np.ndarray, base: float, m: 
     np.subtract(z, ex, out=stack[:, 1])
     np.add(z, ey, out=stack[:, 2])
     np.subtract(z, ey, out=stack[:, 3])
-    values = field._evaluate_stack(stack.reshape(4 * n, n))
+    values = evaluate(stack.reshape(4 * n, n))
     # (n, 4, m) in call order -> four C-ordered m x n blocks.
     f = np.ascontiguousarray(values.reshape(n, 4, m).transpose(1, 2, 0))
     dfdx = (f[0] - f[1]) / (2.0 * hx)
@@ -268,10 +269,10 @@ def cogradients_fd(field, p, step: float | None = None):
         raise ValueError("step must be positive")
     z = as_complex_vector(p)
     if isinstance(field, ScalarField):
-        jz, jzbar = _fd_blocks(field, z, base, 1)
+        jz, jzbar = _fd_blocks(field._evaluate_stack, z, base, 1)
         return WirtingerPair(jz[0], jzbar[0])
     if isinstance(field, VectorField):
-        jz, jzbar = _fd_blocks(field, z, base, field.m)
+        jz, jzbar = _fd_blocks(field._evaluate_stack, z, base, field.m)
         return JacobianPair(jz, jzbar)
     raise TypeError(f"expected a ScalarField or VectorField, got {type(field).__name__}")
 

@@ -361,7 +361,9 @@ def reference_minimize(target, z0, strategy, config):
     60 trials, and none along a direction whose slope is not negative;
     the slope is carried as half of itself, Re(dz delta_z), and doubled
     inside the decrease test, so it cannot overflow before the loss
-    does.  A loss more than 1e12 above the start diverges.
+    does.  A loss more than 1e12 above the start diverges, and an
+    accepted step that leaves z unchanged bit for bit ends the run as
+    ``"no_progress"``.
 
     Returns ``(z, loss, grad_norm, converged, reason, iterations,
     records)``, each record the tuple ``(iteration, z, loss, grad_norm,
@@ -432,6 +434,10 @@ def reference_minimize(target, z0, strategy, config):
         else:
             candidate = z + alpha * delta_z
             loss_new = trial_loss(candidate)
+        if candidate.tobytes() == z.tobytes():
+            record(k, loss_here, grad_norm, 0.0, diag)
+            reason = "no_progress"
+            break
         record(k, loss_here, grad_norm, float(np.linalg.norm(alpha * delta_z)), diag)
         if not loss_new <= loss_limit:
             raise Diverged(f"loss reached {loss_new!r} at iteration {k}", trace=records)

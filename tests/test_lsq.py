@@ -14,6 +14,9 @@ from crcalc import (
     HessianQuad,
     JacobianPair,
     LsqProblem,
+    NonFiniteEvaluation,
+    OptimizerConfig,
+    QStrategy,
     VectorField,
     cogradients,
     cogradients_fd,
@@ -26,6 +29,7 @@ from crcalc import (
     loss,
     loss_field,
     loss_pair,
+    minimize,
     newton_quad,
     real_hessian,
     residual,
@@ -455,6 +459,140 @@ class TestCurvatureBlockProperties:
             got, want = quad(problem, z), quad(dense, z)
             for name in ("hzz", "hzbz", "hzzb", "hzbzb"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def counted_model(base: VectorField, calls: dict) -> VectorField:
+    """``base`` with its model and jacobian calls tallied in ``calls``."""
+
+    def fn(z):
+        calls["model"] += 1
+        return base.fn(z)
+
+    def jac(z):
+        calls["jacobian"] += 1
+        return base.jacobian_fn(z)
+
+    return VectorField(base.m, fn, jacobian_fn=jac, name="counted model")
+
+
+def sign_model() -> VectorField:
+    """A model whose value and jacobian tell -0 from +0 in the real part of z_0."""
+
+    def fn(z):
+        return np.copysign(1.0, z.real[0]) * np.array([1.0 + z[0] * z[1], z[1] - np.conj(z[0]) ** 2])
+
+    def jac(z):
+        s = np.copysign(1.0, z.real[0])
+        jz = s * np.array([[z[1], z[0]], [0.0, 1.0]])
+        jzbar = s * np.array([[0.0, 0.0], [-2.0 * np.conj(z[0]), 0.0]])
+        return JacobianPair(jz, jzbar)
+
+    return VectorField(2, fn, jacobian_fn=jac, name="sign model")
+
+
+def results(problem, z):
+    """Every public least-squares quantity at z, as a list of arrays."""
+    pair = loss_pair(problem, z)
+    out = [residual(problem, z), np.array(loss(problem, z)), pair.dz, pair.dzbar]
+    for quad in (gauss_newton_quad(problem, z), newton_quad(problem, z)):
+        out += [quad.hzz, quad.hzbz]
+    return out
+
+
+class TestEvaluationRecord:
+    """Each point's residual and jacobian are formed once and never go stale."""
+
+    @pytest.mark.parametrize("kind", ["newton", "gauss_newton"])
+    def test_model_and_jacobian_calls_per_run(self, kind):
+        # One model call per loss evaluation, at the start and at each
+        # trial; one jacobian per iterate, shared by its derivative row
+        # and its curvature; and for Newton the 4n probe jacobians of the
+        # differenced weighted row.  Each step here is accepted at its
+        # first trial.
+        rng = RNG(2)
+        n, m = 2, 8
+        base = random_poly_vector_field(rng, n, m, scale=0.3)
+        z_true = random_complex_vector(rng, n, 0.5)
+        y = base(z_true) + 0.01 * random_complex_vector(rng, m)
+        calls = {"model": 0, "jacobian": 0}
+        problem = LsqProblem(counted_model(base, calls), y)
+        result = minimize(problem, z_true + 0.1, QStrategy(kind), OptimizerConfig(grad_tol=1e-10))
+        assert result.converged and result.iterations == 5
+        probes = 4 * n * result.iterations if kind == "newton" else 0
+        assert calls == {"model": result.iterations + 1, "jacobian": result.iterations + 1 + probes}
+
+    def test_cli_classification_reuses_the_final_record(self):
+        # minimize ends on the derivative row at result.z, so the Newton
+        # curvature there needs only its 4n probe jacobians.
+        rng = RNG(2)
+        base = random_poly_vector_field(rng, 2, 8, scale=0.3)
+        calls = {"model": 0, "jacobian": 0}
+        problem = LsqProblem(counted_model(base, calls), random_complex_vector(rng, 8))
+        result = minimize(problem, random_complex_vector(rng, 2, 0.5), QStrategy("gauss_newton"))
+        before = dict(calls)
+        hessian_quad(loss_field(problem), result.z)
+        assert calls == {"model": before["model"], "jacobian": before["jacobian"] + 8}
+
+    def test_results_equal_a_fresh_problem_bit_for_bit(self):
+        rng = RNG(7)
+        g = sign_model()
+        y = random_complex_vector(rng, 2)
+        w = np.array([0.5, 2.0])
+        problem = LsqProblem(g, y, w)
+        caller_y = y.copy()
+        shared = LsqProblem(g, caller_y, w)
+        caller_y[:] = 100.0
+        a = np.array([0.3 - 0.2j, -0.4 + 0.1j])
+        zero_plus = np.array([complex(0.0, 0.5), 0.2 - 0.1j])
+        zero_minus = np.array([complex(-0.0, 0.5), 0.2 - 0.1j])
+        moving = a.copy()
+        sequence = [a, zero_plus, a, zero_minus, zero_plus, zero_minus, moving]
+        for step, z in enumerate(sequence + [moving]):
+            if step == len(sequence):
+                # The caller's own array, written in place since last time.
+                moving[0] += 0.25
+            want = results(LsqProblem(g, y, w), z.copy())
+            for target in (problem, shared):
+                got = results(target, z)
+                for value, reference in zip(got, want):
+                    assert value.tobytes() == reference.tobytes()
+                for value in got:
+                    if value.ndim and value.flags.writeable:
+                        value[...] = np.nan
+        assert results(problem, zero_plus)[1] != results(problem, zero_minus)[1]
+
+    def test_observations_are_a_read_only_copy(self):
+        g = VectorField(2, lambda z: z)
+        y = np.array([1.0 + 0j, 2.0])
+        problem = LsqProblem(g, y)
+        y[0] = 5.0
+        assert problem.y[0] == 1.0
+        with pytest.raises(ValueError):
+            problem.y[0] = 3.0
+        e = residual(problem, np.zeros(2))
+        e[0] = 9.0
+        assert residual(problem, np.zeros(2))[0] == 1.0
+
+    def test_non_finite_probe_jacobian_raises_at_that_probe(self):
+        # The +x probe of the second coordinate is the first non-finite
+        # one; no probe after it is evaluated.
+        rng = RNG(3)
+        base = random_poly_vector_field(rng, 2, 5)
+        z = random_complex_vector(rng, 2, 0.5)
+        calls = {"model": 0, "jacobian": 0}
+
+        def jac(w):
+            calls["jacobian"] += 1
+            pair = base.jacobian_fn(w)
+            if w[1].real > z[1].real:
+                pair.jz[0, 0] = np.nan
+            return pair
+
+        problem = LsqProblem(VectorField(5, base.fn, jacobian_fn=jac), random_complex_vector(rng, 5))
+        message = "weighted conjugate jacobian row returned non-finite values at"
+        with pytest.raises(NonFiniteEvaluation, match=message):
+            newton_quad(problem, z)
+        assert calls["jacobian"] == 5
 
 
 class TestSwapConsistency:

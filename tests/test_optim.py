@@ -996,9 +996,34 @@ class TestReferenceLoop:
                 OptimizerConfig(step_size=0.1, max_iters=5, grad_tol=0.0),
             ),
             (quartic, np.array([1.5 + 1.0j, -0.5 + 0.5j]), QStrategy(kind="newton"), OptimizerConfig()),
+            (
+                modulus_squared_field(),
+                np.array([1.0 + 1.0j]),
+                QStrategy(kind="identity"),
+                OptimizerConfig(step_size=1e-30, backtracking="off"),
+            ),
         )
         exits = [assert_matches_reference(*run) for run in runs]
-        assert exits == ["line_search_failed", "Diverged", "max_iters", "converged"]
+        assert exits == ["line_search_failed", "Diverged", "max_iters", "converged", "no_progress"]
+
+    @pytest.mark.parametrize("kind", ["newton", "gauss_newton"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_step_that_leaves_z_unchanged_ends_the_run(self, seed, kind):
+        # With no gradient tolerance a fit reaches the rounding floor of
+        # its loss, where an accepted step rounds back to z; every later
+        # iteration would repeat it, so the run stops there instead of
+        # at max_iters.
+        rng = RNG(seed)
+        base = random_poly_vector_field(rng, 2, 8, scale=0.3)
+        z_true = random_complex_vector(rng, 2, 0.5)
+        problem = LsqProblem(base, base(z_true) + 0.01 * random_complex_vector(rng, 8))
+        config = OptimizerConfig(grad_tol=0.0)
+        assert assert_matches_reference(problem, z_true + 0.1, QStrategy(kind), config) == "no_progress"
+        result = minimize(problem, z_true + 0.1, QStrategy(kind), config)
+        assert not result.converged and result.iterations < 20
+        last = result.trace[-1]
+        assert (last.iteration, last.step_norm) == (result.iterations, 0.0)
+        assert last.q_positive_definite is not None and np.isfinite(last.q_condition)
 
 
 class TestStationaryClassification:
