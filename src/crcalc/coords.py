@@ -12,7 +12,7 @@ projections, and dense structure matrices that express it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,61 +75,58 @@ def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v[:n], v[n:]
 
 
-@dataclass(frozen=True, eq=False)
 class ComplexPoint:
-    """A point z in C^n."""
+    """A point z in C^n, kept as a read-only copy."""
 
-    z: np.ndarray
+    __slots__ = ("z",)
 
-    def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=complex))
+    def __init__(self, z):
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
         if z.ndim != 1:
             raise DimensionError(f"expected a vector, got shape {z.shape}")
         if not np.all(np.isfinite(z)):
             raise ValueError("point has non-finite entries")
-        object.__setattr__(self, "z", _frozen(z))
+        self.z = _frozen(z)
 
     @property
     def n(self) -> int:
         return self.z.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
 class RealCoordinates:
-    """Stacked real coordinates r = (x, y) in R^2n."""
+    """Stacked real coordinates r = (x, y) in R^2n, kept as a read-only copy."""
 
-    r: np.ndarray
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        r = np.atleast_1d(np.asarray(self.r, dtype=float))
+    def __init__(self, r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.ndim != 1 or r.shape[0] % 2:
             raise DimensionError(f"expected an even-length real vector, got shape {r.shape}")
         if not np.all(np.isfinite(r)):
             raise ValueError("coordinates have non-finite entries")
-        object.__setattr__(self, "r", _frozen(r))
+        self.r = _frozen(r)
 
     @property
     def n(self) -> int:
         return self.r.shape[0] // 2
 
 
-@dataclass(frozen=True, eq=False)
 class ConjugateCoordinates:
-    """Conjugate coordinates c = (z, conj(z)), validated at construction."""
+    """Conjugate coordinates c = (z, conj(z)), validated at construction and kept read-only."""
 
-    c: np.ndarray
-    tol: float = field(default=ADMISSIBLE_TOL, compare=False)
+    __slots__ = ("c", "tol")
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=complex))
+    def __init__(self, c, tol: float = ADMISSIBLE_TOL):
+        c = np.atleast_1d(np.asarray(c, dtype=complex))
         if c.ndim != 1 or c.shape[0] % 2:
             raise DimensionError(f"expected an even-length vector, got shape {c.shape}")
         resid = vector_residual(c)
-        if not resid <= self.tol:
+        if not resid <= tol:
             raise InadmissibleVector(
-                f"conjugate pairing violated: residual {resid:.3e} exceeds tol {self.tol:.3e}"
+                f"conjugate pairing violated: residual {resid:.3e} exceeds tol {tol:.3e}"
             )
-        object.__setattr__(self, "c", _frozen(c))
+        self.c = _frozen(c)
+        self.tol = tol
 
     @classmethod
     def from_z(cls, z) -> "ConjugateCoordinates":
@@ -288,24 +285,23 @@ def from_conjugate(c, tol: float = ADMISSIBLE_TOL) -> ComplexPoint:
     return ComplexPoint(x.real + 1j * y.real)
 
 
-@dataclass(frozen=True, eq=False)
 class MetricTensor:
     """Hermitian positive definite inner-product matrix on C^n.
 
     Every entry must be finite and the matrix Hermitian to 1e-10
     (relative); definiteness is established once at construction by
     attempting a Cholesky factorization.  A matrix that fails any of
-    these raises ValueError.
+    these raises ValueError.  ``omega`` is kept as a read-only copy.
     """
 
-    omega: np.ndarray
+    __slots__ = ("omega",)
 
-    def __post_init__(self):
-        om = np.asarray(self.omega, dtype=complex)
+    def __init__(self, omega):
+        om = np.asarray(omega, dtype=complex)
         if om.ndim != 2 or om.shape[0] != om.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {om.shape}")
         _hpd_cholesky(om, "metric")
-        object.__setattr__(self, "omega", _frozen(om))
+        self.omega = _frozen(om)
 
     @classmethod
     def identity(cls, n: int) -> "MetricTensor":

@@ -20,7 +20,7 @@ its real-coordinate Hessian is the n real 2 x 2 blocks of a direct sum.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -56,7 +56,6 @@ def _tol_scale(a: np.ndarray, b: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(a), initial=0.0)), float(np.max(np.abs(b), initial=0.0)))
 
 
-@dataclass(frozen=True, eq=False)
 class HessianQuad:
     """The curvature of a real field, carried as its two top blocks.
 
@@ -74,18 +73,16 @@ class HessianQuad:
         only.
     """
 
-    hzz: np.ndarray
-    hzbz: np.ndarray
-    _: KW_ONLY
-    presym_residual: float = 0.0
+    __slots__ = ("hzz", "hzbz", "presym_residual")
 
-    def __post_init__(self):
-        hzz = np.atleast_1d(np.asarray(self.hzz, dtype=complex))
-        hzbz = np.atleast_1d(np.asarray(self.hzbz, dtype=complex))
+    def __init__(self, hzz, hzbz, *, presym_residual: float = 0.0):
+        hzz = np.atleast_1d(np.asarray(hzz, dtype=complex))
+        hzbz = np.atleast_1d(np.asarray(hzbz, dtype=complex))
         if hzz.ndim > 2 or hzz.shape != hzz.shape[:1] * hzz.ndim or hzbz.shape != hzz.shape:
             raise DimensionError("curvature blocks must share an n x n or length-n shape")
-        object.__setattr__(self, "hzz", hzz)
-        object.__setattr__(self, "hzbz", hzbz)
+        self.hzz = hzz
+        self.hzbz = hzbz
+        self.presym_residual = presym_residual
 
     @property
     def n(self) -> int:

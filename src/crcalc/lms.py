@@ -35,7 +35,6 @@ ERROR_SMOOTHING = 0.05
 CHUNK_STEPS = 1024
 
 
-@dataclass(frozen=True, eq=False)
 class SignalModel:
     """Second-order description of the input and reference signals.
 
@@ -59,20 +58,16 @@ class SignalModel:
     :func:`simulate`.
     """
 
-    n: int
-    r_matrix: np.ndarray
-    p: np.ndarray
-    noise_var: float = 0.0
-    seed: int = 0
+    __slots__ = ("n", "r_matrix", "p", "noise_var", "seed", "_chol", "_wiener")
 
-    def __post_init__(self):
-        r = np.asarray(self.r_matrix, dtype=complex)
-        p = np.atleast_1d(np.asarray(self.p, dtype=complex))
-        if r.shape != (self.n, self.n):
-            raise DimensionError(f"covariance has shape {r.shape}, expected ({self.n}, {self.n})")
-        if p.shape != (self.n,):
-            raise DimensionError(f"cross moment has shape {p.shape}, expected ({self.n},)")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p)) and np.isfinite(self.noise_var)):
+    def __init__(self, n: int, r_matrix, p, noise_var: float = 0.0, seed: int = 0):
+        r = np.asarray(r_matrix, dtype=complex)
+        p = np.atleast_1d(np.asarray(p, dtype=complex))
+        if r.shape != (n, n):
+            raise DimensionError(f"covariance has shape {r.shape}, expected ({n}, {n})")
+        if p.shape != (n,):
+            raise DimensionError(f"cross moment has shape {p.shape}, expected ({n},)")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p)) and np.isfinite(noise_var)):
             raise ValueError("covariance, cross moment and noise_var must be finite")
         chol = _hpd_cholesky(r, "covariance")
         # Past the float range no reference eta = a^H xi + noise, a the
@@ -82,12 +77,10 @@ class SignalModel:
             sizes = [np.vdot(wiener, wiener).real, np.vdot(p, wiener).real]
         if not np.all(np.isfinite(sizes)):
             raise ValueError("the Wiener solution and its output power must be finite")
-        if not self.noise_var >= 0.0:
+        if not noise_var >= 0.0:
             raise ValueError("noise_var must be nonnegative")
-        object.__setattr__(self, "r_matrix", r)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_wiener", wiener)
+        self.n, self.r_matrix, self.p, self.noise_var, self.seed = n, r, p, noise_var, seed
+        self._chol, self._wiener = chol, wiener
 
     @classmethod
     def from_reference(cls, r_matrix, a_ref, noise_var: float = 0.0, seed: int = 0) -> "SignalModel":
@@ -131,7 +124,7 @@ def instantaneous_gradient(a_hat, xi, eta) -> np.ndarray:
 
 def wiener_solution(model: SignalModel) -> np.ndarray:
     """The mean-square-error minimizer inv(R) p, solved once by the model."""
-    return getattr(model, "_wiener").copy()
+    return model._wiener.copy()
 
 
 def max_stable_step(model: SignalModel) -> float:
@@ -160,7 +153,7 @@ def draw_signals(model: SignalModel, steps: int, a_ref=None) -> tuple[np.ndarray
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    a = getattr(model, "_wiener") if a_ref is None else as_complex_vector(a_ref)
+    a = model._wiener if a_ref is None else as_complex_vector(a_ref)
     if a.shape != (model.n,):
         raise DimensionError("reference filter length differs from the model")
     rng = np.random.default_rng(model.seed)
@@ -172,7 +165,7 @@ def draw_signals(model: SignalModel, steps: int, a_ref=None) -> tuple[np.ndarray
     w.real = rng.standard_normal(out=draws)
     w.imag = rng.standard_normal(out=draws)
     w /= np.sqrt(2.0)
-    xi = w @ getattr(model, "_chol").T
+    xi = w @ model._chol.T
     noise = w.reshape(-1)[:steps]
     part = draws.reshape(-1)[:steps]
     noise.real = rng.standard_normal(out=part)

@@ -44,7 +44,6 @@ record stale; :func:`residual` returns a writable copy of e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,44 +54,38 @@ from .hessian import FD_SECOND_STEP, HessianQuad
 from .wirtinger import ScalarField, VectorField, WirtingerPair, _fd_blocks, cogradients
 
 
-@dataclass(frozen=True, eq=False)
 class _Weight:
-    """A least-squares weight W, stored by its structure.
+    """A least-squares weight W for m residuals, stored by its structure.
 
     ``values`` is a positive real scalar (0-d, W = values I), a positive
     real diagonal (1-d) or a dense Hermitian positive definite matrix
-    (2-d).  The three products follow the order of the dense ones, so a
-    scalar or diagonal gives the same bits as the matrix it stands for:
-    the dense products only add exact zeros.
+    (2-d); ``w`` of None is the scalar 1.  Each form is validated at the
+    cost its structure allows: a scalar or diagonal must be real, finite
+    and positive, O(m); a dense matrix must be m x m, finite, Hermitian
+    to 1e-10 (relative) and admit a Cholesky factorization.  The three
+    products follow the order of the dense ones, so a scalar or diagonal
+    gives the same bits as the matrix it stands for: the dense products
+    only add exact zeros.
     """
 
-    values: np.ndarray
+    __slots__ = ("values",)
 
-    @classmethod
-    def build(cls, w, m: int) -> "_Weight":
-        """Validate ``w`` for m residuals at the cost its structure allows.
-
-        A scalar or diagonal must be real, finite and positive, O(m); a
-        dense matrix must be m x m, finite, Hermitian to 1e-10 (relative)
-        and admit a Cholesky factorization.
-        """
-        if w is None:
-            return cls(np.asarray(1.0))
-        values = np.asarray(w)
+    def __init__(self, w, m: int):
+        values = np.asarray(1.0 if w is None else w)
         if values.ndim == 2:
             values = values.astype(complex, copy=False)
             if values.shape != (m, m):
                 raise DimensionError(f"weight has shape {values.shape}, expected square of size {m}")
             _hpd_cholesky(values, "weight")
-            return cls(values)
-        if values.shape not in ((), (m,)):
-            raise DimensionError(f"weight has shape {values.shape}, expected (), ({m},) or ({m}, {m})")
-        if np.any(np.imag(values) != 0.0):
-            raise ValueError("a scalar or diagonal weight must be real")
-        values = np.real(values).astype(float)
-        if not np.all(np.isfinite(values) & (values > 0.0)):
-            raise ValueError("a scalar or diagonal weight must be finite and positive")
-        return cls(values)
+        else:
+            if values.shape not in ((), (m,)):
+                raise DimensionError(f"weight has shape {values.shape}, expected (), ({m},) or ({m}, {m})")
+            if np.any(np.imag(values) != 0.0):
+                raise ValueError("a scalar or diagonal weight must be real")
+            values = np.real(values).astype(float)
+            if not np.all(np.isfinite(values) & (values > 0.0)):
+                raise ValueError("a scalar or diagonal weight must be finite and positive")
+        self.values = values
 
     def apply(self, e: np.ndarray) -> np.ndarray:
         """W e."""
@@ -163,7 +156,7 @@ class LsqProblem:
         y.flags.writeable = False
         self.g = g
         self.y = y
-        self._weight = _Weight.build(w, g.m)
+        self._weight = _Weight(w, g.m)
         self._last: _Point | None = None
 
     @property

@@ -119,6 +119,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.step_size is not None and not self.step_size > 0.0:
             raise ValueError("step_size must be positive")
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.grad_tol >= 0.0:

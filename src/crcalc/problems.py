@@ -20,8 +20,6 @@ optimization targets with per-component closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coords import DimensionError, as_complex_vector
@@ -33,7 +31,6 @@ from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair
 _IDENT_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
 class Example1Problem:
     """Scalar estimation data for the model alpha z + beta conj(z).
 
@@ -44,29 +41,24 @@ class Example1Problem:
     raised: otherwise no loss value is.
     """
 
-    alpha: complex
-    beta: complex
-    samples: np.ndarray
+    __slots__ = ("alpha", "beta", "samples", "mean_y", "mean_abs2")
 
-    def __post_init__(self):
-        alpha = complex(self.alpha)
-        beta = complex(self.beta)
-        samples = np.atleast_1d(np.asarray(self.samples, dtype=complex))
+    def __init__(self, alpha: complex, beta: complex, samples):
+        alpha = complex(alpha)
+        beta = complex(beta)
+        samples = np.atleast_1d(np.asarray(samples, dtype=complex))
         if samples.ndim != 1 or samples.shape[0] < 1:
             raise DimensionError("samples must be a non-empty vector")
         if not (np.isfinite(alpha) and np.isfinite(beta) and np.all(np.isfinite(samples))):
             raise ValueError("model parameters and samples must be finite")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "samples", samples)
         with np.errstate(over="ignore", invalid="ignore"):
             mean_y = complex(np.mean(samples))
             mean_abs2 = float(np.mean(np.abs(samples) ** 2))
             curvature = np.abs(alpha) ** 2 + np.abs(beta) ** 2
         if not (np.isfinite(mean_y) and np.isfinite(mean_abs2) and np.isfinite(curvature)):
             raise ValueError("the squared moments of the model and samples must be finite")
-        object.__setattr__(self, "mean_y", mean_y)
-        object.__setattr__(self, "mean_abs2", mean_abs2)
+        self.alpha, self.beta, self.samples = alpha, beta, samples
+        self.mean_y, self.mean_abs2 = mean_y, mean_abs2
 
     @property
     def m(self) -> int:
@@ -192,7 +184,6 @@ def example2_as_lsq(problem: Example1Problem) -> LsqProblem:
     return LsqProblem(g=g, y=problem.samples, w=1.0 / m)
 
 
-@dataclass(frozen=True, eq=False)
 class PolynomialParams:
     """Coefficients of a separable real quadratic in (z, conj(z)).
 
@@ -207,24 +198,18 @@ class PolynomialParams:
     ValueError is raised.
     """
 
-    quad_diag: np.ndarray
-    conj_diag: np.ndarray
-    linear: np.ndarray
-    constant: float = 0.0
+    __slots__ = ("quad_diag", "conj_diag", "linear", "constant")
 
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.quad_diag, dtype=float))
-        d = np.atleast_1d(np.asarray(self.conj_diag, dtype=complex))
-        b = np.atleast_1d(np.asarray(self.linear, dtype=complex))
+    def __init__(self, quad_diag, conj_diag, linear, constant: float = 0.0):
+        c = np.atleast_1d(np.asarray(quad_diag, dtype=float))
+        d = np.atleast_1d(np.asarray(conj_diag, dtype=complex))
+        b = np.atleast_1d(np.asarray(linear, dtype=complex))
         if not (c.shape == d.shape == b.shape) or c.ndim != 1 or c.shape[0] < 1:
             raise DimensionError("coefficient vectors must share a positive length")
-        constant = float(self.constant)
+        constant = float(constant)
         if not all(np.all(np.isfinite(v)) for v in (c, d, b, constant)):
             raise ValueError("polynomial coefficients must be finite")
-        object.__setattr__(self, "quad_diag", c)
-        object.__setattr__(self, "conj_diag", d)
-        object.__setattr__(self, "linear", b)
-        object.__setattr__(self, "constant", constant)
+        self.quad_diag, self.conj_diag, self.linear, self.constant = c, d, b, constant
 
     @property
     def n(self) -> int:

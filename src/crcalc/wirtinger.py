@@ -43,7 +43,6 @@ HOLO_TOL_FD = 1e-5
 _REAL_DUST = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
 class WirtingerPair:
     """First-derivative rows of a real scalar field.
 
@@ -56,16 +55,15 @@ class WirtingerPair:
         real-valued field.
     """
 
-    dz: np.ndarray
-    dzbar: np.ndarray
+    __slots__ = ("dz", "dzbar")
 
-    def __post_init__(self):
-        dz = np.atleast_1d(np.asarray(self.dz, dtype=complex))
-        dzbar = np.atleast_1d(np.asarray(self.dzbar, dtype=complex))
+    def __init__(self, dz, dzbar):
+        dz = np.atleast_1d(np.asarray(dz, dtype=complex))
+        dzbar = np.atleast_1d(np.asarray(dzbar, dtype=complex))
         if dz.shape != dzbar.shape or dz.ndim != 1:
             raise DimensionError("derivative rows must be vectors of equal length")
-        object.__setattr__(self, "dz", dz)
-        object.__setattr__(self, "dzbar", dzbar)
+        self.dz = dz
+        self.dzbar = dzbar
 
     @property
     def n(self) -> int:
@@ -76,7 +74,6 @@ class WirtingerPair:
         return float(np.max(np.abs(np.conj(self.dz) - self.dzbar), initial=0.0))
 
 
-@dataclass(frozen=True, eq=False)
 class JacobianPair:
     """Derivative blocks of a vector map, each of shape m x n.
 
@@ -84,16 +81,15 @@ class JacobianPair:
     is holomorphic on a region exactly when jzbar vanishes there.
     """
 
-    jz: np.ndarray
-    jzbar: np.ndarray
+    __slots__ = ("jz", "jzbar")
 
-    def __post_init__(self):
-        jz = np.atleast_2d(np.asarray(self.jz, dtype=complex))
-        jzbar = np.atleast_2d(np.asarray(self.jzbar, dtype=complex))
+    def __init__(self, jz, jzbar):
+        jz = np.atleast_2d(np.asarray(jz, dtype=complex))
+        jzbar = np.atleast_2d(np.asarray(jzbar, dtype=complex))
         if jz.shape != jzbar.shape:
             raise DimensionError("jacobian blocks must share a shape")
-        object.__setattr__(self, "jz", jz)
-        object.__setattr__(self, "jzbar", jzbar)
+        self.jz = jz
+        self.jzbar = jzbar
 
     @property
     def shape(self) -> tuple[int, int]:

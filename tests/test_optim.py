@@ -128,6 +128,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(armijo_beta=1.0)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, float("inf"), float("nan"), "3"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            OptimizerConfig(max_iters=max_iters)
+
+    @pytest.mark.parametrize("max_iters", [3, np.int64(3), np.uint8(3)])
+    def test_python_and_numpy_integer_max_iters_run(self, max_iters):
+        result = minimize(
+            modulus_squared_field(),
+            np.array([1.0 + 1.0j]),
+            QStrategy("identity"),
+            OptimizerConfig(step_size=0.1, max_iters=max_iters, grad_tol=0.0),
+        )
+        assert (result.reason, result.iterations) == ("max_iters", 3)
+
     def test_gauss_strategies_need_residual_structure(self):
         calls = []
 
