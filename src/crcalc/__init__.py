@@ -91,7 +91,6 @@ from .optim import (
     descent_step,
     lagrangian,
     minimize,
-    newton_update_z,
 )
 from .problems import (
     Example1Problem,

@@ -41,7 +41,7 @@ class SignalModel:
     Parameters
     ----------
     n : int
-        Filter length.
+        Filter length; a bool or any other non-integer raises ValueError.
     r_matrix : ndarray
         Input covariance E{xi xi^H}, Hermitian positive definite.
     p : ndarray
@@ -61,6 +61,8 @@ class SignalModel:
     __slots__ = ("n", "r_matrix", "p", "noise_var", "seed", "_chol", "_wiener")
 
     def __init__(self, n: int, r_matrix, p, noise_var: float = 0.0, seed: int = 0):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {n!r}")
         r = np.asarray(r_matrix, dtype=complex)
         p = np.atleast_1d(np.asarray(p, dtype=complex))
         if r.shape != (n, n):
@@ -151,6 +153,8 @@ def draw_signals(model: SignalModel, steps: int, a_ref=None) -> tuple[np.ndarray
     xi : ndarray, shape (steps, n)
     eta : ndarray, shape (steps,)
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     a = model._wiener if a_ref is None else as_complex_vector(a_ref)

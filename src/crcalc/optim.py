@@ -40,7 +40,6 @@ from .errors import (
     Diverged,
     InadmissibleQ,
     NonFiniteEvaluation,
-    SingularMatrix,
     SingularQ,
 )
 from .hessian import (
@@ -52,7 +51,7 @@ from .hessian import (
     hessian_quad,
     real_hessian,
 )
-from .lsq import LsqProblem, gauss_newton_quad, loss_field
+from .lsq import LsqProblem, gauss_newton_quad, loss_field, newton_quad
 from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients
 
 STRATEGY_KINDS = (
@@ -119,7 +118,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.step_size is not None and not self.step_size > 0.0:
             raise ValueError("step_size must be positive")
-        if not isinstance(self.max_iters, (int, np.integer)):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -197,9 +196,9 @@ class MinimizeResult:
 def _as_field(target, strategy: QStrategy) -> ScalarField:
     """The loss of ``target`` as a scalar field, checked against ``strategy``.
 
-    A least-squares problem is read through :func:`~crcalc.lsq.loss_field`;
-    a Gauss-Newton scaling needs one, so asking for it on a plain field
-    is a configuration error.
+    A least-squares problem's loss and row are read through
+    :func:`~crcalc.lsq.loss_field`; a Gauss-Newton scaling needs one, so
+    asking for it on a plain field is a configuration error.
     """
     if isinstance(target, LsqProblem):
         return loss_field(target)
@@ -210,18 +209,21 @@ def _as_field(target, strategy: QStrategy) -> ScalarField:
     return target
 
 
-def _scaling(
-    target, field: ScalarField, z: np.ndarray, strategy: QStrategy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top blocks (A, B) of the scaling M = [[A, B], [conj(B), conj(A)]], as stored at the source."""
+def _scaling(target, z: np.ndarray, strategy: QStrategy) -> tuple[np.ndarray, np.ndarray]:
+    """Top blocks (A, B) of the scaling M = [[A, B], [conj(B), conj(A)]], as stored at the source.
+
+    A least-squares problem's curvature comes straight from lsq, a plain field's from hessian_quad.
+    """
     n = z.shape[0]
     kind = strategy.kind
     if kind == "identity":
         return np.full(n, 1.0 + strategy.damping, dtype=complex), np.zeros(n, dtype=complex)
-    if kind.endswith("gauss_newton"):
+    if not isinstance(target, LsqProblem):
+        quad = hessian_quad(target, z)
+    elif kind.endswith("gauss_newton"):
         quad = gauss_newton_quad(target, z)
     else:
-        quad = hessian_quad(field, z)
+        quad = newton_quad(target, z)
     a, b = quad.hzz, quad.hzbz
     if kind.startswith("quasi_"):
         b = np.zeros_like(b, dtype=complex)
@@ -260,7 +262,7 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
     field = _as_field(target, strategy)
     z = as_complex_vector(p)
     pair = cogradients(field, z)
-    delta_z, diag = _descent_step(z, pair, _scaling(target, field, z, strategy), strategy.kind)
+    delta_z, diag = _descent_step(z, pair, _scaling(target, z, strategy), strategy.kind)
     return np.concatenate([delta_z, np.conj(delta_z)]), diag
 
 
@@ -322,41 +324,6 @@ def _descent_step(
         predicted_decrease=predicted_decrease,
     )
     return delta_z, diag
-
-
-def newton_update_z(quad: HessianQuad, pair: WirtingerPair) -> np.ndarray:
-    """Newton correction computed in the n complex unknowns only.
-
-    Eliminates the conjugate half of the 2n x 2n Newton system through
-    the Schur complement of the lower-right block:
-
-        delta_z = inv(A - B inv(D) C) (B inv(D) (df/dconj)^H - (df/dz)^H)
-
-    with (A, B, C, D) the curvature blocks.  When the off-diagonal
-    blocks vanish this reduces to -inv(A) (df/dz)^H.  Matches the full
-    2n solve to rounding.
-
-    Raises
-    ------
-    SingularMatrix
-        If the conjugate block or the Schur complement cannot be
-        inverted.
-    """
-    if quad.n != pair.n:
-        raise DimensionError("curvature and derivative dimensions differ")
-    a, b = quad.blocks()
-    rhs_z = np.conj(pair.dz)
-    rhs_zbar = np.conj(pair.dzbar)
-    try:
-        d_inv_c = np.linalg.solve(np.conj(a), np.conj(b))
-        d_inv_rhs = np.linalg.solve(np.conj(a), rhs_zbar)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("conjugate curvature block is singular") from exc
-    schur = a - b @ d_inv_c
-    try:
-        return np.linalg.solve(schur, b @ d_inv_rhs - rhs_z)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("Schur complement is singular") from exc
 
 
 def minimize(
@@ -432,7 +399,7 @@ def minimize(
             break
         if k == config.max_iters:
             break
-        delta_z, diag = _descent_step(z, pair, _scaling(target, field, z, strategy), strategy.kind)
+        delta_z, diag = _descent_step(z, pair, _scaling(target, z, strategy), strategy.kind)
         # Far from the origin the slope, a trial point or the step norm
         # may overflow; what is not finite fails the tests below.
         with np.errstate(over="ignore", invalid="ignore"):

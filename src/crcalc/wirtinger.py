@@ -177,7 +177,7 @@ class VectorField:
     Parameters
     ----------
     m : int
-        Output dimension.
+        Output dimension; a bool or any other non-integer raises ValueError.
     fn : callable
         Maps a 1-D complex array to a length-m complex array.
     jacobian_fn : callable, optional
@@ -194,6 +194,8 @@ class VectorField:
         jacobian_fn: Callable[[np.ndarray], JacobianPair] | None = None,
         name: str = "vector field",
     ):
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"m must be an integer, got {m!r}")
         self.m = int(m)
         self.fn = fn
         self.jacobian_fn = jacobian_fn

@@ -445,6 +445,28 @@ def reference_minimize(target, z0, strategy, config):
     return z, loss_here, grad_norm, converged, reason, iterations, records
 
 
+def schur_newton_update(quad: HessianQuad, pair: WirtingerPair) -> np.ndarray:
+    """The Newton correction in the n complex unknowns only, the paper's z-only form.
+
+    Eliminates the conjugate half of the 2n x 2n Newton system through
+    the Schur complement of the lower-right block:
+
+        delta_z = inv(A - B inv(D) C) (B inv(D) (df/dconj)^H - (df/dz)^H)
+
+    with (A, B, C, D) the curvature blocks.  When the off-diagonal
+    blocks vanish this reduces to -inv(A) (df/dz)^H.  It is the same
+    step as the full 2n solve, by the block-inverse identity, so it
+    checks the library's one Newton solve from another formula.
+    """
+    a, b = quad.blocks()
+    rhs_z = np.conj(pair.dz)
+    rhs_zbar = np.conj(pair.dzbar)
+    d_inv_c = np.linalg.solve(np.conj(a), np.conj(b))
+    d_inv_rhs = np.linalg.solve(np.conj(a), rhs_zbar)
+    schur = a - b @ d_inv_c
+    return np.linalg.solve(schur, b @ d_inv_rhs - rhs_z)
+
+
 def dense_pair(a, b):
     """Top blocks (A, B) as n x n matrices, given either so or as diagonals."""
     if np.ndim(a) == 1:

@@ -1,5 +1,6 @@
 """Stochastic-gradient adaptive filtering against closed-form moments."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,27 @@ class TestModelConstruction:
         # Drawing the reference a^H xi, or the misalignment, overflowed.
         with pytest.raises(ValueError, match="Wiener solution and its output power must be finite"):
             SignalModel.from_reference(np.diag(r_diag), a_ref)
+
+    @pytest.mark.parametrize("n", [np.float64(2.0), "2"])
+    def test_filter_length_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            SignalModel(n, np.eye(2), [1, 1j])
+
+    def test_numpy_integer_lengths_are_accepted(self):
+        model = SignalModel(np.int64(2), np.eye(2), [1, 1j], seed=3)
+        plain = SignalModel(2, np.eye(2), [1, 1j], seed=3)
+        assert model.n == 2
+        for got, want in zip(draw_signals(model, np.int32(5)), draw_signals(plain, 5)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("steps", [5.0, True, None])
+    def test_step_count_must_be_an_integer(self, steps):
+        model = SignalModel(2, np.eye(2), [1, 1j])
+        message = f"^steps must be an integer, got {re.escape(repr(steps))}$"
+        with pytest.raises(ValueError, match=message):
+            draw_signals(model, steps)
+        with pytest.raises(ValueError, match=message):
+            simulate(model, steps, step_size=0.1)
 
 
 class TestClosedForms:

@@ -36,7 +36,6 @@ from crcalc import (
     loss_pair,
     minimize,
     newton_quad,
-    newton_update_z,
     polynomial_field,
     real_hessian,
     stationarity_residual,
@@ -52,7 +51,9 @@ from ._oracles import (
     random_poly_vector_field,
     random_quadratic_loss,
     reference_minimize,
+    schur_newton_update,
 )
+from .test_lsq import nonlinear_problems
 
 RNG = np.random.default_rng
 
@@ -128,7 +129,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(armijo_beta=1.0)
 
-    @pytest.mark.parametrize("max_iters", [2.5, 3.0, float("inf"), float("nan"), "3"])
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, float("inf"), float("nan"), "3", True])
     def test_max_iters_must_be_an_integer(self, max_iters):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             OptimizerConfig(max_iters=max_iters)
@@ -615,6 +616,13 @@ class TestDiagonalScaling:
 
 
 class TestNewtonUpdate:
+    """The library's one Newton solve against the paper's z-only Schur-complement form."""
+
+    @staticmethod
+    def newton_step(quad, pair):
+        z = np.zeros(quad.n, dtype=complex)
+        return optim._descent_step(z, pair, (quad.hzz, quad.hzbz), "newton")[0]
+
     def test_matches_full_block_solve(self):
         rng = RNG(103)
         for _ in range(10):
@@ -625,7 +633,8 @@ class TestNewtonUpdate:
             hc = assemble(quad).hc_complex
             rhs = np.concatenate([np.conj(dz), dz])
             expected = -np.linalg.solve(hc, rhs)[:n]
-            np.testing.assert_allclose(newton_update_z(quad, pair), expected, atol=1e-10)
+            np.testing.assert_allclose(schur_newton_update(quad, pair), expected, atol=1e-10)
+            np.testing.assert_allclose(self.newton_step(quad, pair), schur_newton_update(quad, pair), atol=1e-10)
 
     def test_uncoupled_blocks_reduce_to_plain_solve(self):
         n = 2
@@ -633,9 +642,30 @@ class TestNewtonUpdate:
         quad = HessianQuad(p, np.zeros((n, n)))
         dz = np.array([1.0 + 1.0j, -2.0 + 0.5j])
         pair = WirtingerPair(dz, np.conj(dz))
-        np.testing.assert_allclose(
-            newton_update_z(quad, pair), -np.linalg.solve(p, np.conj(dz)), atol=1e-12
-        )
+        expected = schur_newton_update(quad, pair)
+        np.testing.assert_allclose(expected, -np.linalg.solve(p, np.conj(dz)), atol=1e-12)
+        np.testing.assert_allclose(self.newton_step(quad, pair), expected, atol=1e-12)
+
+
+class TestLeastSquaresScaling:
+    """A least-squares problem's Newton scalings, read from ``newton_quad``, have the bits of its loss field's."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(nonlinear_problems(), st.sampled_from(("newton", "quasi_newton")), st.sampled_from((0.0, 0.5)))
+    def test_newton_scaling_is_the_loss_field_curvature(self, draw, kind, damping):
+        # The loss field is a plain field, so its scaling goes through
+        # hessian_quad and its symmetry gate; the problem's comes from lsq.
+        problem, z = draw
+        field = loss_field(problem)
+        quad = hessian_quad(field, z)
+        assert quad.presym_residual == 0.0
+        strategy = QStrategy(kind, damping)
+        got = optim._scaling(problem, z, strategy)
+        for value, want in zip(got, optim._scaling(field, z, strategy)):
+            assert_same_bits(value, want)
+        if (kind, damping) == ("newton", 0.0):
+            assert_same_bits(got[0], quad.hzz)
+            assert_same_bits(got[1], quad.hzbz)
 
 
 class TestMinimize:

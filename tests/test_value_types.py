@@ -151,6 +151,8 @@ BAD_INPUTS = [
      "coefficient vectors must share a positive length"),
     (lambda: PolynomialParams([1.0], [0.0], [0.0], np.nan), ValueError,
      "polynomial coefficients must be finite"),
+    (lambda: SignalModel(2.0, np.eye(2), [1, 1j]), ValueError, "n must be an integer, got 2.0"),
+    (lambda: SignalModel(True, np.eye(1), [1]), ValueError, "n must be an integer, got True"),
     (lambda: SignalModel(2, np.eye(3), np.zeros(2)), DimensionError,
      "covariance has shape (3, 3), expected (2, 2)"),
     (lambda: SignalModel(2, np.eye(2), np.zeros(3)), DimensionError,

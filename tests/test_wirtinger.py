@@ -1,5 +1,7 @@
 """First derivative rows, holomorphy probes, and field algebra."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -439,6 +441,17 @@ class TestValidation:
         field = VectorField(2, lambda z: z, name="wrong length")
         with pytest.raises(ValueError):
             field(np.array([1.0 + 0j]))
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "2"])
+    def test_vector_field_length_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {re.escape(repr(m))}$"):
+            VectorField(m, lambda z: z)
+
+    @pytest.mark.parametrize("m", [2, np.int64(2), np.uint8(2)])
+    def test_vector_field_takes_python_and_numpy_integers(self, m):
+        field = VectorField(m, lambda z: z)
+        assert field.m == 2 and type(field.m) is int
+        np.testing.assert_array_equal(field(np.array([1.0 + 0j, 2j])), [1.0, 2j])
 
     def test_pair_shapes_validated(self):
         with pytest.raises(ValueError):
