@@ -179,6 +179,11 @@ class _Section:
             raise ConfigError(f"{self.name}: unknown key(s) {', '.join(unknown)}")
 
 
+def _seed(section: _Section, override: int | None) -> int:
+    seed = section.get("seed", _parse_int, 0)
+    return seed if override is None else override
+
+
 @dataclass(frozen=True)
 class ExampleSettings:
     alpha: complex
@@ -266,7 +271,7 @@ def build_run_config(
             z_true=problem.get("z_true", _parse_complex, complex(2, -1)),
             noise_var=problem.get("noise_var", _parse_real, 0.05),
             n_samples=problem.get("n_samples", _parse_int, 200),
-            seed=problem.get("seed", _parse_int, 0),
+            seed=_seed(problem, seed_override),
             z0=problem.get("z0", _parse_complex, complex(0, 0)),
         )
         if example.noise_var < 0:
@@ -310,7 +315,7 @@ def build_run_config(
             step_size=lms_sec.get("step_size", _parse_real, 0.05),
             decay=lms_sec.get("decay", _parse_bool, False),
             noise_var=lms_sec.get("noise_var", _parse_real, 0.0),
-            seed=lms_sec.get("seed", _parse_int, 0),
+            seed=_seed(lms_sec, seed_override),
             a_ref=lms_sec.get("a_ref", _parse_complex_list, default_ref),
             r_diag=lms_sec.get("r_diag", _parse_real_list, np.ones(n)),
         )
@@ -358,12 +363,6 @@ def build_run_config(
     out_path = output.get("path", _parse_str, None)
     quiet_cfg = output.get("quiet", _parse_bool, False)
     output.finish()
-
-    if seed_override is not None:
-        if example is not None:
-            example = ExampleSettings(**{**example.__dict__, "seed": seed_override})
-        if lms_settings is not None:
-            lms_settings = LmsSettings(**{**lms_settings.__dict__, "seed": seed_override})
 
     return RunConfig(
         problem_name=name,

@@ -43,6 +43,16 @@ def as_complex_vector(value) -> np.ndarray:
     return arr
 
 
+def _number(value, name: str, real: bool = False, sign: str = ""):
+    """``value`` if it is a count, or with ``real`` a finite real, of the ``sign`` given if any."""
+    kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
+    if isinstance(value, bool) or not isinstance(value, kinds) or real and not -np.inf < value < np.inf:
+        raise ValueError(f"{name} must be {'a finite real number' if real else 'an integer'}, got {value!r}")
+    if sign and not (value > 0 if sign == "positive" else value >= 0):
+        raise ValueError(f"{name} must be {sign}")
+    return value
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.setflags(write=False)
@@ -159,7 +169,7 @@ class StructureMatrices:
     """
 
     def __init__(self, n: int):
-        if n < 1:
+        if _number(n, "n") < 1:
             raise DimensionError("dimension must be positive")
         eye = np.eye(n)
         zero = np.zeros((n, n))
@@ -305,7 +315,7 @@ class MetricTensor:
 
     @classmethod
     def identity(cls, n: int) -> "MetricTensor":
-        return cls(np.eye(n))
+        return cls(np.eye(_number(n, "n", sign="positive")))
 
     @property
     def n(self) -> int:
@@ -384,7 +394,7 @@ def verify_transform_laws(a_matrix, p, metric: MetricTensor | None = None, seed:
 
     omega_xi = a_inv.conj().T @ omega @ a_inv
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_number(seed, "seed", sign="nonnegative"))
     probes = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
     rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import DimensionError, _hpd_cholesky, as_complex_vector
+from .coords import DimensionError, _hpd_cholesky, _number, as_complex_vector
 from .errors import Diverged, SingularMatrix
 
 #: Estimate norm beyond which a run is declared divergent.
@@ -61,15 +61,16 @@ class SignalModel:
     __slots__ = ("n", "r_matrix", "p", "noise_var", "seed", "_chol", "_wiener")
 
     def __init__(self, n: int, r_matrix, p, noise_var: float = 0.0, seed: int = 0):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"n must be an integer, got {n!r}")
+        _number(n, "n")
         r = np.asarray(r_matrix, dtype=complex)
         p = np.atleast_1d(np.asarray(p, dtype=complex))
         if r.shape != (n, n):
             raise DimensionError(f"covariance has shape {r.shape}, expected ({n}, {n})")
         if p.shape != (n,):
             raise DimensionError(f"cross moment has shape {p.shape}, expected ({n},)")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p)) and np.isfinite(noise_var)):
+        # A NaN or infinite noise_var shares this message; its type is checked with its sign.
+        bad_noise = noise_var != noise_var or noise_var in (np.inf, -np.inf)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))) or bad_noise:
             raise ValueError("covariance, cross moment and noise_var must be finite")
         chol = _hpd_cholesky(r, "covariance")
         # Past the float range no reference eta = a^H xi + noise, a the
@@ -79,10 +80,9 @@ class SignalModel:
             sizes = [np.vdot(wiener, wiener).real, np.vdot(p, wiener).real]
         if not np.all(np.isfinite(sizes)):
             raise ValueError("the Wiener solution and its output power must be finite")
-        if not noise_var >= 0.0:
-            raise ValueError("noise_var must be nonnegative")
-        self.n, self.r_matrix, self.p, self.noise_var, self.seed = n, r, p, noise_var, seed
-        self._chol, self._wiener = chol, wiener
+        _number(noise_var, "noise_var", real=True, sign="nonnegative")
+        self.n, self.r_matrix, self.p, self.noise_var = n, r, p, noise_var
+        self.seed, self._chol, self._wiener = _number(seed, "seed", sign="nonnegative"), chol, wiener
 
     @classmethod
     def from_reference(cls, r_matrix, a_ref, noise_var: float = 0.0, seed: int = 0) -> "SignalModel":
@@ -153,10 +153,7 @@ def draw_signals(model: SignalModel, steps: int, a_ref=None) -> tuple[np.ndarray
     xi : ndarray, shape (steps, n)
     eta : ndarray, shape (steps,)
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _number(steps, "steps", sign="nonnegative")
     a = model._wiener if a_ref is None else as_complex_vector(a_ref)
     if a.shape != (model.n,):
         raise DimensionError("reference filter length differs from the model")
@@ -283,8 +280,7 @@ def simulate(
         If the estimate norm passes 1e9 or is not finite; the partial
         result rides on the exception.
     """
-    if not step_size > 0.0:
-        raise ValueError("step_size must be positive")
+    _number(step_size, "step_size", real=True, sign="positive")
     xi, eta = draw_signals(model, steps, a_ref=a_ref)
     target = wiener_solution(model)
     a = np.zeros(model.n, dtype=complex) if a0 is None else as_complex_vector(a0)

@@ -270,7 +270,9 @@ def gauss_newton_quad(problem: LsqProblem, p) -> HessianQuad:
     every admissible variation even though the raw matrix itself is not
     admissible.
     """
-    return HessianQuad(*_hermitized(*_gauss_newton_blocks(problem, problem._point(p))))
+    # Blocks past the float range come back non-finite, for the step's gate to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return HessianQuad(*_hermitized(*_gauss_newton_blocks(problem, problem._point(p))))
 
 
 def newton_quad(problem: LsqProblem, p) -> HessianQuad:
@@ -311,10 +313,11 @@ def newton_quad(problem: LsqProblem, p) -> HessianQuad:
                 )
         return rows
 
-    jz, jzbar = _fd_blocks(weighted_rows, point.z, FD_SECOND_STEP, 2 * n)
-    gauss_a, gauss_b = _gauss_newton_blocks(problem, point)
-    corr_a, corr_b = _projected_blocks(np.concatenate([jz, jzbar], axis=1), n)
-    return HessianQuad(*_hermitized(gauss_a - corr_a, gauss_b - corr_b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        jz, jzbar = _fd_blocks(weighted_rows, point.z, FD_SECOND_STEP, 2 * n)
+        gauss_a, gauss_b = _gauss_newton_blocks(problem, point)
+        corr_a, corr_b = _projected_blocks(np.concatenate([jz, jzbar], axis=1), n)
+        return HessianQuad(*_hermitized(gauss_a - corr_a, gauss_b - corr_b))
 
 
 def loss_field(problem: LsqProblem, name: str | None = None) -> ScalarField:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import _COND_LIMIT, as_complex_vector
+from .coords import _COND_LIMIT, _number, as_complex_vector
 from .errors import (
     ConfigError,
     DimensionError,
@@ -94,8 +94,7 @@ class QStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"kind must be one of {STRATEGY_KINDS}, got {self.kind!r}")
-        if not self.damping >= 0.0:
-            raise ValueError("damping must be nonnegative")
+        _number(self.damping, "damping", real=True, sign="nonnegative")
 
 
 @dataclass(frozen=True)
@@ -116,20 +115,16 @@ class OptimizerConfig:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.step_size is not None and not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
+        if self.step_size is not None:
+            _number(self.step_size, "step_size", real=True, sign="positive")
+        if _number(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.grad_tol >= 0.0:
-            raise ValueError("grad_tol must be nonnegative")
+        _number(self.grad_tol, "grad_tol", real=True, sign="nonnegative")
         if self.backtracking not in ("off", "armijo"):
             raise ValueError("backtracking must be 'off' or 'armijo'")
-        if not 0.0 < self.armijo_beta < 1.0:
-            raise ValueError("armijo_beta must lie in (0, 1)")
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise ValueError("armijo_c1 must lie in (0, 1)")
+        for name in ("armijo_beta", "armijo_c1"):
+            if not 0.0 < _number(getattr(self, name), name, real=True) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coords import DimensionError, as_complex_vector
+from .coords import DimensionError, _number, as_complex_vector
 from .errors import Unidentifiable
 from .hessian import HessianQuad
 from .lsq import LsqProblem
@@ -79,11 +79,9 @@ class Example1Problem:
         seed: int = 0,
     ) -> "Example1Problem":
         """Draw samples y = alpha z + beta conj(z) + circular noise."""
-        if n_samples < 1:
-            raise ValueError("n_samples must be positive")
-        if not noise_var >= 0.0:
-            raise ValueError("noise_var must be nonnegative")
-        rng = np.random.default_rng(seed)
+        _number(n_samples, "n_samples", sign="positive")
+        _number(noise_var, "noise_var", real=True, sign="nonnegative")
+        rng = np.random.default_rng(_number(seed, "seed", sign="nonnegative"))
         # A clean sample past the float range is rejected as not finite.
         with np.errstate(over="ignore", invalid="ignore"):
             clean = complex(alpha) * complex(z_true) + complex(beta) * np.conj(complex(z_true))

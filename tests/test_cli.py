@@ -125,6 +125,14 @@ class TestConfigParsing:
         assert cfg.example.seed == 42
         assert cfg.lms.seed == 42
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("optimize", {"problem": {"seed": "3"}}), ("lms", {"lms": {"seed": 1.5}})],
+    )
+    def test_configured_seed_is_checked_under_an_override(self, tmp_path, capsys, command, payload):
+        assert main([command, "--config", write_config(tmp_path, payload), "--seed", "3"]) == 1
+        assert "seed: expected an integer" in capsys.readouterr().err
+
     def test_json_errors_carry_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"problem": }')

@@ -17,10 +17,12 @@ from crcalc import (
     NonFiniteEvaluation,
     OptimizerConfig,
     QStrategy,
+    SingularQ,
     VectorField,
     cogradients,
     cogradients_fd,
     complex_from_real,
+    descent_step,
     example2_as_lsq,
     gauss_newton_quad,
     hessian_quad,
@@ -384,6 +386,16 @@ class TestNewton:
             g = VectorField(m, problem.g.fn, jacobian_fn=counted, name="counted model")
             newton_quad(LsqProblem(g, problem.y, problem.w), random_complex_vector(rng, n, scale=0.3))
             assert len(calls) == 4 * n + 1
+
+    @pytest.mark.parametrize("kind", ["newton", "gauss_newton"])
+    def test_overflowing_curvature_is_a_typed_error_without_warnings(self, kind):
+        # The residual is exactly zero at z = 0.5, so the loss row and the
+        # probe rows stay finite while G^H G = 1e320 overflows.  A numpy
+        # warning would be raised first, under the suite's warning filter.
+        g = VectorField(1, lambda z: 1e160 * z, jacobian_fn=lambda z: JacobianPair([[1e160]], [[0.0]]))
+        problem = LsqProblem(g, [1e160 * 0.5])
+        with pytest.raises(SingularQ, match=f"^{kind} scaling is not finite$"):
+            descent_step(problem, np.array([0.5 + 0j]), QStrategy(kind))
 
 
 class TestCurvatureBlockProperties:

@@ -10,27 +10,43 @@ so a call written against either keeps working.  ``_Weight`` replaced a
 import ast
 import inspect
 import re
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crcalc
 from crcalc import (
     ComplexPoint,
     ConjugateCoordinates,
+    CrcalcError,
     DimensionError,
     Example1Problem,
     HessianQuad,
     InadmissibleVector,
     JacobianPair,
     MetricTensor,
+    OptimizerConfig,
     PolynomialParams,
+    QStrategy,
     RealCoordinates,
+    ScalarField,
     SignalModel,
+    StructureMatrices,
+    VectorField,
     WirtingerPair,
+    cogradients_fd,
+    draw_signals,
+    is_holomorphic,
+    simulate,
+    verify_transform_laws,
 )
 from crcalc.lsq import _Weight
+
+PACKAGE = Path(crcalc.__file__).parent
 
 POS = inspect.Parameter.POSITIONAL_OR_KEYWORD
 KW = inspect.Parameter.KEYWORD_ONLY
@@ -210,11 +226,25 @@ def test_undeclared_attribute_is_refused(cls):
 
 
 def _workarounds(tree: ast.AST):
-    """Lines with object.__setattr__ or a getattr of a private name given as a string."""
+    """Lines with object.__setattr__, a getattr of a private name given as a string, or isinstance(..., bool).
+
+    The bool test is the count and real decision, which belongs to
+    ``coords._number`` alone; its body is not scanned for it.
+    """
+    helper = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_number"]
+    inside = {id(node) for fn in helper for node in ast.walk(fn)}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         fn = node.func
+        if (
+            isinstance(fn, ast.Name)
+            and fn.id == "isinstance"
+            and len(node.args) == 2
+            and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            and id(node) not in inside
+        ):
+            yield node.lineno, "isinstance(..., bool)"
         if (
             isinstance(fn, ast.Attribute)
             and fn.attr == "__setattr__"
@@ -234,16 +264,123 @@ def _workarounds(tree: ast.AST):
 
 
 def test_scan_finds_the_workarounds():
-    src = 'object.__setattr__(self, "x", 1)\ny = getattr(model, "_wiener")\nz = getattr(m, "n")\n'
-    assert [line for line, _ in _workarounds(ast.parse(src))] == [1, 2]
+    src = (
+        'object.__setattr__(self, "x", 1)\ny = getattr(model, "_wiener")\nz = getattr(m, "n")\n'
+        "ok = isinstance(n, bool)\nok = not isinstance(n, (int, bool))\nok = isinstance(n, int)\n"
+        "def _number(value):\n    return isinstance(value, bool)\n"
+    )
+    assert [line for line, _ in _workarounds(ast.parse(src))] == [1, 2, 4, 5]
 
 
 def test_package_has_no_setattr_or_private_getattr_workarounds():
     sources = sorted(Path(crcalc.__file__).parent.glob("*.py"))
     assert sources
+    # The CLI's JSON parsers decide what a config value is on their own.
     found = [
         f"{path.name}:{line}: {what}"
         for path in sources
         for line, what in _workarounds(ast.parse(path.read_text(), filename=str(path)))
+        if not (path.name == "cli.py" and what == "isinstance(..., bool)")
     ]
     assert found == []
+
+
+_MODEL = SignalModel(2, np.eye(2), [1, 1j])
+_LINEAR = ScalarField(lambda z: float(np.real(z[0])), name="linear")
+_SQUARE = VectorField(1, lambda z: z**2, name="square")
+
+#: Every count and real parameter of the library boundary: its name,
+#: what it takes, a call taking its value, and values it accepts.
+BOUNDARY = [
+    ("damping", "real", lambda v: QStrategy("newton", v), [0, 0.5]),
+    ("step_size", "real or None", lambda v: OptimizerConfig(step_size=v), [1, 0.5]),
+    ("max_iters", "count", lambda v: OptimizerConfig(max_iters=v), [3]),
+    ("grad_tol", "real", lambda v: OptimizerConfig(grad_tol=v), [0, 1e-6]),
+    ("armijo_beta", "real", lambda v: OptimizerConfig(armijo_beta=v), [0.5]),
+    ("armijo_c1", "real", lambda v: OptimizerConfig(armijo_c1=v), [1e-4]),
+    ("noise_var", "real", lambda v: Example1Problem.synthesize(1, 0.5j, 2 - 1j, noise_var=v, n_samples=5), [1, 0.25]),
+    ("n_samples", "count", lambda v: Example1Problem.synthesize(1, 0.5j, 2 - 1j, n_samples=v), [5]),
+    ("seed", "count", lambda v: Example1Problem.synthesize(1, 0.5j, 2 - 1j, n_samples=5, seed=v), [7]),
+    ("n", "count", lambda v: SignalModel(v, np.eye(2), [1, 1j]), [2]),
+    ("noise_var", "real", lambda v: SignalModel.white([1, 1j], noise_var=v), [1, 0.25]),
+    ("seed", "count", lambda v: SignalModel(2, np.eye(2), [1, 1j], seed=v), [7]),
+    ("steps", "count", lambda v: draw_signals(_MODEL, v), [5]),
+    ("step_size", "real", lambda v: simulate(_MODEL, 10, v), [0.1]),
+    ("m", "count", lambda v: VectorField(v, lambda z: z), [2]),
+    ("n", "count", lambda v: StructureMatrices(v), [2]),
+    ("n", "count", lambda v: MetricTensor.identity(v), [2]),
+    ("step", "real or None", lambda v: cogradients_fd(_LINEAR, [1.0], step=v), [1, 1e-3]),
+    ("samples", "count", lambda v: is_holomorphic(_SQUARE, center=[0.0], samples=v), [2]),
+    ("seed", "count", lambda v: is_holomorphic(_SQUARE, center=[0.0], samples=2, seed=v), [7]),
+    ("seed", "count", lambda v: verify_transform_laws(np.eye(1), [1.0], seed=v), [7]),
+]
+BOUNDARY_IDS = [f"{i}-{name}" for i, (name, *_) in enumerate(BOUNDARY)]
+
+ODD_VALUES = st.one_of(
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.complex_numbers(),
+    st.floats().map(np.array),
+    st.integers(-3, 6),
+    st.integers(-3, 6).map(np.array),
+    st.sampled_from([np.int64(3), np.uint8(2), np.float64(0.5), np.float32(-0.25), np.bool_(True)]),
+)
+
+
+def _takes(kind, value):
+    """Whether ``value`` is of the kind a parameter takes: a count, a finite real, or None too."""
+    if value is None:
+        return kind == "real or None"
+    real = kind != "count"
+    kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
+    return not isinstance(value, bool) and isinstance(value, kinds) and (not real or np.isfinite(value))
+
+
+@pytest.mark.parametrize("name, kind, call, accepted", BOUNDARY, ids=BOUNDARY_IDS)
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(value=ODD_VALUES)
+def test_boundary_gives_a_result_or_an_error_naming_the_parameter(name, kind, call, accepted, value):
+    if not _takes(kind, value):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call(value)
+        return
+    # A value of the right kind may still be out of range, or overflow
+    # later: the package says so itself, never numpy or Python for it.
+    try:
+        call(value)
+    except (ValueError, CrcalcError) as exc:
+        assert Path(traceback.extract_tb(exc.__traceback__)[-1].filename).parent == PACKAGE, repr(exc)
+
+
+@pytest.mark.parametrize("name, kind, call, accepted", BOUNDARY, ids=BOUNDARY_IDS)
+def test_python_and_numpy_numbers_are_accepted(name, kind, call, accepted):
+    numpy_types = (np.int64, np.int32, np.uint8) if kind == "count" else (np.float64, np.float32)
+    for value in accepted:
+        for convert in (lambda v: v, *numpy_types):
+            call(convert(value))
+
+
+#: Values the boundary now refuses that it took, or let fail inside numpy, before.
+BOUNDARY_CHANGES = [
+    (lambda: QStrategy(damping=np.inf), "damping must be a finite real number, got inf"),
+    (lambda: OptimizerConfig(step_size=np.inf), "step_size must be a finite real number, got inf"),
+    (lambda: OptimizerConfig(grad_tol=np.inf), "grad_tol must be a finite real number, got inf"),
+    (lambda: simulate(_MODEL, 10, np.inf), "step_size must be a finite real number, got inf"),
+    (lambda: OptimizerConfig(step_size=True), "step_size must be a finite real number, got True"),
+    (lambda: QStrategy(damping=np.array(0.5)), "damping must be a finite real number, got array(0.5)"),
+    (lambda: Example1Problem.synthesize(1, 0, 1, n_samples=np.array(5)), "n_samples must be an integer, got array(5)"),
+    (lambda: StructureMatrices(np.array(2)), "n must be an integer, got array(2)"),
+    (lambda: Example1Problem.synthesize(1, 0, 1, seed=None), "seed must be an integer, got None"),
+    (lambda: SignalModel(2, np.eye(2), [1, 1j], seed=-1), "seed must be nonnegative"),
+    (lambda: MetricTensor.identity(0), "n must be positive"),
+    (lambda: cogradients_fd(_LINEAR, [1.0], step="1"), "step must be a finite real number, got '1'"),
+    (lambda: is_holomorphic(_SQUARE, center=[0.0], samples=-1), "samples must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("call, message", BOUNDARY_CHANGES, ids=[message for _, message in BOUNDARY_CHANGES])
+def test_boundary_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
