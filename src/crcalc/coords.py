@@ -62,11 +62,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _hpd_cholesky(m: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of a Hermitian positive definite matrix.
 
-    Every entry must be finite, and the Hermitian residual must not
-    exceed 1e-10 relative to the largest entry (at least 1); ``what``
-    names the matrix in the ValueError raised otherwise, or when the
-    factorization fails.
+    The matrix must be non-empty, every entry finite, and the Hermitian
+    residual must not exceed 1e-10 relative to the largest entry (at
+    least 1); ``what`` names the matrix in the ValueError raised
+    otherwise, or when the factorization fails.
     """
+    if m.size == 0:
+        raise ValueError(f"{what} must not be empty")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} must be finite")
     scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
@@ -296,7 +298,7 @@ def from_conjugate(c, tol: float = ADMISSIBLE_TOL) -> ComplexPoint:
 
 
 class MetricTensor:
-    """Hermitian positive definite inner-product matrix on C^n.
+    """Hermitian positive definite inner-product matrix on C^n, n >= 1.
 
     Every entry must be finite and the matrix Hermitian to 1e-10
     (relative); definiteness is established once at construction by

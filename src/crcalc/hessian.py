@@ -32,6 +32,9 @@ from .wirtinger import ScalarField, VectorField, cogradients, cogradients_fd
 #: Relative step for differencing first-derivative rows a second time.
 FD_SECOND_STEP = float(np.finfo(float).eps) ** 0.25
 
+#: Relative step for forward-differencing a row whose centre value is exact to rounding.
+FD_FORWARD_STEP = float(np.finfo(float).eps) ** 0.5
+
 #: Pre-symmetrization residual allowance for blocks differenced from a row.
 SYM_TOL_FD = 1e-4
 
@@ -227,6 +230,9 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
       df/dconj = conj(df/dz), so C = conj(B) and D = conj(A) need no
       second differencing.  The two differencing orders disagree by
       O(h^2), and the blocks are symmetrized with the 1e-4 allowance.
+      The stencil stays central: a field cannot say whether its row is
+      analytic or itself differenced, and a forward stencil amplifies
+      the noise of a differenced row past that allowance.
     - A field with values only has its real Hessian H in r = (x, y)
       differenced from 4n^2 + 2n + 1 field calls (3-point stencil on the
       diagonal, seven-point mixed stencil off it, same step).  H is

@@ -41,7 +41,7 @@ class SignalModel:
     Parameters
     ----------
     n : int
-        Filter length; a bool or any other non-integer raises ValueError.
+        Filter length, positive; a bool or any other non-integer raises ValueError.
     r_matrix : ndarray
         Input covariance E{xi xi^H}, Hermitian positive definite.
     p : ndarray
@@ -61,7 +61,7 @@ class SignalModel:
     __slots__ = ("n", "r_matrix", "p", "noise_var", "seed", "_chol", "_wiener")
 
     def __init__(self, n: int, r_matrix, p, noise_var: float = 0.0, seed: int = 0):
-        _number(n, "n")
+        _number(n, "n", sign="positive")
         r = np.asarray(r_matrix, dtype=complex)
         p = np.atleast_1d(np.asarray(p, dtype=complex))
         if r.shape != (n, n):

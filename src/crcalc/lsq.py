@@ -35,11 +35,12 @@ The model is evaluated once per point.  A problem keeps one record, of
 the last point it was asked about: a read-only copy of the point, keyed
 by its bytes, with e and G each formed on first need.  So the loss, the
 derivative row and a curvature at one point cost one model call and one
-jacobian between them, and the Newton correction adds its 4n probe
-jacobians.  An Armijo trial forms only e and its loss, and the row at
-an accepted trial reuses that e.  The record's arrays and ``y`` are
-the problem's own and read-only, so no caller's write can make the
-record stale; :func:`residual` returns a writable copy of e.
+jacobian between them.  The Newton correction adds its probe jacobians:
+2n forward probes with an analytic model jacobian, 4n central probes
+with a differenced one.  An Armijo trial forms only e and its loss, and
+the row at an accepted trial reuses that e.  The record's arrays and
+``y`` are the problem's own and read-only, so no caller's write can
+make the record stale; :func:`residual` returns a writable copy of e.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .coords import DimensionError, _hpd_cholesky, as_complex_vector, swap
 from .errors import NonFiniteEvaluation
-from .hessian import FD_SECOND_STEP, HessianQuad
+from .hessian import FD_FORWARD_STEP, FD_SECOND_STEP, HessianQuad
 from .wirtinger import ScalarField, VectorField, WirtingerPair, _fd_blocks, cogradients
 
 
@@ -237,8 +238,10 @@ def loss_pair(problem: LsqProblem, p) -> WirtingerPair:
     and the gradient stack is ``conj`` of the row.
     """
     point = problem._point(p)
-    b = -(point.gmat.conj().T @ problem._weight.apply(point.e))
-    row = np.conj(0.5 * (b + swap(np.conj(b))))
+    # A row past the float range comes back non-finite, for cogradients' gate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = -(point.gmat.conj().T @ problem._weight.apply(point.e))
+        row = np.conj(0.5 * (b + swap(np.conj(b))))
     n = row.shape[0] // 2
     return WirtingerPair(row[:n], row[n:])
 
@@ -280,41 +283,57 @@ def newton_quad(problem: LsqProblem, p) -> HessianQuad:
 
     The second-order term sum_i (W e)_i d conj(G_i) is linear in the
     residual components, so with ``we = W e`` held fixed at the point a
-    single weighted row ``we @ conj(G(w))`` is differenced once
-    (relative step eps**(1/4)), and the top blocks of its admissible
-    projection are subtracted from the Gauss-Newton blocks.  Models with
-    analytic jacobians that are linear in (z, conj(z)) get exactly zero
-    correction.  A is then Hermitized and B symmetrized, so the block
-    invariants hold exactly.
+    single weighted row ``we @ conj(G(w))`` is differenced once, and the
+    top blocks of its admissible projection are subtracted from the
+    Gauss-Newton blocks.  A is then Hermitized and B symmetrized, so the
+    block invariants hold exactly.
+
+    With an analytic model jacobian the record's G is exact to rounding,
+    so the row at the point itself is formed from it and the row is
+    forward-differenced against it: 2n probe jacobians, relative step
+    eps**(1/2).  A differenced G carries differencing noise that a
+    forward stencil would amplify, so a model without a ``jacobian_fn``
+    keeps the central stencil: 4n probe jacobians, relative step
+    eps**(1/4).  Both errors are O(1e-8).  An analytic model linear in
+    (z, conj(z)) gets exactly zero correction, since each probe row is
+    formed by the same operations as the row at the point.
 
     e and G come from the point's record, shared with :func:`loss` and
-    :func:`loss_pair`; the curvature adds the 4n probe jacobians of the
-    differenced row, each read through
-    :func:`~crcalc.wirtinger.cogradients` and so checked as any other.
+    :func:`loss_pair`; each probe jacobian is read through
+    :func:`~crcalc.wirtinger.cogradients` and so checked as any other,
+    and every weighted row, the one at the point included, must be
+    finite.
     """
     point = problem._point(p)
     g, n = problem.g, point.z.shape[0]
     we = problem._weight.apply(point.e)
+    buf = np.empty((g.m, 2 * n), dtype=complex)
+
+    def weighted_row(jz: np.ndarray, jzbar: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+        """we @ conj([jz, jzbar]) into ``out``, both blocks conjugated into the one buffer."""
+        np.conjugate(jz, out=buf[:, :n])
+        np.conjugate(jzbar, out=buf[:, n:])
+        np.matmul(we, buf, out=out)
+        if not np.isfinite(out).all():
+            raise NonFiniteEvaluation(
+                f"weighted conjugate jacobian row returned non-finite values at {w!r}"
+            )
 
     def weighted_rows(stack: np.ndarray) -> np.ndarray:
-        """we @ conj(G(w)) at each probe w, both blocks conjugated into one reused buffer."""
-        buf = np.empty((g.m, 2 * n), dtype=complex)
-        left, right = buf[:, :n], buf[:, n:]
+        """The weighted row at each probe; the first non-finite one raises before the next is evaluated."""
         rows = np.empty((stack.shape[0], 2 * n), dtype=complex)
         for w, row in zip(stack, rows):
             pair = cogradients(g, w)
-            np.conjugate(pair.jz, out=left)
-            np.conjugate(pair.jzbar, out=right)
-            np.matmul(we, buf, out=row)
-            # The first non-finite probe raises before any later one is evaluated.
-            if not np.isfinite(row).all():
-                raise NonFiniteEvaluation(
-                    f"weighted conjugate jacobian row returned non-finite values at {w!r}"
-                )
+            weighted_row(pair.jz, pair.jzbar, w, row)
         return rows
 
     with np.errstate(over="ignore", invalid="ignore"):
-        jz, jzbar = _fd_blocks(weighted_rows, point.z, FD_SECOND_STEP, 2 * n)
+        if g.jacobian_fn is None:
+            jz, jzbar = _fd_blocks(weighted_rows, point.z, FD_SECOND_STEP, 2 * n)
+        else:
+            centre = np.empty(2 * n, dtype=complex)
+            weighted_row(point.gmat[:, :n], point.gmat[:, n:], point.z, centre)
+            jz, jzbar = _fd_blocks(weighted_rows, point.z, FD_FORWARD_STEP, 2 * n, centre)
         gauss_a, gauss_b = _gauss_newton_blocks(problem, point)
         corr_a, corr_b = _projected_blocks(np.concatenate([jz, jzbar], axis=1), n)
         return HessianQuad(*_hermitized(gauss_a - corr_a, gauss_b - corr_b))

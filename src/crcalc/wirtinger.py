@@ -70,8 +70,9 @@ class WirtingerPair:
         return self.dz.shape[0]
 
     def conjugation_residual(self) -> float:
-        """Infinity-norm violation of dzbar = conj(dz)."""
-        return float(np.max(np.abs(np.conj(self.dz) - self.dzbar), initial=0.0))
+        """Infinity-norm violation of dzbar = conj(dz); NaN or inf where a row is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max(np.abs(np.conj(self.dz) - self.dzbar), initial=0.0))
 
 
 class JacobianPair:
@@ -215,14 +216,19 @@ class VectorField:
         return np.array([self(row) for row in stack])
 
 
-def _fd_blocks(evaluate: Callable[[np.ndarray], np.ndarray], z: np.ndarray, base: float, m: int):
-    """Central-difference jz and jzbar of a map with m outputs.
+def _fd_blocks(
+    evaluate: Callable[[np.ndarray], np.ndarray], z: np.ndarray, base: float, m: int, centre=None
+):
+    """Difference jz and jzbar of a map with m outputs.
 
-    Only the 4n probes are evaluated, never the centre point itself:
-    coordinate by coordinate, +x, -x, +y, -y.  They form one (4n, n)
-    stack in that order, which ``evaluate`` maps to (4n, m) values in
-    row order; a field's ``_evaluate_stack`` gives a batched field the
-    whole stack in one call and any other field one row at a time.
+    Without ``centre`` the stencil is central and the centre point is
+    never evaluated: 4n probes, coordinate by coordinate +x, -x, +y, -y.
+    Given ``centre``, the map's m values at z, it is forward: 2n probes,
+    +x, +y per coordinate, each differenced against ``centre``.  The
+    probes form one (kn, n) stack in that order, which ``evaluate`` maps
+    to (kn, m) values in row order; a field's ``_evaluate_stack`` gives a
+    batched field the whole stack in one call and any other field one
+    row at a time.
     """
     n = z.shape[0]
     # fmax, like the builtin max, keeps the base step for a NaN coordinate.
@@ -230,20 +236,30 @@ def _fd_blocks(evaluate: Callable[[np.ndarray], np.ndarray], z: np.ndarray, base
     hy = base * np.fmax(1.0, np.abs(z.imag))
     ex = np.diag(hx)
     ey = np.diag(1j * hy)
-    # Row 4i + s is side s of coordinate i.  z - ex is not z + (-ex) for a
+    # Row k i + s is side s of coordinate i.  z - ex is not z + (-ex) for a
     # signed zero, so each side keeps its own add or subtract.
-    stack = np.empty((n, 4, n), dtype=complex)
-    np.add(z, ex, out=stack[:, 0])
-    np.subtract(z, ex, out=stack[:, 1])
-    np.add(z, ey, out=stack[:, 2])
-    np.subtract(z, ey, out=stack[:, 3])
-    values = evaluate(stack.reshape(4 * n, n))
-    # (n, 4, m) in call order -> four C-ordered m x n blocks.
-    f = np.ascontiguousarray(values.reshape(n, 4, m).transpose(1, 2, 0))
+    if centre is None:
+        stack = np.empty((n, 4, n), dtype=complex)
+        np.add(z, ex, out=stack[:, 0])
+        np.subtract(z, ex, out=stack[:, 1])
+        np.add(z, ey, out=stack[:, 2])
+        np.subtract(z, ey, out=stack[:, 3])
+    else:
+        stack = np.empty((n, 2, n), dtype=complex)
+        np.add(z, ex, out=stack[:, 0])
+        np.add(z, ey, out=stack[:, 1])
+    k = stack.shape[1]
+    values = evaluate(stack.reshape(k * n, n))
+    # (n, k, m) in call order -> k C-ordered m x n blocks.
+    f = np.ascontiguousarray(values.reshape(n, k, m).transpose(1, 2, 0))
     # A difference past the float range comes back non-finite, for the caller's gates.
     with np.errstate(over="ignore", invalid="ignore"):
-        dfdx = (f[0] - f[1]) / (2.0 * hx)
-        dfdy = (f[2] - f[3]) / (2.0 * hy)
+        if centre is None:
+            dfdx = (f[0] - f[1]) / (2.0 * hx)
+            dfdy = (f[2] - f[3]) / (2.0 * hy)
+        else:
+            dfdx = (f[0] - centre[:, None]) / hx
+            dfdy = (f[1] - centre[:, None]) / hy
         return 0.5 * (dfdx - 1j * dfdy), 0.5 * (dfdx + 1j * dfdy)
 
 
@@ -278,7 +294,8 @@ def cogradients(field, p):
 
     For a :class:`ScalarField` the conjugate pairing dzbar = conj(dz) is
     checked and :class:`ConjugationMismatch` raised on failure, with the
-    tighter tolerance applied to analytic derivatives.  A
+    tighter tolerance applied to analytic derivatives; a non-finite
+    pairing residual raises :class:`NonFiniteEvaluation`.  A
     ``cogradient_fn`` that does not return a :class:`WirtingerPair`, or
     rows whose length differs from the point's, and a ``jacobian_fn``
     that does not return a :class:`JacobianPair`, or blocks that are not
@@ -302,6 +319,11 @@ def cogradients(field, p):
             tol = CONJ_TOL_FD
         scale = max(1.0, float(np.max(np.abs(pair.dz), initial=0.0)))
         resid = pair.conjugation_residual()
+        # A NaN residual would pass the tolerance test below.
+        if not math.isfinite(resid):
+            raise NonFiniteEvaluation(
+                f"{field.name}: derivative rows are not finite, conjugation residual {resid}"
+            )
         if resid > tol * scale:
             raise ConjugationMismatch(
                 f"{field.name}: derivative rows of a real field must be conjugate, "

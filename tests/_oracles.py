@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from crcalc.errors import Diverged, InadmissibleQ, NonFiniteEvaluation, SingularQ
-from crcalc.hessian import FD_SECOND_STEP, HessianQuad, real_hessian
+from crcalc.hessian import FD_FORWARD_STEP, FD_SECOND_STEP, HessianQuad, real_hessian
 from crcalc.lsq import LsqProblem, loss_field, residual
 from crcalc.optim import DEFAULT_STEP_SIZE, StepDiagnostics, descent_step
 from crcalc.wirtinger import (
@@ -278,13 +278,14 @@ def nested_fd_blocks(field: ScalarField, z: np.ndarray) -> tuple[np.ndarray, np.
     return 0.5 * (jac.jz + jac.jz.conj().T), 0.5 * (jac.jzbar + jac.jzbar.T)
 
 
-def per_coordinate_fd_blocks(call, z: np.ndarray, base: float, m: int):
-    """Central-difference jz and jzbar, one coordinate at a time.
+def per_coordinate_fd_blocks(call, z: np.ndarray, base: float, m: int, centre=None):
+    """Central-difference jz and jzbar, one coordinate at a time; forward given ``centre``.
 
-    The stencil the package's batched differencing must reproduce bit
+    The stencils the package's batched differencing must reproduce bit
     for bit: for each coordinate in turn, probe +x, -x, +y, -y with the
-    steps ``base * max(1, |coordinate|)``, and form the blocks column by
-    column from the two real partials.
+    steps ``base * max(1, |coordinate|)``, or, given the map's value
+    ``centre`` at z, probe +x, +y and difference each against it; then
+    form the blocks column by column from the two real partials.
     """
     n = z.shape[0]
     jz = np.empty((m, n), dtype=complex)
@@ -296,8 +297,12 @@ def per_coordinate_fd_blocks(call, z: np.ndarray, base: float, m: int):
         ex[i] = hx
         ey = np.zeros(n, dtype=complex)
         ey[i] = 1j * hy
-        dfdx = (call(z + ex) - call(z - ex)) / (2.0 * hx)
-        dfdy = (call(z + ey) - call(z - ey)) / (2.0 * hy)
+        if centre is None:
+            dfdx = (call(z + ex) - call(z - ex)) / (2.0 * hx)
+            dfdy = (call(z + ey) - call(z - ey)) / (2.0 * hy)
+        else:
+            dfdx = (call(z + ex) - centre) / hx
+            dfdy = (call(z + ey) - centre) / hy
         jz[:, i] = 0.5 * (dfdx - 1j * dfdy)
         jzbar[:, i] = 0.5 * (dfdx + 1j * dfdy)
     return jz, jzbar
@@ -332,9 +337,11 @@ def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     the dense swap S and Hermitize it for Gauss-Newton; for Newton,
     subtract the projection of the weighted row (W e) @ conj(G(w)),
     differenced once with W e held fixed, from the unhermitized
-    projection; Hermitize; project again.  The model jacobian and the
-    differencing are the package's own, so both sides start from the
-    same bits.
+    projection; Hermitize; project again.  The row is forward-differenced
+    against its value at z (step eps**(1/2)) when the model has an
+    analytic jacobian, and central-differenced (step eps**(1/4)) when it
+    does not.  The model jacobian is the package's own, so both sides
+    start from the same bits.
     """
     s = dense_s(z.shape[0])
 
@@ -345,8 +352,12 @@ def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     gauss = project(gmat.conj().T @ problem.w @ gmat)
     we = problem.w @ residual(problem, z)
     row = VectorField(2 * z.shape[0], lambda w: we @ np.conj(stacked_jacobian(problem, w)))
-    jac = cogradients_fd(row, z, step=FD_SECOND_STEP)
-    newton = gauss - project(np.hstack([jac.jz, jac.jzbar]))
+    if problem.g.jacobian_fn is None:
+        jac = cogradients_fd(row, z, step=FD_SECOND_STEP)
+        jz, jzbar = jac.jz, jac.jzbar
+    else:
+        jz, jzbar = per_coordinate_fd_blocks(row, z, FD_FORWARD_STEP, row.m, centre=row(z))
+    newton = gauss - project(np.hstack([jz, jzbar]))
     newton = 0.5 * (newton + newton.conj().T)
     return 0.5 * (gauss + gauss.conj().T), project(newton)
 

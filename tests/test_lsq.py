@@ -38,6 +38,7 @@ from crcalc import (
     swap,
 )
 from crcalc import coords, lsq
+from crcalc.hessian import FD_SECOND_STEP
 from ._oracles import (
     dense_j,
     dense_lsq_curvature,
@@ -304,10 +305,12 @@ class TestNewton:
         got = newton_quad(problem, z).dense()
         assert np.abs(got - expected).max() <= 1e-9
 
-    def test_matches_real_space_oracle_on_random_problems(self):
-        # Each draw is checked with the analytic model and with the same
-        # model differenced, which nests two differencing levels.  The
-        # last draw has many residual components.
+    @staticmethod
+    def oracle_draws():
+        """Random problems, each with a point and its real-space curvature oracle and scale.
+
+        The last draw has many residual components.
+        """
         rng = RNG(87)
         draws = []
         for _ in range(8):
@@ -316,16 +319,49 @@ class TestNewton:
             draws.append((random_problem(rng, n, m, scale=0.3), random_complex_vector(rng, n, scale=0.4)))
         draws.append((random_problem(rng, 2, 20, scale=0.3), random_complex_vector(rng, 2, scale=0.4)))
         for problem, z in draws:
-            n, m = z.shape[0], problem.m
-            hrr = real_fd_hessian(
-                lambda r: loss(problem, r[:n] + 1j * r[n:]), z_to_r(z)
-            )
+            n = z.shape[0]
+            hrr = real_fd_hessian(lambda r: loss(problem, r[:n] + 1j * r[n:]), z_to_r(z))
             oracle = complex_from_real(hrr)
-            scale = max(1.0, float(np.abs(oracle).max()))
-            plain = VectorField(m, problem.g.fn, name="differenced model")
+            yield problem, z, oracle, max(1.0, float(np.abs(oracle).max()))
+
+    def test_matches_real_space_oracle_on_random_problems(self):
+        # Each draw is checked with the analytic model and with the same
+        # model differenced, which nests two differencing levels.
+        for problem, z, oracle, scale in self.oracle_draws():
+            plain = VectorField(problem.m, problem.g.fn, name="differenced model")
             for model in (problem.g, plain):
                 hn = newton_quad(LsqProblem(model, problem.y, problem.w), z).dense()
                 assert np.abs(hn - oracle).max() <= 1e-4 * scale
+
+    def test_differenced_model_keeps_the_central_stencil(self, monkeypatch):
+        # A differenced G carries noise that a forward stencil amplifies:
+        # forward differencing measured 6.4e-4 * scale against the oracle
+        # on these draws, past the 1e-4 * scale bound that central holds.
+        # So the jacobians are the 4n central probes +x, -x, +y, -y per
+        # coordinate at relative step eps**(1/4), then G at z.
+        points = []
+
+        def recording(field, w):
+            points.append(np.array(w, dtype=complex))
+            return cogradients(field, w)
+
+        monkeypatch.setattr(lsq, "cogradients", recording)
+        for problem, z, oracle, scale in self.oracle_draws():
+            plain = VectorField(problem.m, problem.g.fn, name="differenced model")
+            points.clear()
+            hn = newton_quad(LsqProblem(plain, problem.y, problem.w), z).dense()
+            assert np.abs(hn - oracle).max() <= 1e-4 * scale
+            want = []
+            for i in range(z.shape[0]):
+                ex = np.zeros_like(z)
+                ex[i] = FD_SECOND_STEP * max(1.0, abs(z[i].real))
+                ey = np.zeros_like(z)
+                ey[i] = 1j * FD_SECOND_STEP * max(1.0, abs(z[i].imag))
+                want += [z + ex, z - ex, z + ey, z - ey]
+            want.append(z)
+            assert len(points) == 4 * z.shape[0] + 1
+            for got, expected in zip(points, want):
+                np.testing.assert_array_equal(got, expected)
 
     def test_result_is_hermitian_and_admissible(self):
         rng = RNG(88)
@@ -370,7 +406,7 @@ class TestNewton:
         np.testing.assert_allclose(quad.hzbz, hn[:2, 2:], atol=1e-12)
 
     def test_jacobian_evaluations_do_not_grow_with_m(self):
-        # One Gauss-Newton jacobian plus the 4n probes of one
+        # One Gauss-Newton jacobian plus the 2n forward probes of one
         # differenced weighted row, whatever the residual count.
         rng = RNG(92)
         n = 2
@@ -385,7 +421,7 @@ class TestNewton:
 
             g = VectorField(m, problem.g.fn, jacobian_fn=counted, name="counted model")
             newton_quad(LsqProblem(g, problem.y, problem.w), random_complex_vector(rng, n, scale=0.3))
-            assert len(calls) == 4 * n + 1
+            assert len(calls) == 2 * n + 1
 
     @pytest.mark.parametrize("kind", ["newton", "gauss_newton"])
     def test_overflowing_curvature_is_a_typed_error_without_warnings(self, kind):
@@ -396,6 +432,20 @@ class TestNewton:
         problem = LsqProblem(g, [1e160 * 0.5])
         with pytest.raises(SingularQ, match=f"^{kind} scaling is not finite$"):
             descent_step(problem, np.array([0.5 + 0j]), QStrategy(kind))
+
+
+    @pytest.mark.parametrize("kind", ["newton", "gauss_newton"])
+    def test_overflowing_derivative_row_is_a_typed_error_without_warnings(self, kind):
+        # G^H e = 1e160 * -5e159 overflows, so the row holds inf and NaN
+        # and its conjugation residual is NaN.
+        g = VectorField(1, lambda z: 1e160 * z, jacobian_fn=lambda z: JacobianPair([[1e160]], [[0.0]]))
+        problem = LsqProblem(g, [1.0])
+        z = np.array([0.5 + 0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.all(np.isfinite(loss_pair(problem, z).dz))
+            with pytest.raises(NonFiniteEvaluation, match="derivative rows are not finite"):
+                descent_step(problem, z, QStrategy(kind))
 
 
 class TestCurvatureBlockProperties:
@@ -518,8 +568,8 @@ class TestEvaluationRecord:
     def test_model_and_jacobian_calls_per_run(self, kind):
         # One model call per loss evaluation, at the start and at each
         # trial; one jacobian per iterate, shared by its derivative row
-        # and its curvature; and for Newton the 4n probe jacobians of the
-        # differenced weighted row.  Each step here is accepted at its
+        # and its curvature; and for Newton the 2n forward probe jacobians
+        # of the differenced weighted row.  Each step here is accepted at its
         # first trial.
         rng = RNG(2)
         n, m = 2, 8
@@ -530,12 +580,12 @@ class TestEvaluationRecord:
         problem = LsqProblem(counted_model(base, calls), y)
         result = minimize(problem, z_true + 0.1, QStrategy(kind), OptimizerConfig(grad_tol=1e-10))
         assert result.converged and result.iterations == 5
-        probes = 4 * n * result.iterations if kind == "newton" else 0
+        probes = 2 * n * result.iterations if kind == "newton" else 0
         assert calls == {"model": result.iterations + 1, "jacobian": result.iterations + 1 + probes}
 
     def test_cli_classification_reuses_the_final_record(self):
         # minimize ends on the derivative row at result.z, so the Newton
-        # curvature there needs only its 4n probe jacobians.
+        # curvature there needs only its 2n forward probe jacobians.
         rng = RNG(2)
         base = random_poly_vector_field(rng, 2, 8, scale=0.3)
         calls = {"model": 0, "jacobian": 0}
@@ -543,7 +593,7 @@ class TestEvaluationRecord:
         result = minimize(problem, random_complex_vector(rng, 2, 0.5), QStrategy("gauss_newton"))
         before = dict(calls)
         hessian_quad(loss_field(problem), result.z)
-        assert calls == {"model": before["model"], "jacobian": before["jacobian"] + 8}
+        assert calls == {"model": before["model"], "jacobian": before["jacobian"] + 4}
 
     def test_results_equal_a_fresh_problem_bit_for_bit(self):
         rng = RNG(7)
@@ -586,8 +636,9 @@ class TestEvaluationRecord:
         assert residual(problem, np.zeros(2))[0] == 1.0
 
     def test_non_finite_probe_jacobian_raises_at_that_probe(self):
-        # The +x probe of the second coordinate is the first non-finite
-        # one; no probe after it is evaluated.
+        # The jacobian at z, then the forward probes +x, +y of the first
+        # coordinate and +x of the second, the first non-finite one; no
+        # probe after it is evaluated.
         rng = RNG(3)
         base = random_poly_vector_field(rng, 2, 5)
         z = random_complex_vector(rng, 2, 0.5)
@@ -604,7 +655,32 @@ class TestEvaluationRecord:
         message = "weighted conjugate jacobian row returned non-finite values at"
         with pytest.raises(NonFiniteEvaluation, match=message):
             newton_quad(problem, z)
-        assert calls["jacobian"] == 5
+        assert calls["jacobian"] == 4
+
+
+    def test_non_finite_row_at_the_point_raises_before_any_probe(self):
+        # The weighted row at z is formed from the record's G and checked as
+        # a probe row is; with it non-finite, no probe jacobian is taken.
+        # Only the jacobian at z itself is non-finite.
+        rng = RNG(3)
+        base = random_poly_vector_field(rng, 2, 5)
+        z = random_complex_vector(rng, 2, 0.5)
+        calls = {"model": 0, "jacobian": 0}
+
+        def jac(w):
+            calls["jacobian"] += 1
+            pair = base.jacobian_fn(w)
+            if np.array_equal(w, z):
+                pair.jzbar[1, 0] = np.inf
+            return pair
+
+        problem = LsqProblem(VectorField(5, base.fn, jacobian_fn=jac), random_complex_vector(rng, 5))
+        message = "weighted conjugate jacobian row returned non-finite values at"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEvaluation, match=message):
+                newton_quad(problem, z)
+        assert calls["jacobian"] == 1
 
 
 class TestSwapConsistency:

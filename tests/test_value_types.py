@@ -375,6 +375,9 @@ BOUNDARY_CHANGES = [
     (lambda: Example1Problem.synthesize(1, 0, 1, seed=None), "seed must be an integer, got None"),
     (lambda: SignalModel(2, np.eye(2), [1, 1j], seed=-1), "seed must be nonnegative"),
     (lambda: MetricTensor.identity(0), "n must be positive"),
+    (lambda: MetricTensor(np.zeros((0, 0))), "metric must not be empty"),
+    (lambda: SignalModel(0, np.zeros((0, 0)), np.zeros(0)), "n must be positive"),
+    (lambda: _Weight(np.zeros((0, 0)), 0), "weight must not be empty"),
     (lambda: cogradients_fd(_LINEAR, [1.0], step="1"), "step must be a finite real number, got '1'"),
     (lambda: is_holomorphic(_SQUARE, center=[0.0], samples=-1), "samples must be nonnegative"),
 ]

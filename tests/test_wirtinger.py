@@ -1,6 +1,7 @@
 """First derivative rows, holomorphy probes, and field algebra."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,9 +29,10 @@ from crcalc import (
     polynomial_field,
     stationarity_residual,
 )
-from crcalc.hessian import FD_SECOND_STEP, hessian_quad
-from crcalc.wirtinger import FD_FIRST_STEP
+from crcalc.hessian import FD_FORWARD_STEP, FD_SECOND_STEP, hessian_quad
+from crcalc.wirtinger import FD_FIRST_STEP, _fd_blocks
 from ._oracles import (
+    per_coordinate_fd_blocks,
     per_coordinate_cogradients_fd,
     random_complex_vector,
     random_poly_vector_field,
@@ -209,6 +211,35 @@ class TestBatchedStencil:
             stack = probe_stack(field, z, step)
             assert stack.shape == (4 * z.shape[0], z.shape[0])
             assert_same_bits(field.fn(stack), np.array([field.fn(row) for row in stack]))
+
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(stencil_cases())
+    def test_forward_blocks_equal_the_per_coordinate_loop(self, case):
+        # Given the value at z, the probes are +x, +y per coordinate: 2n rows.
+        field, z, step = case
+        base = FD_FORWARD_STEP if step is None else step
+        if isinstance(field, ScalarField):
+            m, call = 1, lambda w: np.array([field(w)])
+        else:
+            m, call = field.m, field
+        centre = call(z)
+        stacks, points = [], []
+
+        def evaluate(stack):
+            stacks.append(stack.copy())
+            return field._evaluate_stack(stack)
+
+        def recorded(w):
+            points.append(w.copy())
+            return call(w)
+
+        jz, jzbar = _fd_blocks(evaluate, z, base, m, centre)
+        want_jz, want_jzbar = per_coordinate_fd_blocks(recorded, z, base, m, centre=centre)
+        assert_same_bits(jz, want_jz)
+        assert_same_bits(jzbar, want_jzbar)
+        (stack,) = stacks
+        assert_same_bits(stack, np.array(points))
 
 
 def recording_field(points, vector=False):
@@ -408,6 +439,21 @@ class TestValidation:
         )
         with pytest.raises(ConjugationMismatch):
             cogradients(field, np.array([1.0 + 1.0j]))
+
+    @pytest.mark.parametrize(
+        "dz, dzbar",
+        [([np.nan], [np.nan]), ([np.inf], [np.inf]), ([complex(np.inf, np.nan)], [1.0])],
+        ids=["nan", "inf", "inf-nan"],
+    )
+    def test_non_finite_rows_are_a_typed_error_without_warnings(self, dz, dzbar):
+        # Each residual is NaN, which the tolerance comparison alone would pass.
+        field = ScalarField(
+            lambda z: 0.0, cogradient_fn=lambda z: WirtingerPair(dz, dzbar), name="non-finite rows"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEvaluation, match="^non-finite rows: derivative rows are not finite"):
+                cogradients(field, np.array([1.0 + 0j]))
 
     def test_rows_of_the_wrong_length_rejected(self):
         field = ScalarField(
