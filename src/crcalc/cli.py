@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import StructureMatrices, matrix_residual, project_admissible, vector_residual
+from .coords import StructureMatrices, _number, matrix_residual, project_admissible, vector_residual
 from .errors import ConfigError, CrcalcError
 from .hessian import assemble, hessian_quad, second_order_predict
 from .lms import CHUNK_STEPS, SignalModel, draw_signals, instantaneous_gradient, simulate, wiener_solution
@@ -92,53 +92,55 @@ def _file_errors(path: str):
         raise ConfigError(f"{path}: {exc.strerror}") from None
 
 
-def _finite(convert, value, path: str):
-    """``convert(value)``, rejecting NaN, infinities and integers too large for a float."""
+def _parse_complex(value, path: str) -> complex:
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a complex scalar, got a boolean")
+    if isinstance(value, str):
+        try:
+            value = complex(value.replace(" ", ""))
+        except ValueError:
+            raise ConfigError(f"{path}: cannot parse {value!r}, expected 'a+bj'") from None
+    elif not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a complex scalar, got {type(value).__name__}")
     try:
-        number = convert(value)
-    except OverflowError:
+        number = complex(value)
+    except OverflowError:  # an integer too large for a float
         number = None
     if number is None or not cmath.isfinite(number):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return number
 
 
-def _parse_complex(value, path: str) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a complex scalar, got a boolean")
-    if isinstance(value, (int, float)):
-        return _finite(complex, value, path)
-    if isinstance(value, str):
+def _number_parser(real: bool = False, sign: str = ""):
+    """Parser of a count, or with ``real`` a finite real read as a float, by the library's rule."""
+
+    def parse(value, path: str):
         try:
-            parsed = complex(value.replace(" ", ""))
-        except ValueError:
-            raise ConfigError(f"{path}: cannot parse {value!r}, expected 'a+bj'") from None
-        return _finite(complex, parsed, path)
-    raise ConfigError(f"{path}: expected a complex scalar, got {type(value).__name__}")
+            number = _number(value, path, real=real, sign=sign)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return float(number) if real else number
+
+    return parse
 
 
-def _parse_complex_list(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list")
-    return np.array([_parse_complex(v, f"{path}[{i}]") for i, v in enumerate(value)])
+def _list_parser(parse):
+    """Parser of a non-empty list, each entry read by ``parse``."""
+
+    def parse_list(value, path: str) -> np.ndarray:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        return np.array([parse(v, f"{path}[{i}]") for i, v in enumerate(value)])
+
+    return parse_list
 
 
-def _parse_real_list(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list")
-    return np.array([_parse_real(v, f"{path}[{i}]") for i, v in enumerate(value)])
-
-
-def _parse_real(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a real number")
-    return _finite(float, value, path)
-
-
-def _parse_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer")
-    return value
+_POSITIVE_COUNT = _number_parser(sign="positive")
+_NONNEGATIVE_COUNT = _number_parser(sign="nonnegative")
+_REAL = _number_parser(real=True)
+_POSITIVE_REAL = _number_parser(real=True, sign="positive")
+_NONNEGATIVE_REAL = _number_parser(real=True, sign="nonnegative")
+_COMPLEX_LIST = _list_parser(_parse_complex)
 
 
 def _parse_bool(value, path: str) -> bool:
@@ -154,7 +156,7 @@ def _parse_str(value, path: str) -> str:
 
 
 class _Section:
-    """One config section with strict key handling."""
+    """One config section with strict key handling; a key whose default is None may be given as null."""
 
     def __init__(self, data, name: str):
         if data is None:
@@ -167,7 +169,7 @@ class _Section:
 
     def get(self, key: str, parser, default=...):
         self.seen.add(key)
-        if key not in self.data:
+        if key not in self.data or self.data[key] is None and default is None:
             if default is ...:
                 raise ConfigError(f"{self.name}.{key}: required key is missing")
             return default
@@ -180,7 +182,7 @@ class _Section:
 
 
 def _seed(section: _Section, override: int | None) -> int:
-    seed = section.get("seed", _parse_int, 0)
+    seed = section.get("seed", _NONNEGATIVE_COUNT, 0)
     return seed if override is None else override
 
 
@@ -269,30 +271,24 @@ def build_run_config(
             alpha=problem.get("alpha", _parse_complex, complex(1, 1)),
             beta=problem.get("beta", _parse_complex, complex(0.3, -0.2)),
             z_true=problem.get("z_true", _parse_complex, complex(2, -1)),
-            noise_var=problem.get("noise_var", _parse_real, 0.05),
-            n_samples=problem.get("n_samples", _parse_int, 200),
+            noise_var=problem.get("noise_var", _NONNEGATIVE_REAL, 0.05),
+            n_samples=problem.get("n_samples", _POSITIVE_COUNT, 200),
             seed=_seed(problem, seed_override),
             z0=problem.get("z0", _parse_complex, complex(0, 0)),
         )
-        if example.noise_var < 0:
-            raise ConfigError("problem.noise_var: must be nonnegative")
-        if example.n_samples < 1:
-            raise ConfigError("problem.n_samples: must be positive")
         if example.n_samples > _MAX_ENTRIES:
             raise ConfigError(f"problem.n_samples: must be at most {_MAX_ENTRIES}")
     elif name == "custom-polynomial":
-        quad_diag = problem.get("quad_diag", _parse_real_list)
+        quad_diag = problem.get("quad_diag", _list_parser(_REAL))
         most = math.isqrt(_MAX_ENTRIES) // 2
         if quad_diag.shape[0] > most:
             raise ConfigError(f"problem.quad_diag: must have at most {most} entries")
         poly = PolySettings(
             quad_diag=quad_diag,
-            conj_diag=problem.get("conj_diag", _parse_complex_list),
-            linear=problem.get("linear", _parse_complex_list),
-            constant=problem.get("constant", _parse_real, 0.0),
-            z0=problem.get(
-                "z0", _parse_complex_list, np.zeros(quad_diag.shape[0], dtype=complex)
-            ),
+            conj_diag=problem.get("conj_diag", _COMPLEX_LIST),
+            linear=problem.get("linear", _COMPLEX_LIST),
+            constant=problem.get("constant", _REAL, 0.0),
+            z0=problem.get("z0", _COMPLEX_LIST, np.zeros(quad_diag.shape[0], dtype=complex)),
         )
         lengths = {poly.quad_diag.shape[0], poly.conj_diag.shape[0], poly.linear.shape[0], poly.z0.shape[0]}
         if len(lengths) != 1:
@@ -302,40 +298,30 @@ def build_run_config(
     lms_settings = None
     if "lms" in raw or name == "lms":
         lms_sec = _Section(raw.get("lms"), "lms")
-        n = lms_sec.get("n", _parse_int, 4)
-        if n < 1:
-            raise ConfigError("lms.n: must be positive")
+        n = lms_sec.get("n", _POSITIVE_COUNT, 4)
         if n > _MAX_ENTRIES // _CHECK_SAMPLES:
             raise ConfigError(f"lms.n: must be at most {_MAX_ENTRIES // _CHECK_SAMPLES}")
         default_ref = np.zeros(n, dtype=complex)
         default_ref[0] = 1.0
         lms_settings = LmsSettings(
             n=n,
-            steps=lms_sec.get("steps", _parse_int, 1000),
-            step_size=lms_sec.get("step_size", _parse_real, 0.05),
+            steps=lms_sec.get("steps", _NONNEGATIVE_COUNT, 1000),
+            step_size=lms_sec.get("step_size", _POSITIVE_REAL, 0.05),
             decay=lms_sec.get("decay", _parse_bool, False),
-            noise_var=lms_sec.get("noise_var", _parse_real, 0.0),
+            noise_var=lms_sec.get("noise_var", _NONNEGATIVE_REAL, 0.0),
             seed=_seed(lms_sec, seed_override),
-            a_ref=lms_sec.get("a_ref", _parse_complex_list, default_ref),
-            r_diag=lms_sec.get("r_diag", _parse_real_list, np.ones(n)),
+            a_ref=lms_sec.get("a_ref", _COMPLEX_LIST, default_ref),
+            r_diag=lms_sec.get("r_diag", _list_parser(_POSITIVE_REAL), np.ones(n)),
         )
         lms_sec.finish()
-        if lms_settings.steps < 0:
-            raise ConfigError("lms.steps: must be nonnegative")
         if lms_settings.steps > _MAX_ENTRIES // n:
             raise ConfigError(f"lms.steps: must be at most {_MAX_ENTRIES // n} for lms.n = {n}")
-        if lms_settings.step_size <= 0:
-            raise ConfigError("lms.step_size: must be positive")
-        if lms_settings.noise_var < 0:
-            raise ConfigError("lms.noise_var: must be nonnegative")
         if lms_settings.a_ref.shape[0] != n or lms_settings.r_diag.shape[0] != n:
             raise ConfigError("lms: a_ref and r_diag must have length n")
-        if np.any(lms_settings.r_diag <= 0):
-            raise ConfigError("lms.r_diag: entries must be positive")
 
     algo = _Section(raw.get("algorithm"), "algorithm")
     kind = algo.get("kind", _parse_str, "newton")
-    damping = algo.get("damping", _parse_real, 0.0)
+    damping = algo.get("damping", _NONNEGATIVE_REAL, 0.0)
     algo.finish()
     try:
         strategy = QStrategy(kind=kind, damping=damping)
@@ -343,14 +329,13 @@ def build_run_config(
         raise ConfigError(f"algorithm: {exc}") from None
 
     opt = _Section(raw.get("optimizer"), "optimizer")
-    step_size = opt.get("step_size", _parse_real, None)
     kwargs = dict(
-        step_size=step_size,
-        max_iters=opt.get("max_iters", _parse_int, 100),
-        grad_tol=opt.get("grad_tol", _parse_real, 1e-8),
+        step_size=opt.get("step_size", _POSITIVE_REAL, None),
+        max_iters=opt.get("max_iters", _POSITIVE_COUNT, 100),
+        grad_tol=opt.get("grad_tol", _NONNEGATIVE_REAL, 1e-8),
         backtracking=opt.get("backtracking", _parse_str, "armijo"),
-        armijo_beta=opt.get("armijo_beta", _parse_real, 0.5),
-        armijo_c1=opt.get("armijo_c1", _parse_real, 1e-4),
+        armijo_beta=opt.get("armijo_beta", _POSITIVE_REAL, 0.5),
+        armijo_c1=opt.get("armijo_c1", _POSITIVE_REAL, 1e-4),
         record_trace=opt.get("record_trace", _parse_bool, True),
     )
     opt.finish()

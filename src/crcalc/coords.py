@@ -12,6 +12,7 @@ projections, and dense structure matrices that express it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,11 @@ def as_complex_vector(value) -> np.ndarray:
 def _number(value, name: str, real: bool = False, sign: str = ""):
     """``value`` if it is a count, or with ``real`` a finite real, of the ``sign`` given if any."""
     kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
-    if isinstance(value, bool) or not isinstance(value, kinds) or real and not -np.inf < value < np.inf:
+    try:
+        number = not isinstance(value, bool) and isinstance(value, kinds) and (not real or math.isfinite(value))
+    except OverflowError:  # an integer too large for a float
+        number = False
+    if not number:
         raise ValueError(f"{name} must be {'a finite real number' if real else 'an integer'}, got {value!r}")
     if sign and not (value > 0 if sign == "positive" else value >= 0):
         raise ValueError(f"{name} must be {sign}")
@@ -133,7 +138,7 @@ class ConjugateCoordinates:
         if c.ndim != 1 or c.shape[0] % 2:
             raise DimensionError(f"expected an even-length vector, got shape {c.shape}")
         resid = vector_residual(c)
-        if not resid <= tol:
+        if not resid <= _number(tol, "tol", real=True, sign="nonnegative"):
             raise InadmissibleVector(
                 f"conjugate pairing violated: residual {resid:.3e} exceeds tol {tol:.3e}"
             )
@@ -240,12 +245,12 @@ def matrix_residual(m: np.ndarray) -> float:
 
 def is_admissible_vector(b, tol: float = ADMISSIBLE_TOL) -> bool:
     """Whether b satisfies the pairing constraint conj(b) = S b within tol."""
-    return vector_residual(np.asarray(b, dtype=complex)) <= tol
+    return vector_residual(np.asarray(b, dtype=complex)) <= _number(tol, "tol", real=True, sign="nonnegative")
 
 
 def is_admissible_matrix(m, tol: float = ADMISSIBLE_TOL) -> bool:
     """Whether M satisfies the block pairing M = S conj(M) S within tol."""
-    return matrix_residual(np.asarray(m, dtype=complex)) <= tol
+    return matrix_residual(np.asarray(m, dtype=complex)) <= _number(tol, "tol", real=True, sign="nonnegative")
 
 
 def project_admissible(m) -> np.ndarray:
@@ -287,7 +292,7 @@ def from_conjugate(c, tol: float = ADMISSIBLE_TOL) -> ComplexPoint:
     """
     cv = c.c if isinstance(c, ConjugateCoordinates) else np.asarray(c, dtype=complex)
     resid = vector_residual(cv)
-    if not resid <= tol:
+    if not resid <= _number(tol, "tol", real=True, sign="nonnegative"):
         raise InadmissibleVector(
             f"conjugate pairing violated: residual {resid:.3e} exceeds tol {tol:.3e}"
         )

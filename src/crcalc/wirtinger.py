@@ -379,6 +379,9 @@ def is_holomorphic(
     """
     if not isinstance(field, VectorField):
         raise TypeError("holomorphy is a property of vector maps")
+    if tol is None:
+        tol = HOLO_TOL_ANALYTIC if field.jacobian_fn is not None else HOLO_TOL_FD
+    _number(tol, "tol", real=True, sign="nonnegative")
     if points is None:
         if center is None:
             raise ValueError("provide points or a center")
@@ -394,8 +397,6 @@ def is_holomorphic(
         pts = [as_complex_vector(q) for q in points]
         if not pts:
             raise ValueError("the sample set must be non-empty")
-    if tol is None:
-        tol = HOLO_TOL_ANALYTIC if field.jacobian_fn is not None else HOLO_TOL_FD
     worst = 0.0
     for q in pts:
         pair = cogradients(field, q)

@@ -25,6 +25,7 @@ from ._oracles import per_row_lms_trace, reference_fmt_complex
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args):
@@ -126,12 +127,15 @@ class TestConfigParsing:
         assert cfg.lms.seed == 42
 
     @pytest.mark.parametrize(
-        "command, payload",
-        [("optimize", {"problem": {"seed": "3"}}), ("lms", {"lms": {"seed": 1.5}})],
+        "command, payload, message",
+        [
+            ("optimize", {"problem": {"seed": "3"}}, "problem.seed must be an integer, got '3'"),
+            ("lms", {"lms": {"seed": 1.5}}, "lms.seed must be an integer, got 1.5"),
+        ],
     )
-    def test_configured_seed_is_checked_under_an_override(self, tmp_path, capsys, command, payload):
+    def test_configured_seed_is_checked_under_an_override(self, tmp_path, capsys, command, payload, message):
         assert main([command, "--config", write_config(tmp_path, payload), "--seed", "3"]) == 1
-        assert "seed: expected an integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_json_errors_carry_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -166,6 +170,94 @@ class TestConfigParsing:
         captured = capsys.readouterr()
         assert captured.err == f"config error: {message.format(path=path)}\n"
         assert captured.out == ""
+
+
+_POLY = {"problem": {"name": "custom-polynomial", "quad_diag": [2.0], "conj_diag": ["0"], "linear": ["1"]}}
+
+#: Every numeric config key: the command that reads it, a config around
+#: it, its path, what it takes and its sign, if any.
+NUMERIC_KEYS = [
+    ("optimize", {}, "problem.noise_var", "real", "nonnegative"),
+    ("optimize", {}, "problem.n_samples", "count", "positive"),
+    ("optimize", {}, "problem.seed", "count", "nonnegative"),
+    ("optimize", _POLY, "problem.constant", "real", ""),
+    ("optimize", _POLY, "problem.quad_diag", "real", ""),
+    ("lms", {}, "lms.n", "count", "positive"),
+    ("lms", {}, "lms.steps", "count", "nonnegative"),
+    ("lms", {}, "lms.step_size", "real", "positive"),
+    ("lms", {}, "lms.noise_var", "real", "nonnegative"),
+    ("lms", {}, "lms.seed", "count", "nonnegative"),
+    ("lms", {}, "lms.r_diag", "real", "positive"),
+    ("optimize", {}, "algorithm.damping", "real", "nonnegative"),
+    ("optimize", {}, "optimizer.step_size", "real", "positive"),
+    ("optimize", {}, "optimizer.max_iters", "count", "positive"),
+    ("optimize", {}, "optimizer.grad_tol", "real", "nonnegative"),
+    ("optimize", {}, "optimizer.armijo_beta", "real", "positive"),
+    ("optimize", {}, "optimizer.armijo_c1", "real", "positive"),
+]
+#: The list keys among them, with their lengths in the configs above.
+LIST_LENGTHS = {"problem.quad_diag": 1, "lms.r_diag": 4}
+
+
+def _with_value(base, path, value):
+    """``base`` with ``value`` at ``path``, as the first entry of a list key, and where it landed."""
+    section, key = path.split(".")
+    config = json.loads(json.dumps(base))
+    if path in LIST_LENGTHS:
+        value, path = [value] + [1.0] * (LIST_LENGTHS[path] - 1), f"{path}[0]"
+    config.setdefault(section, {})[key] = value
+    return config, path
+
+
+def _bad_numbers():
+    for command, base, path, kind, sign in NUMERIC_KEYS:
+        what = "a finite real number" if kind == "real" else "an integer"
+        cases = [("1", f"must be {what}, got '1'"), (True, f"must be {what}, got True")]
+        if sign:
+            cases.append((0 if sign == "positive" else -1, f"must be {sign}"))
+        if kind == "real":
+            cases.append((10**400, f"must be a finite real number, got {10**400}"))
+        for value, message in cases:
+            yield pytest.param(command, base, path, value, message, id=f"{path}-{message[:40]}")
+
+
+class TestNumericKeys:
+    @pytest.mark.parametrize("command, base, path, value, message", _bad_numbers())
+    def test_a_bad_number_is_one_config_error_naming_the_key(self, tmp_path, capsys, command, base, path, value, message):
+        config, where = _with_value(base, path, value)
+        assert main([command, "--config", write_config(tmp_path, config)]) == 1
+        assert capsys.readouterr().err == f"config error: {where} {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, path, code, err",
+        [
+            ("optimize", "problem.n_samples", 1, "config error: problem.n_samples: must be at most 10000000\n"),
+            ("lms", "lms.n", 1, "config error: lms.n: must be at most 500\n"),
+            ("lms", "lms.steps", 1, "config error: lms.steps: must be at most 2500000 for lms.n = 4\n"),
+            ("optimize", "problem.seed", 0, ""),
+            ("lms", "lms.seed", 0, ""),
+            ("optimize", "optimizer.max_iters", 0, ""),
+        ],
+    )
+    def test_a_count_past_the_float_range_is_a_count(self, tmp_path, capsys, command, path, code, err):
+        # Sizes meet their bound; a seed or an iteration cap that large is valid.
+        config, _ = _with_value({}, path, 10**400)
+        assert main([command, "--config", write_config(tmp_path, config), "--quiet"]) == code
+        assert capsys.readouterr().err == err
+
+    def test_null_is_the_default_where_the_default_is_none(self):
+        cfg = build_run_config({"optimizer": {"step_size": None}, "output": {"path": None}})
+        assert cfg.optimizer.step_size is None and cfg.out_path is None
+        with pytest.raises(ConfigError, match=r"^optimizer\.max_iters must be an integer, got None$"):
+            build_run_config({"optimizer": {"max_iters": None}})
+
+    def test_the_readme_config_runs(self, tmp_path, capsys):
+        section = README.read_text(encoding="utf-8").split("### Configuration file", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        assert main(["optimize", "--config", str(path)]) == 0
+        assert "status: converged" in capsys.readouterr().out
 
 
 class TestSizeBound:
