@@ -188,8 +188,12 @@ def _values_only_hessian(field: ScalarField, z: np.ndarray) -> np.ndarray:
     which reuses the diagonal probes: 4n^2 + 2n + 1 probes for n complex
     coordinates.  The field takes them in 2n chunks, one per real
     coordinate i in order: +i, -i, then ++ and -- for each j > i; the
-    centre closes the last chunk.  No chunk has more than 4n rows.  The
-    upper triangle is mirrored, so the result is symmetric bit for bit.
+    centre closes the last chunk.  No chunk has more than 4n rows.  One
+    (4n + 1, 2n) real buffer holds each chunk in turn: every row is set
+    to r, coordinate i to r_i +- h_i down the rows, and the ++ and --
+    entries, row 2 + 2t at coordinate i + 1 + t and the row below it,
+    lie on two flat strides of 4n + 1.  The upper triangle is mirrored,
+    so the result is symmetric bit for bit.
     """
     n = z.shape[0]
     dim = 2 * n
@@ -197,21 +201,28 @@ def _values_only_hessian(field: ScalarField, z: np.ndarray) -> np.ndarray:
     # fmax, like the builtin max, keeps the base step for a NaN coordinate.
     h = FD_SECOND_STEP * np.fmax(1.0, np.abs(r))
     up, down = r + h, r - h
-    f_up, f_down = np.empty(dim), np.empty(dim)
+    rows = np.empty((2 * dim + 1, dim))
+    flat = rows.reshape(-1)
+    stride = 2 * dim + 1
+    ends = np.empty((dim, 2))
     pair_sums = np.zeros((dim, dim))
     for i in range(dim):
-        later = np.arange(i + 1, dim)
-        k = 2 * later.size + 2
-        rows = np.tile(r, (k + (i == dim - 1), 1))
+        k = 2 * (dim - i)
+        count = k + (i == dim - 1)
+        rows[:count] = r
         rows[:k:2, i] = up[i]
         rows[1:k:2, i] = down[i]
-        rows[2 * (later - i), later] = up[later]
-        rows[2 * (later - i) + 1, later] = down[later]
-        points = np.empty((rows.shape[0], n), dtype=complex)
-        points.real, points.imag = rows[:, :n], rows[:, n:]
+        start = 2 * dim + i + 1
+        stop = start + (dim - 1 - i) * stride
+        flat[start:stop:stride] = up[i + 1 :]
+        flat[start + dim : stop + dim : stride] = down[i + 1 :]
+        # A fresh stack per chunk: the field may keep the points it was given.
+        points = np.empty((count, n), dtype=complex)
+        points.real, points.imag = rows[:count, :n], rows[:count, n:]
         values = field._evaluate_stack(points)
-        f_up[i], f_down[i] = values[0], values[1]
-        pair_sums[i, later] = values[2:k:2] + values[3:k:2]
+        ends[i] = values[:2]
+        pair_sums[i, i + 1 :] = values[2:k:2] + values[3:k:2]
+    f_up, f_down = ends[:, 0], ends[:, 1]
     centre = values[-1]
     bend = f_up + f_down - 2.0 * centre
     mixed = np.triu((pair_sums - 2.0 * centre - bend[:, None] - bend) / (2.0 * np.outer(h, h)), 1)
@@ -240,7 +251,9 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
       symmetry gate applies; the top pair is read off H by the
       congruence that :func:`complex_from_real` inverts.  The probes go
       to the field in 2n chunks of at most 4n points, so a batched field
-      gets 2n calls.
+      gets 2n calls.  The chunks are written in turn into one real
+      buffer and each is handed over as a fresh complex stack, so the
+      path holds O(n^2) numbers and the field may keep what it is given.
 
     Raises
     ------

@@ -103,10 +103,13 @@ class ScalarField:
     Parameters
     ----------
     fn : callable
-        Maps a 1-D complex array to a real scalar.  A complex return
-        with imaginary dust below 1e-10 (relative) is truncated;
-        anything larger raises ValueError, since the calculus in this
-        package assumes real-valued losses.
+        Maps a 1-D complex array to a real scalar.  A finite value whose
+        imaginary part is exactly zero (any real number, numpy's
+        included) is returned as its real part with no further check.
+        A complex return with imaginary dust below 1e-10 (relative) is
+        truncated; anything larger raises ValueError, since the
+        calculus in this package assumes real-valued losses.  A NaN or
+        infinite part raises NonFiniteEvaluation.
     cogradient_fn : callable, optional
         Maps a point to a :class:`WirtingerPair`.  Used instead of
         differencing when present; any other return value is rejected.
@@ -146,7 +149,11 @@ class ScalarField:
 
     def __call__(self, p) -> float:
         z = as_complex_vector(p)
-        return self._checked(complex(self.fn(z)), z)
+        value = complex(self.fn(z))
+        # An exactly real, finite value passes every check of _checked.
+        if value.imag == 0.0 and math.isfinite(value.real):
+            return value.real
+        return self._checked(value, z)
 
     def _checked(self, value: complex, z: np.ndarray) -> float:
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -157,9 +164,10 @@ class ScalarField:
 
     def _evaluate_stack(self, stack: np.ndarray) -> np.ndarray:
         """The field at each row of a (k, n) stack, as k reals in row order."""
-        if not self.batched:
-            return np.array([self(row) for row in stack])
         k = stack.shape[0]
+        if not self.batched:
+            # One checked call per row, in order: the first failing row raises.
+            return np.fromiter(map(self, stack), float, count=k)
         values = np.asarray(self.fn(stack), dtype=complex)
         if values.shape != (k,):
             raise DimensionError(
@@ -178,7 +186,8 @@ class VectorField:
     Parameters
     ----------
     m : int
-        Output dimension; a bool or any other non-integer raises ValueError.
+        Output dimension, a positive integer; zero, a negative, a bool or
+        any other non-integer raises ValueError.
     fn : callable
         Maps a 1-D complex array to a length-m complex array.
     jacobian_fn : callable, optional
@@ -195,7 +204,7 @@ class VectorField:
         jacobian_fn: Callable[[np.ndarray], JacobianPair] | None = None,
         name: str = "vector field",
     ):
-        self.m = int(_number(m, "m"))
+        self.m = int(_number(m, "m", sign="positive"))
         self.fn = fn
         self.jacobian_fn = jacobian_fn
         self.name = name

@@ -31,7 +31,7 @@ from crcalc import (
     second_order_predict,
 )
 from crcalc import optim
-from crcalc.hessian import FD_SECOND_STEP
+from crcalc.hessian import FD_SECOND_STEP, _values_only_hessian
 from ._oracles import (
     ConvexQuartic,
     dense_j,
@@ -41,6 +41,7 @@ from ._oracles import (
     random_complex_vector,
     random_quadratic_loss,
     real_fd_hessian,
+    reference_values_only_hessian,
     schur_newton_update,
     z_to_r,
 )
@@ -277,6 +278,65 @@ class TestValuesOnlyCurvature:
         row_wise = hessian_quad(ScalarField(conv.fn, name="row-wise values"), z)
         assert got.hzz.tobytes() == row_wise.hzz.tobytes()
         assert got.hzbz.tobytes() == row_wise.hzbz.tobytes()
+
+
+@st.composite
+def mixed_scale_cases(draw):
+    """A convex quartic and a point with real coordinates both inside and outside [-1, 1].
+
+    Half the 2n real coordinates are drawn past 1 in magnitude, where the
+    step h_i = eps**(1/4) |r_i| scales with the coordinate.
+    """
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    conv = ConvexQuartic(rng, n)
+    r = rng.uniform(-0.9, 0.9, 2 * n)
+    large = rng.permutation(2 * n)[:n]
+    r[large] = rng.choice([-1.0, 1.0], n) * rng.uniform(1.5, 40.0, n)
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = r[:n], r[n:]
+    return conv, z
+
+
+def quartic_of_a_stack(conv: ConvexQuartic):
+    """``conv.fn`` over a (k, n) stack in one call, and at a single point."""
+
+    def fn(w):
+        u = w - conv.center
+        q = np.real(np.einsum("...i,ij,...j->...", np.conj(u), conv.p, u)) + np.real(
+            np.einsum("...i,ij,...j->...", u, conv.d, u)
+        )
+        return q + 0.25 * q * q
+
+    return fn
+
+
+class TestValuesOnlyConstruction:
+    """The probe chunks against the frozen np.tile construction."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(mixed_scale_cases(), st.booleans())
+    def test_bit_for_bit_with_the_same_probes_in_the_same_order(self, case, batched):
+        conv, z = case
+        fn = quartic_of_a_stack(conv) if batched else conv.fn
+        runs = []
+        for hessian in (_values_only_hessian, reference_values_only_hessian):
+            # Each array is kept as handed over and as copied at that
+            # moment, so a later write into a shared buffer would show.
+            given = []
+
+            def kept(w):
+                given.append((w, w.copy()))
+                return fn(w)
+
+            runs.append((hessian(ScalarField(kept, name="recorded", batched=batched), z), given))
+        (got, got_given), (want, want_given) = runs
+        assert got.tobytes() == want.tobytes()
+        n = z.shape[0]
+        assert len(got_given) == len(want_given) == (2 * n if batched else 4 * n * n + 2 * n + 1)
+        for (handed, copied), (_, want_copied) in zip(got_given, want_given):
+            assert handed.shape == copied.shape == want_copied.shape
+            assert handed.tobytes() == copied.tobytes() == want_copied.tobytes()
 
 
 class TestQuadValidation:

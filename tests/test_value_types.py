@@ -401,6 +401,8 @@ BOUNDARY_CHANGES = [
     (lambda: MetricTensor.identity(0), "n must be positive"),
     (lambda: MetricTensor(np.zeros((0, 0))), "metric must not be empty"),
     (lambda: SignalModel(0, np.zeros((0, 0)), np.zeros(0)), "n must be positive"),
+    (lambda: VectorField(0, lambda z: z), "m must be positive"),
+    (lambda: VectorField(-3, lambda z: z), "m must be positive"),
     (lambda: _Weight(np.zeros((0, 0)), 0), "weight must not be empty"),
     (lambda: cogradients_fd(_LINEAR, [1.0], step="1"), "step must be a finite real number, got '1'"),
     (lambda: is_holomorphic(_SQUARE, center=[0.0], samples=-1), "samples must be nonnegative"),

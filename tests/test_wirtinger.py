@@ -526,6 +526,73 @@ class TestValidation:
             cogradients(field, np.array([1.0 + 0j, 2.0 + 0j]))
 
 
+class TestValueCheck:
+    """What a field's value may be, one call at a time and row by row."""
+
+    Z = np.array([0.5 - 1j, 2.0 + 0j])
+
+    def stack_of(self, values):
+        """A row-wise field giving ``values`` in turn, the rows it was asked for, and a stack."""
+        asked = []
+
+        def fn(w):
+            asked.append(w.copy())
+            return values[len(asked) - 1]
+
+        stack = np.array([self.Z + k for k in range(len(values))])
+        return ScalarField(fn, name="listed"), asked, stack
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            (2.5, 2.5),
+            (-0.0, -0.0),
+            (7, 7.0),
+            (np.float32(1.25), 1.25),
+            (np.float64(-3.5), -3.5),
+            (complex(4.0, -0.0), 4.0),
+            (4.0 + 5e-11j, 4.0),
+            (1e3 - 5e-8j, 1e3),
+        ],
+        ids=["float", "negative zero", "int", "float32", "float64", "complex", "dust", "relative dust"],
+    )
+    def test_a_real_value_or_dust_comes_back_as_a_python_float(self, value, want):
+        got = ScalarField(lambda w: value)(self.Z)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        field, _, stack = self.stack_of([value] * 3)
+        values = field._evaluate_stack(stack)
+        assert values.dtype == np.float64 and values.shape == (3,)
+        assert values.tobytes() == np.full(3, want).tobytes()
+
+    @pytest.mark.parametrize("value", [1.0 + 1e-9j, complex(0.0, 2e-10), 1e3 + 1e-6j])
+    def test_a_larger_imaginary_part_is_refused(self, value):
+        field, _, _ = self.stack_of([value])
+        with pytest.raises(ValueError, match=f"^{re.escape(f'listed must be real-valued, got {value!r}')}$"):
+            field(self.Z)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -np.inf, complex(np.nan, 0.0), complex(1.0, np.inf), np.float32("nan")]
+    )
+    def test_a_non_finite_value_is_refused(self, value):
+        field, _, _ = self.stack_of([value])
+        message = f"listed returned a non-finite value at {self.Z!r}"
+        with pytest.raises(NonFiniteEvaluation, match=f"^{re.escape(message)}$"):
+            field(self.Z)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.0 + 1.0j, complex(np.nan, 0.0)])
+    def test_the_first_failing_row_raises_before_the_next_is_evaluated(self, bad):
+        field, asked, stack = self.stack_of([1.0, bad, 2.0, float("nan")])
+        with pytest.raises((NonFiniteEvaluation, ValueError)) as row_wise:
+            field._evaluate_stack(stack)
+        assert len(asked) == 2
+        for got, want in zip(asked, stack):
+            assert_same_bits(got, want)
+        with pytest.raises(type(row_wise.value)) as single:
+            ScalarField(lambda w: bad, name="listed")(stack[1])
+        assert str(row_wise.value) == str(single.value)
+
+
 class TestHolomorphy:
     HOLO = {
         "square": VectorField(1, lambda z: z**2),
