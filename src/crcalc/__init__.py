@@ -30,9 +30,7 @@ from .coords import (
     matrix_residual,
     project_admissible,
     swap,
-    swap_cols,
     swap_rows,
-    to_complex,
     to_conjugate,
     to_real,
     vector_residual,
@@ -89,14 +87,12 @@ from .optim import (
     StepDiagnostics,
     check_minimum,
     descent_step,
-    lagrangian,
     minimize,
 )
 from .problems import (
     Example1Problem,
     PolynomialParams,
     example1_closed_form,
-    example1_expanded_loss,
     example1_loss_field,
     example2_as_lsq,
     polynomial_field,
@@ -111,7 +107,6 @@ from .wirtinger import (
     cogradients,
     cogradients_fd,
     compose,
-    conjugate_field,
     differential,
     first_order_predict,
     gradient,

@@ -145,11 +145,6 @@ class ConjugateCoordinates:
         self.c = _frozen(c)
         self.tol = tol
 
-    @classmethod
-    def from_z(cls, z) -> "ConjugateCoordinates":
-        z = as_complex_vector(z)
-        return cls(np.concatenate([z, np.conj(z)]))
-
     @property
     def n(self) -> int:
         return self.c.shape[0] // 2
@@ -218,15 +213,6 @@ def swap_rows(m: np.ndarray) -> np.ndarray:
     return np.vstack([m[n:], m[:n]])
 
 
-def swap_cols(m: np.ndarray) -> np.ndarray:
-    """Postmultiply by the block swap: exchange the left and right column blocks."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[1] % 2:
-        raise DimensionError(f"expected a matrix with an even column count, got shape {m.shape}")
-    n = m.shape[1] // 2
-    return np.hstack([m[:, n:], m[:, :n]])
-
-
 def vector_residual(b: np.ndarray) -> float:
     """Infinity-norm distance of b from the admissible set conj(b) = S b."""
     b = np.asarray(b, dtype=complex)
@@ -271,16 +257,10 @@ def to_real(p) -> RealCoordinates:
     return RealCoordinates(np.concatenate([z.real, z.imag]))
 
 
-def to_complex(r) -> ComplexPoint:
-    """Rebuild z = x + iy from stacked real coordinates."""
-    rv = r.r if isinstance(r, RealCoordinates) else np.asarray(r, dtype=float)
-    x, y = _halves(rv)
-    return ComplexPoint(x + 1j * y)
-
-
 def to_conjugate(p) -> ConjugateCoordinates:
     """Pair a complex point with its conjugate: z -> c = (z, conj(z))."""
-    return ConjugateCoordinates.from_z(p)
+    z = as_complex_vector(p)
+    return ConjugateCoordinates(np.concatenate([z, np.conj(z)]))
 
 
 def from_conjugate(c, tol: float = ADMISSIBLE_TOL) -> ComplexPoint:

@@ -83,6 +83,8 @@ class HessianQuad:
         hzbz = np.atleast_1d(np.asarray(hzbz, dtype=complex))
         if hzz.ndim > 2 or hzz.shape != hzz.shape[:1] * hzz.ndim or hzbz.shape != hzz.shape:
             raise DimensionError("curvature blocks must share an n x n or length-n shape")
+        if hzz.size == 0:
+            raise DimensionError("curvature blocks must not be empty")
         self.hzz = hzz
         self.hzbz = hzbz
         self.presym_residual = presym_residual

@@ -45,8 +45,6 @@ make the record stale; :func:`residual` returns a writable copy of e.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .coords import DimensionError, _hpd_cholesky, as_complex_vector, swap
@@ -107,12 +105,6 @@ class _Weight:
             return gh @ self.values @ g
         return (gh * self.values) @ g
 
-    def dense(self, m: int) -> np.ndarray:
-        """W as a complex m x m matrix."""
-        if self.values.ndim == 2:
-            return self.values
-        return np.diag(np.broadcast_to(self.values, (m,)).astype(complex))
-
 
 class LsqProblem:
     """Data, model, and weight of a weighted least-squares fit.
@@ -136,14 +128,7 @@ class LsqProblem:
           succeed.
 
         The scalar 1 (identity) when omitted.  A scalar or diagonal is
-        never expanded to m x m by the loss, the derivative row or the
-        curvatures.
-
-    Attributes
-    ----------
-    w : ndarray
-        The weight as a dense complex m x m matrix, built on first read
-        and cached; the least-squares functions do not read it.
+        never expanded to m x m.
     """
 
     def __init__(self, g: VectorField, y, w=None):
@@ -163,10 +148,6 @@ class LsqProblem:
     @property
     def m(self) -> int:
         return self.g.m
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return self._weight.dense(self.m)
 
     def _point(self, p) -> "_Point":
         """The evaluation record of p: the last one while p keeps its bytes, else a new one."""

@@ -36,7 +36,6 @@ import numpy as np
 from .coords import _COND_LIMIT, _number, as_complex_vector
 from .errors import (
     ConfigError,
-    DimensionError,
     Diverged,
     InadmissibleQ,
     NonFiniteEvaluation,
@@ -52,7 +51,7 @@ from .hessian import (
     real_hessian,
 )
 from .lsq import LsqProblem, gauss_newton_quad, loss_field, newton_quad
-from .wirtinger import JacobianPair, ScalarField, VectorField, WirtingerPair, cogradients
+from .wirtinger import ScalarField, WirtingerPair, cogradients
 
 STRATEGY_KINDS = (
     "identity",
@@ -489,36 +488,3 @@ def check_minimum(quad: HessianQuad) -> str:
     if np.all(eigs < 0.0):
         return "saddle_or_max"
     return "indefinite"
-
-
-def lagrangian(loss_field: ScalarField, constraint: VectorField, multiplier) -> ScalarField:
-    """Real-valued Lagrangian loss(z) + Re{lambda^H g(z)}.
-
-    One complex multiplier entry per constraint component carries both
-    real penalties Re g and Im g.  Analytic derivatives are attached
-    when both the loss and the constraint have them.
-
-    Raises
-    ------
-    DimensionError
-        If the multiplier length differs from the constraint dimension.
-    """
-    lam = as_complex_vector(multiplier)
-    if lam.shape[0] != constraint.m:
-        raise DimensionError(
-            f"multiplier has length {lam.shape[0]}, constraint has {constraint.m} components"
-        )
-
-    def fn(z):
-        return loss_field(z) + float(np.real(np.conj(lam) @ constraint(z)))
-
-    cograd = None
-    if loss_field.cogradient_fn is not None and constraint.jacobian_fn is not None:
-        def cograd(z):
-            base = cogradients(loss_field, z)
-            jac: JacobianPair = cogradients(constraint, z)
-            dz = base.dz + 0.5 * (np.conj(lam) @ jac.jz + lam @ np.conj(jac.jzbar))
-            dzbar = base.dzbar + 0.5 * (np.conj(lam) @ jac.jzbar + lam @ np.conj(jac.jz))
-            return WirtingerPair(dz, dzbar)
-
-    return ScalarField(fn, cogradient_fn=cograd, name=f"lagrangian of {loss_field.name}")

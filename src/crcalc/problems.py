@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coords import DimensionError, _number, as_complex_vector
+from .coords import DimensionError, _number
 from .errors import Unidentifiable
 from .hessian import HessianQuad
 from .lsq import LsqProblem
@@ -116,26 +116,6 @@ def example1_loss_field(problem: Example1Problem) -> ScalarField:
         return HessianQuad(coupling, np.conj(alpha) * beta)
 
     return ScalarField(fn, cogradient_fn=cograd, hessian_fn=hess, name="scalar estimation loss")
-
-
-def example1_expanded_loss(problem: Example1Problem, z) -> float:
-    """The loss written out in moments of the data.
-
-    Equal to the direct residual average for every z; exercised as an
-    identity in the tests.
-    """
-    zz = complex(as_complex_vector(z)[0])
-    alpha, beta = problem.alpha, problem.beta
-    my, myc = problem.mean_y, problem.mean_conj_y
-    twice = (
-        problem.mean_abs2
-        + alpha * np.conj(beta) * zz**2
-        - (alpha * myc + np.conj(beta) * my) * zz
-        + (abs(alpha) ** 2 + abs(beta) ** 2) * zz * np.conj(zz)
-        - (np.conj(alpha) * my + beta * myc) * np.conj(zz)
-        + np.conj(alpha) * beta * np.conj(zz) ** 2
-    )
-    return 0.5 * float(np.real(twice))
 
 
 def example1_closed_form(problem: Example1Problem) -> complex:

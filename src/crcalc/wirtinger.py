@@ -240,23 +240,27 @@ def _fd_blocks(
     row at a time.
     """
     n = z.shape[0]
-    # fmax, like the builtin max, keeps the base step for a NaN coordinate.
-    hx = base * np.fmax(1.0, np.abs(z.real))
-    hy = base * np.fmax(1.0, np.abs(z.imag))
-    ex = np.diag(hx)
-    ey = np.diag(1j * hy)
-    # Row k i + s is side s of coordinate i.  z - ex is not z + (-ex) for a
-    # signed zero, so each side keeps its own add or subtract.
-    if centre is None:
-        stack = np.empty((n, 4, n), dtype=complex)
-        np.add(z, ex, out=stack[:, 0])
-        np.subtract(z, ex, out=stack[:, 1])
-        np.add(z, ey, out=stack[:, 2])
-        np.subtract(z, ey, out=stack[:, 3])
-    else:
-        stack = np.empty((n, 2, n), dtype=complex)
-        np.add(z, ex, out=stack[:, 0])
-        np.add(z, ey, out=stack[:, 1])
+    # An infinite coordinate makes an infinite step, and z - ex then holds
+    # inf - inf.  The probes are built quietly; the field's value at such a
+    # probe fails its check as at any NaN point.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # fmax, like the builtin max, keeps the base step for a NaN coordinate.
+        hx = base * np.fmax(1.0, np.abs(z.real))
+        hy = base * np.fmax(1.0, np.abs(z.imag))
+        ex = np.diag(hx)
+        ey = np.diag(1j * hy)
+        # Row k i + s is side s of coordinate i.  z - ex is not z + (-ex) for a
+        # signed zero, so each side keeps its own add or subtract.
+        if centre is None:
+            stack = np.empty((n, 4, n), dtype=complex)
+            np.add(z, ex, out=stack[:, 0])
+            np.subtract(z, ex, out=stack[:, 1])
+            np.add(z, ey, out=stack[:, 2])
+            np.subtract(z, ey, out=stack[:, 3])
+        else:
+            stack = np.empty((n, 2, n), dtype=complex)
+            np.add(z, ex, out=stack[:, 0])
+            np.add(z, ey, out=stack[:, 1])
     k = stack.shape[1]
     values = evaluate(stack.reshape(k * n, n))
     # (n, k, m) in call order -> k C-ordered m x n blocks.
@@ -449,6 +453,8 @@ def first_order_predict(field: ScalarField, p, delta_z) -> float:
     """First-order value estimate f(p) + 2 Re{(df/dz) dz}."""
     z = as_complex_vector(p)
     dz = as_complex_vector(delta_z)
+    if dz.shape != z.shape:
+        raise DimensionError("step dimension does not match the point")
     pair = cogradients(field, z)
     return field(z) + 2.0 * float(np.real(pair.dz @ dz))
 
@@ -457,26 +463,6 @@ def differential(pair: JacobianPair, delta_z) -> np.ndarray:
     """First-order change of a vector map: jz @ dz + jzbar @ conj(dz)."""
     dz = as_complex_vector(delta_z)
     return pair.jz @ dz + pair.jzbar @ np.conj(dz)
-
-
-def conjugate_field(field: VectorField) -> VectorField:
-    """The pointwise conjugate map, with derivative blocks exchanged.
-
-    If f has blocks (jz, jzbar) then conj(f) has blocks
-    (conj(jzbar), conj(jz)).
-    """
-    jac = None
-    if field.jacobian_fn is not None:
-        def jac(z, _inner=field.jacobian_fn):
-            pair = _inner(z)
-            return JacobianPair(np.conj(pair.jzbar), np.conj(pair.jz))
-
-    return VectorField(
-        m=field.m,
-        fn=lambda z: np.conj(field(z)),
-        jacobian_fn=jac,
-        name=f"conj({field.name})",
-    )
 
 
 def compose(outer: VectorField, inner: VectorField) -> VectorField:

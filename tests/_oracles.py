@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from crcalc.coords import as_complex_vector
 from crcalc.errors import Diverged, InadmissibleQ, NonFiniteEvaluation, SingularQ
 from crcalc.hessian import FD_FORWARD_STEP, FD_SECOND_STEP, HessianQuad, real_hessian
 from crcalc.lsq import LsqProblem, loss_field, residual
@@ -315,6 +316,45 @@ def per_coordinate_cogradients_fd(field, z: np.ndarray, step: float):
     return per_coordinate_fd_blocks(field, z, step, field.m)
 
 
+def conjugate_field(field: VectorField) -> VectorField:
+    """The pointwise conjugate map, with derivative blocks exchanged.
+
+    If f has blocks (jz, jzbar) then conj(f) has blocks
+    (conj(jzbar), conj(jz)).
+    """
+    jac = None
+    if field.jacobian_fn is not None:
+        def jac(z, _inner=field.jacobian_fn):
+            pair = _inner(z)
+            return JacobianPair(np.conj(pair.jzbar), np.conj(pair.jz))
+
+    return VectorField(
+        m=field.m,
+        fn=lambda z: np.conj(field(z)),
+        jacobian_fn=jac,
+        name=f"conj({field.name})",
+    )
+
+
+def example1_expanded_loss(problem, z) -> float:
+    """The Example 1 loss written out in moments of the data.
+
+    Equal to the direct residual average for every z.
+    """
+    zz = complex(as_complex_vector(z)[0])
+    alpha, beta = problem.alpha, problem.beta
+    my, myc = problem.mean_y, problem.mean_conj_y
+    twice = (
+        problem.mean_abs2
+        + alpha * np.conj(beta) * zz**2
+        - (alpha * myc + np.conj(beta) * my) * zz
+        + (abs(alpha) ** 2 + abs(beta) ** 2) * zz * np.conj(zz)
+        - (np.conj(alpha) * my + beta * myc) * np.conj(zz)
+        + np.conj(alpha) * beta * np.conj(zz) ** 2
+    )
+    return 0.5 * float(np.real(twice))
+
+
 def random_complex_vector(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
@@ -327,6 +367,18 @@ def stacked_jacobian(problem, z: np.ndarray) -> np.ndarray:
     """The m x 2n model jacobian G = [jz, jzbar], hstacked from the model's cogradients."""
     pair = cogradients(problem.g, z)
     return np.hstack([pair.jz, pair.jzbar])
+
+
+def dense_weight(problem) -> np.ndarray:
+    """A least-squares problem's weight W as a complex m x m matrix.
+
+    A scalar or diagonal weight becomes the diagonal matrix it stands
+    for, and a dense weight is returned as stored.
+    """
+    values = problem._weight.values
+    if values.ndim == 2:
+        return values
+    return np.diag(np.broadcast_to(values, (problem.m,)).astype(complex))
 
 
 def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,8 +401,9 @@ def dense_lsq_curvature(problem, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         return 0.5 * (m + s @ np.conj(m) @ s)
 
     gmat = stacked_jacobian(problem, z)
-    gauss = project(gmat.conj().T @ problem.w @ gmat)
-    we = problem.w @ residual(problem, z)
+    w = dense_weight(problem)
+    gauss = project(gmat.conj().T @ w @ gmat)
+    we = w @ residual(problem, z)
     row = VectorField(2 * z.shape[0], lambda w: we @ np.conj(stacked_jacobian(problem, w)))
     if problem.g.jacobian_fn is None:
         jac = cogradients_fd(row, z, step=FD_SECOND_STEP)

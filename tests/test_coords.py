@@ -24,9 +24,7 @@ from crcalc import (
     minimize,
     project_admissible,
     swap,
-    swap_cols,
     swap_rows,
-    to_complex,
     to_conjugate,
     to_real,
     vector_residual,
@@ -43,7 +41,7 @@ class TestRoundTrips:
         np.testing.assert_allclose(r.r, [1.0, 2.0])
         c = to_conjugate(p)
         np.testing.assert_allclose(c.c, [1.0 + 2.0j, 1.0 - 2.0j])
-        np.testing.assert_allclose(to_complex(r).z, p.z)
+        np.testing.assert_allclose(r.r[:1] + 1j * r.r[1:], p.z)
         np.testing.assert_allclose(from_conjugate(c).z, p.z)
 
     def test_random_round_trips_exact(self):
@@ -51,7 +49,8 @@ class TestRoundTrips:
         for n in (1, 2, 5):
             z = random_complex_vector(rng, n)
             p = ComplexPoint(z)
-            np.testing.assert_array_equal(to_complex(to_real(p)).z, z)
+            r = to_real(p).r
+            np.testing.assert_array_equal(r[:n] + 1j * r[n:], z)
             back = from_conjugate(to_conjugate(p))
             np.testing.assert_allclose(back.z, z, atol=1e-15)
 
@@ -116,7 +115,6 @@ class TestStructureMatrices:
         m = random_complex_matrix(rng, 2 * n, 2 * n)
         np.testing.assert_allclose(swap(m), s @ m @ s)
         np.testing.assert_allclose(swap_rows(m), s @ m)
-        np.testing.assert_allclose(swap_cols(m), m @ s)
 
 
 class TestAdmissibility:

@@ -43,6 +43,7 @@ from ._oracles import (
     dense_j,
     dense_lsq_curvature,
     dense_s,
+    dense_weight,
     random_complex_matrix,
     random_complex_vector,
     random_poly_vector_field,
@@ -101,7 +102,7 @@ def nonlinear_problems(draw, weights=WEIGHT_KINDS):
 class TestProblemConstruction:
     def test_default_weight_is_identity(self):
         problem = scalar_square_problem()
-        np.testing.assert_array_equal(problem.w, np.eye(1))
+        np.testing.assert_array_equal(dense_weight(problem), np.eye(1))
 
     def test_weight_must_be_hermitian(self):
         g = VectorField(2, lambda z: z)
@@ -156,11 +157,11 @@ class TestProblemConstruction:
 
     def test_dense_view_of_structured_weights(self):
         sample = Example1Problem.synthesize(1 + 1j, 0.3 - 0.2j, 2 - 1j, 0.05, 7, 0)
-        np.testing.assert_array_equal(example2_as_lsq(sample).w, np.eye(7) / 7)
+        np.testing.assert_array_equal(dense_weight(example2_as_lsq(sample)), np.eye(7) / 7)
         g = VectorField(3, lambda z: np.concatenate([z, z, z]))
-        np.testing.assert_array_equal(LsqProblem(g, np.zeros(3)).w, np.eye(3))
+        np.testing.assert_array_equal(dense_weight(LsqProblem(g, np.zeros(3))), np.eye(3))
         diagonal = LsqProblem(g, np.zeros(3), [1.0, 2.0, 0.5])
-        np.testing.assert_array_equal(diagonal.w, np.diag([1.0, 2.0, 0.5]))
+        np.testing.assert_array_equal(dense_weight(diagonal), np.diag([1.0, 2.0, 0.5]))
 
     def test_structured_weights_skip_the_dense_check(self, monkeypatch):
         # Neither the I/m weight of example2 nor the default identity is
@@ -267,7 +268,7 @@ class TestGaussNewton:
         problem = random_problem(rng, 2, 3)
         z = random_complex_vector(rng, 2)
         gmat = stacked_jacobian(problem, z)
-        raw = gmat.conj().T @ problem.w @ gmat
+        raw = gmat.conj().T @ dense_weight(problem) @ gmat
         gn = gauss_newton_quad(problem, z).dense()
         for _ in range(10):
             dz = random_complex_vector(rng, 2)
@@ -284,7 +285,7 @@ class TestGaussNewton:
         uzz, uzbz = quad.hzz, quad.hzbz
         assert np.abs(uzbz).max() <= 1e-10
         jz = cogradients(problem.g, z).jz
-        expected = 0.5 * jz.conj().T @ problem.w @ jz
+        expected = 0.5 * jz.conj().T @ dense_weight(problem) @ jz
         np.testing.assert_allclose(uzz, expected, atol=1e-10)
 
 
@@ -330,7 +331,7 @@ class TestNewton:
         for problem, z, oracle, scale in self.oracle_draws():
             plain = VectorField(problem.m, problem.g.fn, name="differenced model")
             for model in (problem.g, plain):
-                hn = newton_quad(LsqProblem(model, problem.y, problem.w), z).dense()
+                hn = newton_quad(LsqProblem(model, problem.y, dense_weight(problem)), z).dense()
                 assert np.abs(hn - oracle).max() <= 1e-4 * scale
 
     def test_differenced_model_keeps_the_central_stencil(self, monkeypatch):
@@ -349,7 +350,7 @@ class TestNewton:
         for problem, z, oracle, scale in self.oracle_draws():
             plain = VectorField(problem.m, problem.g.fn, name="differenced model")
             points.clear()
-            hn = newton_quad(LsqProblem(plain, problem.y, problem.w), z).dense()
+            hn = newton_quad(LsqProblem(plain, problem.y, dense_weight(problem)), z).dense()
             assert np.abs(hn - oracle).max() <= 1e-4 * scale
             want = []
             for i in range(z.shape[0]):
@@ -420,7 +421,7 @@ class TestNewton:
                 return _inner(z)
 
             g = VectorField(m, problem.g.fn, jacobian_fn=counted, name="counted model")
-            newton_quad(LsqProblem(g, problem.y, problem.w), random_complex_vector(rng, n, scale=0.3))
+            newton_quad(LsqProblem(g, problem.y, dense_weight(problem)), random_complex_vector(rng, n, scale=0.3))
             assert len(calls) == 2 * n + 1
 
     @pytest.mark.parametrize("kind", ["newton", "gauss_newton"])
@@ -484,7 +485,7 @@ class TestCurvatureBlockProperties:
         # Gauss-Newton Hessian is Re(Gr^H W Gr).
         problem, z = draw
         gr = stacked_jacobian(problem, z) @ dense_j(z.shape[0])
-        want = np.real(gr.conj().T @ problem.w @ gr)
+        want = np.real(gr.conj().T @ dense_weight(problem) @ gr)
         gn = gauss_newton_quad(problem, z)
         got = real_hessian(gn.hzz, gn.hzbz)
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
@@ -512,7 +513,7 @@ class TestCurvatureBlockProperties:
         # The structured products only drop the exact zeros of the
         # dense ones, so every result agrees bit for bit.
         problem, z = draw
-        dense = LsqProblem(problem.g, problem.y, problem.w)
+        dense = LsqProblem(problem.g, problem.y, dense_weight(problem))
         np.testing.assert_array_equal(loss(problem, z), loss(dense, z))
         got, want = loss_pair(problem, z), loss_pair(dense, z)
         np.testing.assert_array_equal(got.dz, want.dz)

@@ -31,7 +31,6 @@ from crcalc import (
     gauss_newton_quad,
     hessian_quad,
     is_admissible_vector,
-    lagrangian,
     loss_field,
     loss_pair,
     minimize,
@@ -1119,34 +1118,3 @@ class TestStationaryClassification:
     def test_rejects_non_finite_blocks(self, bad):
         with pytest.raises(CrcalcError):
             check_minimum(HessianQuad([[bad]], [[0.0]]))
-
-
-class TestLagrangian:
-    def test_value_and_derivatives(self):
-        rng = RNG(106)
-        field = modulus_squared_field()
-        w0 = np.array([1.0 - 0.5j])
-        constraint = VectorField(
-            1,
-            lambda z: z - w0,
-            jacobian_fn=lambda z: JacobianPair(np.eye(1), np.zeros((1, 1))),
-            name="pin",
-        )
-        lam = np.array([0.4 + 0.8j])
-        lag = lagrangian(field, constraint, lam)
-        z = random_complex_vector(rng, 1)
-        expected = float(np.real(np.conj(z) @ z)) + float(np.real(np.conj(lam) @ (z - w0)))
-        assert lag(z) == pytest.approx(expected)
-        from crcalc import cogradients_fd
-
-        exact = cogradients(lag, z)
-        fd = cogradients_fd(ScalarField(lag.fn, name="fd view"), z)
-        np.testing.assert_allclose(exact.dz, fd.dz, atol=1e-6)
-        # Stationarity of |z|^2 + Re{conj(lam)(z - w0)} sits at -lam/2.
-        assert stationarity_residual(lag, -0.5 * lam) <= 1e-12
-
-    def test_multiplier_length_checked(self):
-        field = modulus_squared_field()
-        constraint = VectorField(2, lambda z: np.concatenate([z, z]))
-        with pytest.raises(DimensionError):
-            lagrangian(field, constraint, np.array([1.0 + 0j]))

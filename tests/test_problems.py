@@ -13,7 +13,6 @@ from crcalc import (
     cogradients,
     cogradients_fd,
     example1_closed_form,
-    example1_expanded_loss,
     example1_loss_field,
     example2_as_lsq,
     gauss_newton_quad,
@@ -26,6 +25,7 @@ from crcalc import (
     stationarity_residual,
     ScalarField,
 )
+from ._oracles import example1_expanded_loss
 
 RNG = np.random.default_rng
 

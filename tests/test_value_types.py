@@ -149,6 +149,9 @@ BAD_INPUTS = [
      "curvature blocks must share an n x n or length-n shape"),
     (lambda: HessianQuad(np.ones((2, 3)), np.ones((2, 3))), DimensionError,
      "curvature blocks must share an n x n or length-n shape"),
+    (lambda: HessianQuad(np.zeros((0, 0)), np.zeros((0, 0))), DimensionError,
+     "curvature blocks must not be empty"),
+    (lambda: HessianQuad([], []), DimensionError, "curvature blocks must not be empty"),
     (lambda: ComplexPoint(np.eye(2)), DimensionError, "expected a vector, got shape (2, 2)"),
     (lambda: ComplexPoint([np.nan]), ValueError, "point has non-finite entries"),
     (lambda: RealCoordinates([1.0, 2.0, 3.0]), DimensionError,

@@ -21,7 +21,6 @@ from crcalc import (
     cogradients,
     cogradients_fd,
     compose,
-    conjugate_field,
     differential,
     first_order_predict,
     gradient,
@@ -32,6 +31,7 @@ from crcalc import (
 from crcalc.hessian import FD_FORWARD_STEP, FD_SECOND_STEP, hessian_quad
 from crcalc.wirtinger import FD_FIRST_STEP, _fd_blocks
 from ._oracles import (
+    conjugate_field,
     per_coordinate_fd_blocks,
     per_coordinate_cogradients_fd,
     random_complex_vector,
@@ -483,6 +483,22 @@ class TestValidation:
         with pytest.raises(NonFiniteEvaluation):
             cogradients_fd(field, np.array([1.0 + 0j]))
 
+    @pytest.mark.parametrize(
+        "entry", [np.inf, -np.inf, complex(0.0, np.inf), complex(1.0, -np.inf)], ids=["+re", "-re", "+im", "-im"]
+    )
+    @pytest.mark.parametrize("batched", [False, True], ids=["row-wise", "batched"])
+    def test_infinite_point_is_non_finite_without_warnings(self, entry, batched):
+        # An infinite coordinate makes an infinite step, so a probe holds
+        # inf - inf; the probe's value fails its check, and nothing warns.
+        if batched:
+            field = ScalarField(lambda z: np.sum(np.abs(z) ** 2, axis=-1), name="norm", batched=True)
+        else:
+            field = ScalarField(lambda z: float(np.sum(np.abs(z) ** 2)), name="norm")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEvaluation):
+                cogradients(field, [entry, 1.0])
+
     def test_vector_field_shape_checked(self):
         field = VectorField(2, lambda z: z, name="wrong length")
         with pytest.raises(ValueError):
@@ -689,6 +705,10 @@ class TestGradientAndPredictions:
         field = modulus_squared()
         got = first_order_predict(field, np.array([1.0 + 0j]), np.array([0.01 + 0.02j]))
         assert got == pytest.approx(1.02, abs=1e-9)
+
+    def test_first_order_predict_refuses_a_step_of_another_length(self):
+        with pytest.raises(DimensionError, match="^step dimension does not match the point$"):
+            first_order_predict(modulus_squared(), [1.0], [1.0, 2.0])
 
     def test_first_order_predict_tracks_small_steps(self):
         rng = RNG(47)
