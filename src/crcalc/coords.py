@@ -27,25 +27,49 @@ _COND_LIMIT = 1.0 / np.finfo(float).eps
 _HERMITIAN_TOL = 1e-10
 
 
-def as_complex_vector(value) -> np.ndarray:
-    """Coerce a point-like value to a 1-D complex128 array.
+def as_complex_vector(value, name: str = "point") -> np.ndarray:
+    """Coerce a point-like value to a 1-D complex128 array by the vector rule of :func:`_vector`.
 
-    Accepts :class:`ComplexPoint`, array-likes, and scalars.  The result
-    may share memory with the argument: a 1-D complex128 ndarray comes
-    back as the very same object.  Callers must not write into it.
+    A non-empty 1-D complex128 ndarray comes back as the very same
+    object, anything else as a fresh copy.  Callers must not write into
+    the result.
     """
-    if type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.complex128:
+    if type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.complex128 and value.size:
         return value
+    return _vector(value, name)
+
+
+def _vector(value, name: str, real: bool = False, length: int | None = None, finite: bool = False) -> np.ndarray:
+    """A fresh complex128 copy of the vector ``value``, or with ``real`` a float64 one.
+
+    numpy must read it as integers, reals or, unless ``real``, complex
+    numbers, with one entry or more in at most one dimension: a scalar
+    has length 1, and a :class:`ComplexPoint` gives its z.  Any other
+    value raises ValueError naming ``name``, as with ``finite`` does a
+    NaN or infinite entry; a wrong shape or ``length``, DimensionError.
+    """
     if isinstance(value, ComplexPoint):
-        return value.z.copy()
-    arr = np.atleast_1d(np.asarray(value, dtype=complex))
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {arr.shape}")
-    return arr
+        value = value.z
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in ("iuf" if real else "iufc"):
+        # Named by its dtype, or a scalar by its type: never by its entries.
+        got = arr.dtype if isinstance(value, np.ndarray) or (arr is not None and arr.ndim) else type(value).__name__
+        raise ValueError(f"{name} must be a vector of {'real' if real else 'complex'} numbers, got {got}")
+    arr = np.atleast_1d(arr)
+    if arr.ndim != 1 or not arr.size:
+        raise DimensionError(f"{name} must be a non-empty vector, got shape {arr.shape}")
+    if length is not None and arr.shape[0] != length:
+        raise DimensionError(f"{name} has length {arr.shape[0]}, expected {length}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr.astype(float if real else complex)
 
 
-def _number(value, name: str, real: bool = False, sign: str = ""):
-    """``value`` if it is a count, or with ``real`` a finite real, of the ``sign`` given if any."""
+def _number(value, name: str, real: bool = False, sign: str = "", size: bool = False):
+    """``value`` if it is a count, or with ``real`` a finite real, of the ``sign`` given; a ``size`` fits np.intp."""
     kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
     try:
         number = not isinstance(value, bool) and isinstance(value, kinds) and (not real or math.isfinite(value))
@@ -55,13 +79,21 @@ def _number(value, name: str, real: bool = False, sign: str = ""):
         raise ValueError(f"{name} must be {'a finite real number' if real else 'an integer'}, got {value!r}")
     if sign and not (value > 0 if sign == "positive" else value >= 0):
         raise ValueError(f"{name} must be {sign}")
+    if size and value > np.iinfo(np.intp).max:
+        raise ValueError(f"{name} must be at most {np.iinfo(np.intp).max}")
     return value
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _even_square(m: np.ndarray) -> np.ndarray:
+    """``m`` if it is a non-empty square matrix of even size; DimensionError otherwise."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or not m.size:
+        raise DimensionError(f"expected a non-empty even square matrix, got shape {m.shape}")
+    return m
 
 
 def _hpd_cholesky(m: np.ndarray, what: str) -> np.ndarray:
@@ -98,12 +130,7 @@ class ComplexPoint:
     __slots__ = ("z",)
 
     def __init__(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if z.ndim != 1:
-            raise DimensionError(f"expected a vector, got shape {z.shape}")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("point has non-finite entries")
-        self.z = _frozen(z)
+        self.z = _read_only(_vector(z, "z", finite=True))
 
     @property
     def n(self) -> int:
@@ -116,12 +143,10 @@ class RealCoordinates:
     __slots__ = ("r",)
 
     def __init__(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if r.ndim != 1 or r.shape[0] % 2:
+        r = _vector(r, "r", real=True, finite=True)
+        if r.shape[0] % 2:
             raise DimensionError(f"expected an even-length real vector, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("coordinates have non-finite entries")
-        self.r = _frozen(r)
+        self.r = _read_only(r)
 
     @property
     def n(self) -> int:
@@ -134,15 +159,15 @@ class ConjugateCoordinates:
     __slots__ = ("c", "tol")
 
     def __init__(self, c, tol: float = ADMISSIBLE_TOL):
-        c = np.atleast_1d(np.asarray(c, dtype=complex))
-        if c.ndim != 1 or c.shape[0] % 2:
+        c = _vector(c, "c")
+        if c.shape[0] % 2:
             raise DimensionError(f"expected an even-length vector, got shape {c.shape}")
         resid = vector_residual(c)
         if not resid <= _number(tol, "tol", real=True, sign="nonnegative"):
             raise InadmissibleVector(
                 f"conjugate pairing violated: residual {resid:.3e} exceeds tol {tol:.3e}"
             )
-        self.c = _frozen(c)
+        self.c = _read_only(c)
         self.tol = tol
 
     @property
@@ -171,7 +196,7 @@ class StructureMatrices:
     """
 
     def __init__(self, n: int):
-        if _number(n, "n") < 1:
+        if _number(n, "n", size=True) < 1:
             raise DimensionError("dimension must be positive")
         eye = np.eye(n)
         zero = np.zeros((n, n))
@@ -192,9 +217,7 @@ def swap(x: np.ndarray) -> np.ndarray:
         top, bottom = _halves(x)
         return np.concatenate([bottom, top])
     if x.ndim == 2:
-        if x.shape[0] != x.shape[1] or x.shape[0] % 2:
-            raise DimensionError(f"expected an even square matrix, got shape {x.shape}")
-        n = x.shape[0] // 2
+        n = _even_square(x).shape[0] // 2
         out = np.empty_like(x)
         out[:n, :n] = x[n:, n:]
         out[n:, n:] = x[:n, :n]
@@ -223,9 +246,7 @@ def vector_residual(b: np.ndarray) -> float:
 
 def matrix_residual(m: np.ndarray) -> float:
     """Infinity-norm distance of M from the admissible set M = S conj(M) S."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = _even_square(np.asarray(m, dtype=complex))
     return float(np.max(np.abs(m - swap(np.conj(m)))))
 
 
@@ -245,21 +266,19 @@ def project_admissible(m) -> np.ndarray:
     Computes (M + S conj(M) S) / 2.  Idempotent; leaves admissible
     matrices fixed.  The result is Hermitian whenever M is.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise DimensionError(f"expected an even square matrix, got shape {m.shape}")
+    m = _even_square(np.asarray(m, dtype=complex))
     return 0.5 * (m + swap(np.conj(m)))
 
 
 def to_real(p) -> RealCoordinates:
     """Stack real and imaginary parts: z -> r = (Re z, Im z)."""
-    z = as_complex_vector(p)
+    z = as_complex_vector(p, "p")
     return RealCoordinates(np.concatenate([z.real, z.imag]))
 
 
 def to_conjugate(p) -> ConjugateCoordinates:
     """Pair a complex point with its conjugate: z -> c = (z, conj(z))."""
-    z = as_complex_vector(p)
+    z = as_complex_vector(p, "p")
     return ConjugateCoordinates(np.concatenate([z, np.conj(z)]))
 
 
@@ -270,7 +289,7 @@ def from_conjugate(c, tol: float = ADMISSIBLE_TOL) -> ComplexPoint:
     symmetrizes away any residual within ``tol``.  Raises
     :class:`InadmissibleVector` if the pairing constraint fails.
     """
-    cv = c.c if isinstance(c, ConjugateCoordinates) else np.asarray(c, dtype=complex)
+    cv = c.c if isinstance(c, ConjugateCoordinates) else _vector(c, "c")
     resid = vector_residual(cv)
     if not resid <= _number(tol, "tol", real=True, sign="nonnegative"):
         raise InadmissibleVector(
@@ -294,15 +313,15 @@ class MetricTensor:
     __slots__ = ("omega",)
 
     def __init__(self, omega):
-        om = np.asarray(omega, dtype=complex)
+        om = np.array(omega, dtype=complex)
         if om.ndim != 2 or om.shape[0] != om.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {om.shape}")
         _hpd_cholesky(om, "metric")
-        self.omega = _frozen(om)
+        self.omega = _read_only(om)
 
     @classmethod
     def identity(cls, n: int) -> "MetricTensor":
-        return cls(np.eye(_number(n, "n", sign="positive")))
+        return cls(np.eye(_number(n, "n", sign="positive", size=True)))
 
     @property
     def n(self) -> int:
@@ -363,7 +382,7 @@ def verify_transform_laws(a_matrix, p, metric: MetricTensor | None = None, seed:
     SingularMatrix
         If A is singular or too ill-conditioned to invert reliably.
     """
-    z = as_complex_vector(p)
+    z = as_complex_vector(p, "p")
     n = z.shape[0]
     a = np.asarray(a_matrix, dtype=complex)
     if a.shape != (n, n):

@@ -25,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .coords import DimensionError, as_complex_vector, swap_rows
+from .coords import DimensionError, _even_square, _vector, as_complex_vector, swap_rows
 from .errors import NonFiniteEvaluation, RelationViolation, SymmetryViolation
 from .wirtinger import ScalarField, VectorField, cogradients, cogradients_fd
 
@@ -269,7 +269,7 @@ def hessian_quad(field: ScalarField, p) -> HessianQuad:
         If ``hessian_fn`` returns anything but a :class:`HessianQuad`,
         or its blocks are not n x n or length n at a point of length n.
     """
-    z = as_complex_vector(p)
+    z = as_complex_vector(p, "p")
     n = z.shape[0]
     if field.hessian_fn is not None:
         quad = field.hessian_fn(z)
@@ -381,9 +381,7 @@ def complex_from_real(hrr: np.ndarray) -> np.ndarray:
     :meth:`HessianQuad.dense`.  The input must be real symmetric of even
     dimension.
     """
-    hrr = np.asarray(hrr, dtype=float)
-    if hrr.ndim != 2 or hrr.shape[0] != hrr.shape[1] or hrr.shape[0] % 2:
-        raise DimensionError(f"expected an even square matrix, got shape {hrr.shape}")
+    hrr = _even_square(np.asarray(hrr, dtype=float))
     return HessianQuad(*_top_pair(hrr)).dense()
 
 
@@ -404,10 +402,8 @@ def second_order_predict(field: ScalarField, p, delta_z, representation: str = "
     """
     if representation not in _REPRESENTATIONS:
         raise ValueError(f"representation must be one of {_REPRESENTATIONS}")
-    z = as_complex_vector(p)
-    dz = as_complex_vector(delta_z)
-    if dz.shape != z.shape:
-        raise DimensionError("step dimension does not match the point")
+    z = as_complex_vector(p, "p")
+    dz = _vector(delta_z, "delta_z", length=z.shape[0])
     value = field(z)
     pair = cogradients(field, z)
     quad = hessian_quad(field, z)

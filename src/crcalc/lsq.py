@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coords import DimensionError, _hpd_cholesky, as_complex_vector, swap
+from .coords import DimensionError, _hpd_cholesky, _read_only, _vector, as_complex_vector, swap
 from .errors import NonFiniteEvaluation
 from .hessian import FD_FORWARD_STEP, FD_SECOND_STEP, HessianQuad
 from .wirtinger import ScalarField, VectorField, WirtingerPair, _fd_blocks, cogradients
@@ -134,14 +134,8 @@ class LsqProblem:
     def __init__(self, g: VectorField, y, w=None):
         if not isinstance(g, VectorField):
             raise TypeError("the model must be a VectorField")
-        y = np.atleast_1d(np.array(y, dtype=complex))
-        if y.shape != (g.m,):
-            raise DimensionError(f"observations have shape {y.shape}, expected ({g.m},)")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observations must be finite")
-        y.flags.writeable = False
         self.g = g
-        self.y = y
+        self.y = _read_only(_vector(y, "y", length=g.m, finite=True))
         self._weight = _Weight(w, g.m)
         self._last: _Point | None = None
 
@@ -151,16 +145,11 @@ class LsqProblem:
 
     def _point(self, p) -> "_Point":
         """The evaluation record of p: the last one while p keeps its bytes, else a new one."""
-        z = as_complex_vector(p)
+        z = as_complex_vector(p, "p")
         point = self._last
         if point is None or point.key != z.tobytes():
             point = self._last = _Point(self.g, self.y, z)
         return point
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class _Point:

@@ -254,7 +254,7 @@ def descent_step(target, p, strategy: QStrategy = QStrategy()) -> tuple[np.ndarr
         least-squares problem; raised before anything is evaluated.
     """
     field = _as_field(target, strategy)
-    z = as_complex_vector(p)
+    z = as_complex_vector(p, "p")
     pair = cogradients(field, z)
     delta_z, diag = _descent_step(z, pair, _scaling(target, z, strategy), strategy.kind)
     return np.concatenate([delta_z, np.conj(delta_z)]), diag
@@ -367,7 +367,7 @@ def minimize(
         least-squares problem; raised before anything is evaluated.
     """
     field = _as_field(target, strategy)
-    z = as_complex_vector(z0).copy()
+    z = as_complex_vector(z0, "z0").copy()
     trace = IterationTrace()
     alpha0 = config.step_size if config.step_size is not None else DEFAULT_STEP_SIZE[strategy.kind]
     armijo = config.backtracking == "armijo"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coords import DimensionError, _number
+from .coords import _number, _read_only, _vector
 from .errors import Unidentifiable
 from .hessian import HessianQuad
 from .lsq import LsqProblem
@@ -46,9 +46,7 @@ class Example1Problem:
     def __init__(self, alpha: complex, beta: complex, samples):
         alpha = complex(alpha)
         beta = complex(beta)
-        samples = np.atleast_1d(np.asarray(samples, dtype=complex))
-        if samples.ndim != 1 or samples.shape[0] < 1:
-            raise DimensionError("samples must be a non-empty vector")
+        samples = _vector(samples, "samples")
         if not (np.isfinite(alpha) and np.isfinite(beta) and np.all(np.isfinite(samples))):
             raise ValueError("model parameters and samples must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -57,7 +55,7 @@ class Example1Problem:
             curvature = np.abs(alpha) ** 2 + np.abs(beta) ** 2
         if not (np.isfinite(mean_y) and np.isfinite(mean_abs2) and np.isfinite(curvature)):
             raise ValueError("the squared moments of the model and samples must be finite")
-        self.alpha, self.beta, self.samples = alpha, beta, samples
+        self.alpha, self.beta, self.samples = alpha, beta, _read_only(samples)
         self.mean_y, self.mean_abs2 = mean_y, mean_abs2
 
     @property
@@ -79,7 +77,7 @@ class Example1Problem:
         seed: int = 0,
     ) -> "Example1Problem":
         """Draw samples y = alpha z + beta conj(z) + circular noise."""
-        _number(n_samples, "n_samples", sign="positive")
+        _number(n_samples, "n_samples", sign="positive", size=True)
         _number(noise_var, "noise_var", real=True, sign="nonnegative")
         rng = np.random.default_rng(_number(seed, "seed", sign="nonnegative"))
         # A clean sample past the float range is rejected as not finite.
@@ -179,15 +177,11 @@ class PolynomialParams:
     __slots__ = ("quad_diag", "conj_diag", "linear", "constant")
 
     def __init__(self, quad_diag, conj_diag, linear, constant: float = 0.0):
-        c = np.atleast_1d(np.asarray(quad_diag, dtype=float))
-        d = np.atleast_1d(np.asarray(conj_diag, dtype=complex))
-        b = np.atleast_1d(np.asarray(linear, dtype=complex))
-        if not (c.shape == d.shape == b.shape) or c.ndim != 1 or c.shape[0] < 1:
-            raise DimensionError("coefficient vectors must share a positive length")
-        constant = float(constant)
-        if not all(np.all(np.isfinite(v)) for v in (c, d, b, constant)):
-            raise ValueError("polynomial coefficients must be finite")
-        self.quad_diag, self.conj_diag, self.linear, self.constant = c, d, b, constant
+        c = _vector(quad_diag, "quad_diag", real=True, finite=True)
+        d = _vector(conj_diag, "conj_diag", length=c.shape[0], finite=True)
+        b = _vector(linear, "linear", length=c.shape[0], finite=True)
+        self.quad_diag, self.conj_diag, self.linear = _read_only(c), _read_only(d), _read_only(b)
+        self.constant = float(_number(constant, "constant", real=True))
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coords import DimensionError, MetricTensor, _number, as_complex_vector
+from .coords import DimensionError, MetricTensor, _number, _vector, as_complex_vector
 from .errors import ConjugationMismatch, NonFiniteEvaluation, SingularMatrix
 
 #: Relative step for first-derivative central differences.
@@ -148,7 +148,7 @@ class ScalarField:
         self.batched = bool(batched)
 
     def __call__(self, p) -> float:
-        z = as_complex_vector(p)
+        z = as_complex_vector(p, "p")
         value = complex(self.fn(z))
         # An exactly real, finite value passes every check of _checked.
         if value.imag == 0.0 and math.isfinite(value.real):
@@ -204,13 +204,13 @@ class VectorField:
         jacobian_fn: Callable[[np.ndarray], JacobianPair] | None = None,
         name: str = "vector field",
     ):
-        self.m = int(_number(m, "m", sign="positive"))
+        self.m = int(_number(m, "m", sign="positive", size=True))
         self.fn = fn
         self.jacobian_fn = jacobian_fn
         self.name = name
 
     def __call__(self, p) -> np.ndarray:
-        z = as_complex_vector(p)
+        z = as_complex_vector(p, "p")
         value = np.atleast_1d(np.asarray(self.fn(z), dtype=complex))
         if value.shape != (self.m,):
             raise DimensionError(
@@ -292,7 +292,7 @@ def cogradients_fd(field, p, step: float | None = None):
         If ``step`` is not a positive finite real.
     """
     base = FD_FIRST_STEP if step is None else float(_number(step, "step", real=True, sign="positive"))
-    z = as_complex_vector(p)
+    z = as_complex_vector(p, "p")
     if isinstance(field, ScalarField):
         jz, jzbar = _fd_blocks(field._evaluate_stack, z, base, 1)
         return WirtingerPair(jz[0], jzbar[0])
@@ -314,7 +314,7 @@ def cogradients(field, p):
     that does not return a :class:`JacobianPair`, or blocks that are not
     m x n, raise :class:`DimensionError`.
     """
-    z = as_complex_vector(p)
+    z = as_complex_vector(p, "p")
     if isinstance(field, ScalarField):
         if field.cogradient_fn is not None:
             pair = field.cogradient_fn(z)
@@ -398,16 +398,17 @@ def is_holomorphic(
     if points is None:
         if center is None:
             raise ValueError("provide points or a center")
-        z0 = as_complex_vector(center)
+        count = _number(samples, "samples", sign="nonnegative", size=True)
+        z0 = as_complex_vector(center, "center")
         rng = np.random.default_rng(_number(seed, "seed", sign="nonnegative"))
         pts = [z0]
-        for _ in range(_number(samples, "samples", sign="nonnegative")):
+        for _ in range(count):
             g = rng.standard_normal(z0.shape[0]) + 1j * rng.standard_normal(z0.shape[0])
             g /= np.sqrt(2.0)
             norm = float(np.linalg.norm(g))
             pts.append(z0 + g / max(1.0, norm))
     else:
-        pts = [as_complex_vector(q) for q in points]
+        pts = [as_complex_vector(q, "points") for q in points]
         if not pts:
             raise ValueError("the sample set must be non-empty")
     worst = 0.0
@@ -451,17 +452,15 @@ def stationarity_residual(field: ScalarField, p) -> float:
 
 def first_order_predict(field: ScalarField, p, delta_z) -> float:
     """First-order value estimate f(p) + 2 Re{(df/dz) dz}."""
-    z = as_complex_vector(p)
-    dz = as_complex_vector(delta_z)
-    if dz.shape != z.shape:
-        raise DimensionError("step dimension does not match the point")
+    z = as_complex_vector(p, "p")
+    dz = _vector(delta_z, "delta_z", length=z.shape[0])
     pair = cogradients(field, z)
     return field(z) + 2.0 * float(np.real(pair.dz @ dz))
 
 
 def differential(pair: JacobianPair, delta_z) -> np.ndarray:
     """First-order change of a vector map: jz @ dz + jzbar @ conj(dz)."""
-    dz = as_complex_vector(delta_z)
+    dz = _vector(delta_z, "delta_z", length=pair.shape[1])
     return pair.jz @ dz + pair.jzbar @ np.conj(dz)
 
 

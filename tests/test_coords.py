@@ -1,5 +1,7 @@
 """Coordinate stacks, structure matrices, and admissibility."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from crcalc import (
     SingularMatrix,
     StructureMatrices,
     cogradients_fd,
+    complex_from_real,
     from_conjugate,
     hessian_quad,
     is_admissible_matrix,
@@ -167,6 +170,16 @@ class TestAdmissibility:
 
     def test_default_tolerance_is_exposed(self):
         assert ADMISSIBLE_TOL == 1e-9
+
+    @pytest.mark.parametrize(
+        "check", [swap, matrix_residual, is_admissible_matrix, project_admissible, complex_from_real],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 3), (2, 4)])
+    def test_matrices_must_be_non_empty_even_squares(self, check, shape):
+        message = f"expected a non-empty even square matrix, got shape {shape}"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            check(np.zeros(shape))
 
 
 class TestMetricAndTransforms:

@@ -707,7 +707,7 @@ class TestGradientAndPredictions:
         assert got == pytest.approx(1.02, abs=1e-9)
 
     def test_first_order_predict_refuses_a_step_of_another_length(self):
-        with pytest.raises(DimensionError, match="^step dimension does not match the point$"):
+        with pytest.raises(DimensionError, match="^delta_z has length 2, expected 1$"):
             first_order_predict(modulus_squared(), [1.0], [1.0, 2.0])
 
     def test_first_order_predict_tracks_small_steps(self):
