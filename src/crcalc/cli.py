@@ -111,15 +111,15 @@ def _parse_complex(value, path: str) -> complex:
     return number
 
 
-def _number_parser(real: bool = False, sign: str = ""):
-    """Parser of a count, or with ``real`` a finite real read as a float, by the library's rule."""
+def _number_parser(kind: str = "integer", sign: str = ""):
+    """Parser of a number of the ``kind`` given by the library's rule, a real read as a float."""
 
     def parse(value, path: str):
         try:
-            number = _number(value, path, real=real, sign=sign)
+            number = _number(value, path, kind=kind, sign=sign)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return float(number) if real else number
+        return float(number) if kind == "real" else number
 
     return parse
 
@@ -137,9 +137,9 @@ def _list_parser(parse):
 
 _POSITIVE_COUNT = _number_parser(sign="positive")
 _NONNEGATIVE_COUNT = _number_parser(sign="nonnegative")
-_REAL = _number_parser(real=True)
-_POSITIVE_REAL = _number_parser(real=True, sign="positive")
-_NONNEGATIVE_REAL = _number_parser(real=True, sign="nonnegative")
+_REAL = _number_parser(kind="real")
+_POSITIVE_REAL = _number_parser(kind="real", sign="positive")
+_NONNEGATIVE_REAL = _number_parser(kind="real", sign="nonnegative")
 _COMPLEX_LIST = _list_parser(_parse_complex)
 
 

@@ -12,7 +12,8 @@ projections, and dense structure matrices that express it.
 
 from __future__ import annotations
 
-import math
+import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,17 @@ _COND_LIMIT = 1.0 / np.finfo(float).eps
 
 _HERMITIAN_TOL = 1e-10
 
+_DTYPES = (np.dtype(complex), np.dtype(float))
+
+_KINDS = {
+    "integer": ((int, np.integer), "an integer"),
+    "real": ((int, float, np.integer, np.floating), "a finite real number"),
+    "complex": ((int, float, complex, np.number), "a finite complex number"),
+}
+
 
 def as_complex_vector(value, name: str = "point") -> np.ndarray:
-    """Coerce a point-like value to a 1-D complex128 array by the vector rule of :func:`_vector`.
+    """Coerce a point-like value to a 1-D complex128 array by the array rule of :func:`_array`.
 
     A non-empty 1-D complex128 ndarray comes back as the very same
     object, anything else as a fresh copy.  Callers must not write into
@@ -36,47 +45,68 @@ def as_complex_vector(value, name: str = "point") -> np.ndarray:
     """
     if type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.complex128 and value.size:
         return value
-    return _vector(value, name)
+    return _array(value, name)
 
 
-def _vector(value, name: str, real: bool = False, length: int | None = None, finite: bool = False) -> np.ndarray:
-    """A fresh complex128 copy of the vector ``value``, or with ``real`` a float64 one.
+def _array(value, name: str, real: bool = False, shape=("n",), finite: bool = False) -> np.ndarray:
+    """``value`` as a complex128 array, or with ``real`` a float64 one, of the ``shape`` given.
 
-    numpy must read it as integers, reals or, unless ``real``, complex
-    numbers, with one entry or more in at most one dimension: a scalar
-    has length 1, and a :class:`ComplexPoint` gives its z.  Any other
-    value raises ValueError naming ``name``, as with ``finite`` does a
-    NaN or infinite entry; a wrong shape or ``length``, DimensionError.
+    ``shape`` gives each axis length, an int or a letter that stands for
+    one length wherever it appears; a tuple of shapes allows each.  numpy
+    must read ``value`` as integers, reals or, unless ``real``, complex
+    numbers, with one entry or more: a scalar is a vector of length 1
+    where a vector and no scalar is allowed, and a :class:`ComplexPoint`
+    gives its z.  Any other value raises ValueError naming ``name``, as
+    with ``finite`` does a NaN or infinite entry; a wrong shape,
+    DimensionError.  An ndarray of that dtype and shape comes back as the
+    very same object, anything else as a fresh array: a value type copies it.
     """
-    if isinstance(value, ComplexPoint):
-        value = value.z
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in ("iuf" if real else "iufc"):
-        # Named by its dtype, or a scalar by its type: never by its entries.
-        got = arr.dtype if isinstance(value, np.ndarray) or (arr is not None and arr.ndim) else type(value).__name__
-        raise ValueError(f"{name} must be a vector of {'real' if real else 'complex'} numbers, got {got}")
-    arr = np.atleast_1d(arr)
-    if arr.ndim != 1 or not arr.size:
-        raise DimensionError(f"{name} must be a non-empty vector, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
-        raise DimensionError(f"{name} has length {arr.shape[0]}, expected {length}")
+    arr = value
+    if not (type(arr) is np.ndarray and arr.dtype == _DTYPES[real] and arr.size and _fits(arr.shape, shape)):
+        shapes = shape if shape and type(shape[0]) is tuple else (shape,)
+        vector = len(shapes) == 1 and len(shapes[0]) == 1
+        if isinstance(value, ComplexPoint):
+            value = value.z
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged nesting
+            arr = None
+        if arr is None or arr.dtype.kind not in ("iuf" if real else "iufc"):
+            # Named by its dtype, or a scalar by its type: never by its entries.
+            got = arr.dtype if isinstance(value, np.ndarray) or (arr is not None and arr.ndim) else type(value).__name__
+            what = "a vector" if vector else "an array"
+            raise ValueError(f"{name} must be {what} of {'real' if real else 'complex'} numbers, got {got}")
+        if not arr.ndim and () not in shapes and any(len(s) == 1 for s in shapes):
+            arr = np.atleast_1d(arr)
+        if not (arr.size and _fits(arr.shape, shape)):
+            if vector and arr.ndim == 1 and arr.size:
+                raise DimensionError(f"{name} has length {arr.shape[0]}, expected {shapes[0][0]}")
+            expected = " or ".join("(" + ", ".join(map(str, s)) + "," * (len(s) == 1) + ")" for s in shapes)
+            what = "vector" if vector else f"array of shape {expected}"
+            raise DimensionError(f"{name} must be a non-empty {what}, got shape {arr.shape}")
+        arr = arr.astype(_DTYPES[real])
     if finite and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    return arr.astype(float if real else complex)
+    return arr
 
 
-def _number(value, name: str, real: bool = False, sign: str = "", size: bool = False):
-    """``value`` if it is a count, or with ``real`` a finite real, of the ``sign`` given; a ``size`` fits np.intp."""
-    kinds = (int, float, np.integer, np.floating) if real else (int, np.integer)
+@functools.lru_cache(maxsize=256)
+def _fits(shape: tuple, spec: tuple) -> bool:
+    """Whether ``shape`` is the shape ``spec`` of :func:`_array`; cached, as the per-iteration types meet few shapes."""
+    shapes = spec if spec and type(spec[0]) is tuple else (spec,)
+    return any(tuple(dict(zip(s, shape)).get(a) if isinstance(a, str) else a for a in s) == shape for s in shapes)
+
+
+def _number(value, name: str, kind: str = "integer", sign: str = "", size: bool = False):
+    """``value`` if it is a count, or by ``kind`` a finite real or complex, of its ``sign``; a ``size`` fits np.intp."""
+    types, what = _KINDS[kind]
     try:
-        number = not isinstance(value, bool) and isinstance(value, kinds) and (not real or math.isfinite(value))
+        number = not isinstance(value, bool) and isinstance(value, types)
+        number = number and (kind == "integer" or cmath.isfinite(value))
     except OverflowError:  # an integer too large for a float
         number = False
     if not number:
-        raise ValueError(f"{name} must be {'a finite real number' if real else 'an integer'}, got {value!r}")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     if sign and not (value > 0 if sign == "positive" else value >= 0):
         raise ValueError(f"{name} must be {sign}")
     if size and value > np.iinfo(np.intp).max:
@@ -99,13 +129,11 @@ def _even_square(m: np.ndarray) -> np.ndarray:
 def _hpd_cholesky(m: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of a Hermitian positive definite matrix.
 
-    The matrix must be non-empty, every entry finite, and the Hermitian
-    residual must not exceed 1e-10 relative to the largest entry (at
-    least 1); ``what`` names the matrix in the ValueError raised
-    otherwise, or when the factorization fails.
+    Every entry must be finite, and the Hermitian residual must not
+    exceed 1e-10 relative to the largest entry (at least 1); ``what``
+    names the matrix in the ValueError raised otherwise, or when the
+    factorization fails.
     """
-    if m.size == 0:
-        raise ValueError(f"{what} must not be empty")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} must be finite")
     scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
@@ -130,7 +158,7 @@ class ComplexPoint:
     __slots__ = ("z",)
 
     def __init__(self, z):
-        self.z = _read_only(_vector(z, "z", finite=True))
+        self.z = _read_only(_array(z, "z", finite=True).copy())
 
     @property
     def n(self) -> int:
@@ -143,10 +171,10 @@ class RealCoordinates:
     __slots__ = ("r",)
 
     def __init__(self, r):
-        r = _vector(r, "r", real=True, finite=True)
+        r = _array(r, "r", real=True, finite=True)
         if r.shape[0] % 2:
             raise DimensionError(f"expected an even-length real vector, got shape {r.shape}")
-        self.r = _read_only(r)
+        self.r = _read_only(r.copy())
 
     @property
     def n(self) -> int:
@@ -159,15 +187,15 @@ class ConjugateCoordinates:
     __slots__ = ("c", "tol")
 
     def __init__(self, c, tol: float = ADMISSIBLE_TOL):
-        c = _vector(c, "c")
+        c = _array(c, "c", finite=True)
         if c.shape[0] % 2:
             raise DimensionError(f"expected an even-length vector, got shape {c.shape}")
         resid = vector_residual(c)
-        if not resid <= _number(tol, "tol", real=True, sign="nonnegative"):
+        if not resid <= _number(tol, "tol", kind="real", sign="nonnegative"):
             raise InadmissibleVector(
                 f"conjugate pairing violated: residual {resid:.3e} exceeds tol {tol:.3e}"
             )
-        self.c = _read_only(c)
+        self.c = _read_only(c.copy())
         self.tol = tol
 
     @property
@@ -238,26 +266,24 @@ def swap_rows(m: np.ndarray) -> np.ndarray:
 
 def vector_residual(b: np.ndarray) -> float:
     """Infinity-norm distance of b from the admissible set conj(b) = S b."""
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {b.shape}")
-    return float(np.max(np.abs(np.conj(b) - swap(b)), initial=0.0))
+    b = _array(b, "b")
+    return float(np.max(np.abs(np.conj(b) - swap(b))))
 
 
 def matrix_residual(m: np.ndarray) -> float:
     """Infinity-norm distance of M from the admissible set M = S conj(M) S."""
-    m = _even_square(np.asarray(m, dtype=complex))
+    m = _even_square(_array(m, "m", shape=("rows", "cols")))
     return float(np.max(np.abs(m - swap(np.conj(m)))))
 
 
 def is_admissible_vector(b, tol: float = ADMISSIBLE_TOL) -> bool:
     """Whether b satisfies the pairing constraint conj(b) = S b within tol."""
-    return vector_residual(np.asarray(b, dtype=complex)) <= _number(tol, "tol", real=True, sign="nonnegative")
+    return vector_residual(b) <= _number(tol, "tol", kind="real", sign="nonnegative")
 
 
 def is_admissible_matrix(m, tol: float = ADMISSIBLE_TOL) -> bool:
     """Whether M satisfies the block pairing M = S conj(M) S within tol."""
-    return matrix_residual(np.asarray(m, dtype=complex)) <= _number(tol, "tol", real=True, sign="nonnegative")
+    return matrix_residual(m) <= _number(tol, "tol", kind="real", sign="nonnegative")
 
 
 def project_admissible(m) -> np.ndarray:
@@ -266,7 +292,7 @@ def project_admissible(m) -> np.ndarray:
     Computes (M + S conj(M) S) / 2.  Idempotent; leaves admissible
     matrices fixed.  The result is Hermitian whenever M is.
     """
-    m = _even_square(np.asarray(m, dtype=complex))
+    m = _even_square(_array(m, "m", shape=("rows", "cols")))
     return 0.5 * (m + swap(np.conj(m)))
 
 
@@ -289,12 +315,7 @@ def from_conjugate(c, tol: float = ADMISSIBLE_TOL) -> ComplexPoint:
     symmetrizes away any residual within ``tol``.  Raises
     :class:`InadmissibleVector` if the pairing constraint fails.
     """
-    cv = c.c if isinstance(c, ConjugateCoordinates) else _vector(c, "c")
-    resid = vector_residual(cv)
-    if not resid <= _number(tol, "tol", real=True, sign="nonnegative"):
-        raise InadmissibleVector(
-            f"conjugate pairing violated: residual {resid:.3e} exceeds tol {tol:.3e}"
-        )
+    cv = ConjugateCoordinates(c.c if isinstance(c, ConjugateCoordinates) else c, tol).c
     top, bottom = _halves(cv)
     x = 0.5 * (top + bottom)
     y = 0.5j * (bottom - top)
@@ -313,9 +334,7 @@ class MetricTensor:
     __slots__ = ("omega",)
 
     def __init__(self, omega):
-        om = np.array(omega, dtype=complex)
-        if om.ndim != 2 or om.shape[0] != om.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {om.shape}")
+        om = _array(omega, "omega", shape=("n", "n")).copy()
         _hpd_cholesky(om, "metric")
         self.omega = _read_only(om)
 
@@ -384,9 +403,7 @@ def verify_transform_laws(a_matrix, p, metric: MetricTensor | None = None, seed:
     """
     z = as_complex_vector(p, "p")
     n = z.shape[0]
-    a = np.asarray(a_matrix, dtype=complex)
-    if a.shape != (n, n):
-        raise DimensionError(f"expected a {n} x {n} matrix, got shape {a.shape}")
+    a = _array(a_matrix, "a_matrix", shape=(n, n))
     omega = np.eye(n) if metric is None else metric.omega
     if omega.shape != (n, n):
         raise DimensionError("metric dimension does not match the point")

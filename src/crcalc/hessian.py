@@ -25,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .coords import DimensionError, _even_square, _vector, as_complex_vector, swap_rows
+from .coords import DimensionError, _array, _even_square, as_complex_vector, swap_rows
 from .errors import NonFiniteEvaluation, RelationViolation, SymmetryViolation
 from .wirtinger import ScalarField, VectorField, cogradients, cogradients_fd
 
@@ -79,14 +79,8 @@ class HessianQuad:
     __slots__ = ("hzz", "hzbz", "presym_residual")
 
     def __init__(self, hzz, hzbz, *, presym_residual: float = 0.0):
-        hzz = np.atleast_1d(np.asarray(hzz, dtype=complex))
-        hzbz = np.atleast_1d(np.asarray(hzbz, dtype=complex))
-        if hzz.ndim > 2 or hzz.shape != hzz.shape[:1] * hzz.ndim or hzbz.shape != hzz.shape:
-            raise DimensionError("curvature blocks must share an n x n or length-n shape")
-        if hzz.size == 0:
-            raise DimensionError("curvature blocks must not be empty")
-        self.hzz = hzz
-        self.hzbz = hzbz
+        self.hzz = _array(hzz, "hzz", shape=(("n",), ("n", "n")))
+        self.hzbz = _array(hzbz, "hzbz", shape=self.hzz.shape)
         self.presym_residual = presym_residual
 
     @property
@@ -381,7 +375,7 @@ def complex_from_real(hrr: np.ndarray) -> np.ndarray:
     :meth:`HessianQuad.dense`.  The input must be real symmetric of even
     dimension.
     """
-    hrr = _even_square(np.asarray(hrr, dtype=float))
+    hrr = _even_square(_array(hrr, "hrr", real=True, shape=("rows", "cols")))
     return HessianQuad(*_top_pair(hrr)).dense()
 
 
@@ -403,7 +397,7 @@ def second_order_predict(field: ScalarField, p, delta_z, representation: str = "
     if representation not in _REPRESENTATIONS:
         raise ValueError(f"representation must be one of {_REPRESENTATIONS}")
     z = as_complex_vector(p, "p")
-    dz = _vector(delta_z, "delta_z", length=z.shape[0])
+    dz = _array(delta_z, "delta_z", shape=z.shape, finite=True)
     value = field(z)
     pair = cogradients(field, z)
     quad = hessian_quad(field, z)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import DimensionError, _hpd_cholesky, _number, _read_only, _vector, as_complex_vector
+from .coords import _array, _hpd_cholesky, _number, _read_only, as_complex_vector
 from .errors import Diverged, SingularMatrix
 
 #: Estimate norm beyond which a run is declared divergent.
@@ -62,10 +62,8 @@ class SignalModel:
 
     def __init__(self, n: int, r_matrix, p, noise_var: float = 0.0, seed: int = 0):
         _number(n, "n", sign="positive")
-        r = np.array(r_matrix, dtype=complex)
-        if r.shape != (n, n):
-            raise DimensionError(f"covariance has shape {r.shape}, expected ({n}, {n})")
-        p = _vector(p, "p", length=n)
+        r = _array(r_matrix, "r_matrix", shape=(n, n))
+        p = _array(p, "p", shape=(n,))
         # A NaN or infinite noise_var shares this message; its type is checked with its sign.
         bad_noise = noise_var != noise_var or noise_var in (np.inf, -np.inf)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))) or bad_noise:
@@ -78,8 +76,8 @@ class SignalModel:
             sizes = [np.vdot(wiener, wiener).real, np.vdot(p, wiener).real]
         if not np.all(np.isfinite(sizes)):
             raise ValueError("the Wiener solution and its output power must be finite")
-        _number(noise_var, "noise_var", real=True, sign="nonnegative")
-        self.n, self.r_matrix, self.p, self.noise_var = n, _read_only(r), _read_only(p), noise_var
+        _number(noise_var, "noise_var", kind="real", sign="nonnegative")
+        self.n, self.r_matrix, self.p, self.noise_var = n, _read_only(r.copy()), _read_only(p.copy()), noise_var
         self.seed, self._chol, self._wiener = _number(seed, "seed", sign="nonnegative"), chol, wiener
 
     @classmethod
@@ -90,10 +88,8 @@ class SignalModel:
         reference eta = a_ref^H xi + noise.  A product that is not
         finite is rejected by the model's own validation.
         """
-        a = as_complex_vector(a_ref, "a_ref")
-        r = np.asarray(r_matrix, dtype=complex)
-        if r.shape != (a.shape[0],) * 2:
-            raise DimensionError(f"a_ref has length {a.shape[0]}, but the covariance has shape {r.shape}")
+        a = _array(a_ref, "a_ref", finite=True)
+        r = _array(r_matrix, "r_matrix", shape=a.shape * 2)
         with np.errstate(invalid="ignore", over="ignore"):
             p = r @ a
         return cls(n=a.shape[0], r_matrix=r, p=p, noise_var=noise_var, seed=seed)
@@ -113,13 +109,9 @@ def instantaneous_gradient(a_hat, xi, eta) -> np.ndarray:
     is one input of length n with a scalar ``eta``, or a (k, n) stack
     of inputs with k references, giving one row per sample.
     """
-    a = as_complex_vector(a_hat, "a_hat")
-    x = np.atleast_1d(np.asarray(xi, dtype=complex))
-    e = np.asarray(eta, dtype=complex)
-    if x.ndim > 2 or x.shape[-1] != a.shape[0]:
-        raise DimensionError(f"expected one input or a stack of inputs of a_hat's length {a.shape[0]}, got {x.shape}")
-    if e.shape != x.shape[:-1]:
-        raise DimensionError(f"expected one reference per input, got shape {e.shape}")
+    a = _array(a_hat, "a_hat", finite=True)
+    x = _array(xi, "xi", shape=(a.shape, ("k", *a.shape)))
+    e = _array(eta, "eta", shape=x.shape[:-1])
     err = e - x @ np.conj(a)
     return -x * np.conj(err)[..., None]
 
@@ -154,7 +146,7 @@ def draw_signals(model: SignalModel, steps: int, a_ref=None) -> tuple[np.ndarray
     eta : ndarray, shape (steps,)
     """
     _number(steps, "steps", sign="nonnegative", size=True)
-    a = model._wiener if a_ref is None else _vector(a_ref, "a_ref", length=model.n)
+    a = model._wiener if a_ref is None else _array(a_ref, "a_ref", shape=(model.n,), finite=True)
     rng = np.random.default_rng(model.seed)
     # The draws keep their order and every value its arithmetic, but each
     # goes through one real buffer into a preallocated complex array, and
@@ -278,10 +270,10 @@ def simulate(
         If the estimate norm passes 1e9 or is not finite; the partial
         result rides on the exception.
     """
-    _number(step_size, "step_size", real=True, sign="positive")
+    _number(step_size, "step_size", kind="real", sign="positive")
     xi, eta = draw_signals(model, steps, a_ref=a_ref)
     target = wiener_solution(model)
-    a = np.zeros(model.n, dtype=complex) if a0 is None else _vector(a0, "a0", length=model.n)
+    a = np.zeros(model.n, dtype=complex) if a0 is None else _array(a0, "a0", shape=(model.n,))
     mu = step_size / (np.arange(steps) + 1) if decay else np.full(steps, float(step_size))
     # Past a divergence the estimate overflows; the first bad step is
     # found and reported below, so the overflow itself is expected.

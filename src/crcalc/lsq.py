@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coords import DimensionError, _hpd_cholesky, _read_only, _vector, as_complex_vector, swap
+from .coords import _array, _hpd_cholesky, _read_only, as_complex_vector, swap
 from .errors import NonFiniteEvaluation
 from .hessian import FD_FORWARD_STEP, FD_SECOND_STEP, HessianQuad
 from .wirtinger import ScalarField, VectorField, WirtingerPair, _fd_blocks, cogradients
@@ -70,18 +70,13 @@ class _Weight:
     __slots__ = ("values",)
 
     def __init__(self, w, m: int):
-        values = np.asarray(1.0 if w is None else w)
+        values = _array(1.0 if w is None else w, "w", shape=((), (m,), (m, m)))
         if values.ndim == 2:
-            values = values.astype(complex, copy=False)
-            if values.shape != (m, m):
-                raise DimensionError(f"weight has shape {values.shape}, expected square of size {m}")
             _hpd_cholesky(values, "weight")
         else:
-            if values.shape not in ((), (m,)):
-                raise DimensionError(f"weight has shape {values.shape}, expected (), ({m},) or ({m}, {m})")
-            if np.any(np.imag(values) != 0.0):
+            if np.any(values.imag != 0.0):
                 raise ValueError("a scalar or diagonal weight must be real")
-            values = np.real(values).astype(float)
+            values = values.real.copy()
             if not np.all(np.isfinite(values) & (values > 0.0)):
                 raise ValueError("a scalar or diagonal weight must be finite and positive")
         self.values = values
@@ -135,7 +130,7 @@ class LsqProblem:
         if not isinstance(g, VectorField):
             raise TypeError("the model must be a VectorField")
         self.g = g
-        self.y = _read_only(_vector(y, "y", length=g.m, finite=True))
+        self.y = _read_only(_array(y, "y", shape=(g.m,), finite=True).copy())
         self._weight = _Weight(w, g.m)
         self._last: _Point | None = None
 

@@ -93,7 +93,7 @@ class QStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"kind must be one of {STRATEGY_KINDS}, got {self.kind!r}")
-        _number(self.damping, "damping", real=True, sign="nonnegative")
+        _number(self.damping, "damping", kind="real", sign="nonnegative")
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,14 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.step_size is not None:
-            _number(self.step_size, "step_size", real=True, sign="positive")
+            _number(self.step_size, "step_size", kind="real", sign="positive")
         if _number(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be at least 1")
-        _number(self.grad_tol, "grad_tol", real=True, sign="nonnegative")
+        _number(self.grad_tol, "grad_tol", kind="real", sign="nonnegative")
         if self.backtracking not in ("off", "armijo"):
             raise ValueError("backtracking must be 'off' or 'armijo'")
         for name in ("armijo_beta", "armijo_c1"):
-            if not 0.0 < _number(getattr(self, name), name, real=True) < 1.0:
+            if not 0.0 < _number(getattr(self, name), name, kind="real") < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
 
 

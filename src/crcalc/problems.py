@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coords import _number, _read_only, _vector
+from .coords import _array, _number, _read_only
 from .errors import Unidentifiable
 from .hessian import HessianQuad
 from .lsq import LsqProblem
@@ -36,26 +36,25 @@ class Example1Problem:
 
     Stores the samples together with the three moments the loss
     expansion needs: the sample means of y and of |y|^2.  The mean of
-    conj(y) is the conjugate of the mean of y.  Those moments and the
-    curvature |alpha|^2 + |beta|^2 must be finite, or ValueError is
-    raised: otherwise no loss value is.
+    conj(y) is the conjugate of the mean of y.  alpha and beta must be
+    finite complex numbers, the samples a finite vector, and those
+    moments and the curvature |alpha|^2 + |beta|^2 finite, or ValueError
+    is raised: otherwise no loss value is.
     """
 
     __slots__ = ("alpha", "beta", "samples", "mean_y", "mean_abs2")
 
     def __init__(self, alpha: complex, beta: complex, samples):
-        alpha = complex(alpha)
-        beta = complex(beta)
-        samples = _vector(samples, "samples")
-        if not (np.isfinite(alpha) and np.isfinite(beta) and np.all(np.isfinite(samples))):
-            raise ValueError("model parameters and samples must be finite")
+        alpha = complex(_number(alpha, "alpha", kind="complex"))
+        beta = complex(_number(beta, "beta", kind="complex"))
+        samples = _array(samples, "samples", finite=True)
         with np.errstate(over="ignore", invalid="ignore"):
             mean_y = complex(np.mean(samples))
             mean_abs2 = float(np.mean(np.abs(samples) ** 2))
             curvature = np.abs(alpha) ** 2 + np.abs(beta) ** 2
         if not (np.isfinite(mean_y) and np.isfinite(mean_abs2) and np.isfinite(curvature)):
             raise ValueError("the squared moments of the model and samples must be finite")
-        self.alpha, self.beta, self.samples = alpha, beta, _read_only(samples)
+        self.alpha, self.beta, self.samples = alpha, beta, _read_only(samples.copy())
         self.mean_y, self.mean_abs2 = mean_y, mean_abs2
 
     @property
@@ -77,12 +76,14 @@ class Example1Problem:
         seed: int = 0,
     ) -> "Example1Problem":
         """Draw samples y = alpha z + beta conj(z) + circular noise."""
+        named = ((alpha, "alpha"), (beta, "beta"), (z_true, "z_true"))
+        alpha, beta, z = (complex(_number(value, name, kind="complex")) for value, name in named)
         _number(n_samples, "n_samples", sign="positive", size=True)
-        _number(noise_var, "noise_var", real=True, sign="nonnegative")
+        _number(noise_var, "noise_var", kind="real", sign="nonnegative")
         rng = np.random.default_rng(_number(seed, "seed", sign="nonnegative"))
         # A clean sample past the float range is rejected as not finite.
         with np.errstate(over="ignore", invalid="ignore"):
-            clean = complex(alpha) * complex(z_true) + complex(beta) * np.conj(complex(z_true))
+            clean = alpha * z + beta * np.conj(z)
         noise = np.sqrt(noise_var / 2.0) * (
             rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
         )
@@ -177,11 +178,11 @@ class PolynomialParams:
     __slots__ = ("quad_diag", "conj_diag", "linear", "constant")
 
     def __init__(self, quad_diag, conj_diag, linear, constant: float = 0.0):
-        c = _vector(quad_diag, "quad_diag", real=True, finite=True)
-        d = _vector(conj_diag, "conj_diag", length=c.shape[0], finite=True)
-        b = _vector(linear, "linear", length=c.shape[0], finite=True)
-        self.quad_diag, self.conj_diag, self.linear = _read_only(c), _read_only(d), _read_only(b)
-        self.constant = float(_number(constant, "constant", real=True))
+        c = _array(quad_diag, "quad_diag", real=True, finite=True)
+        d = _array(conj_diag, "conj_diag", shape=c.shape, finite=True)
+        b = _array(linear, "linear", shape=c.shape, finite=True)
+        self.quad_diag, self.conj_diag, self.linear = _read_only(c.copy()), _read_only(d.copy()), _read_only(b.copy())
+        self.constant = float(_number(constant, "constant", kind="real"))
 
     @property
     def n(self) -> int:

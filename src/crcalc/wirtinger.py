@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coords import DimensionError, MetricTensor, _number, _vector, as_complex_vector
+from .coords import DimensionError, MetricTensor, _array, _number, as_complex_vector
 from .errors import ConjugationMismatch, NonFiniteEvaluation, SingularMatrix
 
 #: Relative step for first-derivative central differences.
@@ -58,12 +58,8 @@ class WirtingerPair:
     __slots__ = ("dz", "dzbar")
 
     def __init__(self, dz, dzbar):
-        dz = np.atleast_1d(np.asarray(dz, dtype=complex))
-        dzbar = np.atleast_1d(np.asarray(dzbar, dtype=complex))
-        if dz.shape != dzbar.shape or dz.ndim != 1:
-            raise DimensionError("derivative rows must be vectors of equal length")
-        self.dz = dz
-        self.dzbar = dzbar
+        self.dz = _array(dz, "dz")
+        self.dzbar = _array(dzbar, "dzbar", shape=self.dz.shape)
 
     @property
     def n(self) -> int:
@@ -85,12 +81,8 @@ class JacobianPair:
     __slots__ = ("jz", "jzbar")
 
     def __init__(self, jz, jzbar):
-        jz = np.atleast_2d(np.asarray(jz, dtype=complex))
-        jzbar = np.atleast_2d(np.asarray(jzbar, dtype=complex))
-        if jz.shape != jzbar.shape:
-            raise DimensionError("jacobian blocks must share a shape")
-        self.jz = jz
-        self.jzbar = jzbar
+        self.jz = _array(jz, "jz", shape=("m", "n"))
+        self.jzbar = _array(jzbar, "jzbar", shape=self.jz.shape)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -291,7 +283,7 @@ def cogradients_fd(field, p, step: float | None = None):
     ValueError
         If ``step`` is not a positive finite real.
     """
-    base = FD_FIRST_STEP if step is None else float(_number(step, "step", real=True, sign="positive"))
+    base = FD_FIRST_STEP if step is None else float(_number(step, "step", kind="real", sign="positive"))
     z = as_complex_vector(p, "p")
     if isinstance(field, ScalarField):
         jz, jzbar = _fd_blocks(field._evaluate_stack, z, base, 1)
@@ -394,7 +386,7 @@ def is_holomorphic(
         raise TypeError("holomorphy is a property of vector maps")
     if tol is None:
         tol = HOLO_TOL_ANALYTIC if field.jacobian_fn is not None else HOLO_TOL_FD
-    _number(tol, "tol", real=True, sign="nonnegative")
+    _number(tol, "tol", kind="real", sign="nonnegative")
     if points is None:
         if center is None:
             raise ValueError("provide points or a center")
@@ -453,14 +445,14 @@ def stationarity_residual(field: ScalarField, p) -> float:
 def first_order_predict(field: ScalarField, p, delta_z) -> float:
     """First-order value estimate f(p) + 2 Re{(df/dz) dz}."""
     z = as_complex_vector(p, "p")
-    dz = _vector(delta_z, "delta_z", length=z.shape[0])
+    dz = _array(delta_z, "delta_z", shape=z.shape, finite=True)
     pair = cogradients(field, z)
     return field(z) + 2.0 * float(np.real(pair.dz @ dz))
 
 
 def differential(pair: JacobianPair, delta_z) -> np.ndarray:
     """First-order change of a vector map: jz @ dz + jzbar @ conj(dz)."""
-    dz = _vector(delta_z, "delta_z", length=pair.shape[1])
+    dz = _array(delta_z, "delta_z", shape=pair.shape[1:], finite=True)
     return pair.jz @ dz + pair.jzbar @ np.conj(dz)
 
 

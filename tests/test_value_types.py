@@ -42,6 +42,7 @@ from crcalc import (
     VectorField,
     WirtingerPair,
     cogradients,
+    complex_from_real,
     cogradients_fd,
     descent_step,
     differential,
@@ -57,14 +58,17 @@ from crcalc import (
     is_holomorphic,
     loss,
     loss_pair,
+    matrix_residual,
     minimize,
     newton_quad,
+    project_admissible,
     residual,
     second_order_predict,
     simulate,
     stationarity_residual,
     to_conjugate,
     to_real,
+    vector_residual,
     verify_transform_laws,
 )
 from crcalc.coords import as_complex_vector
@@ -158,19 +162,18 @@ def _nonsym():
 
 #: (constructor call, exception type, exact message) for every check.
 BAD_INPUTS = [
-    (lambda: WirtingerPair([1.0], [1.0, 2.0]), DimensionError,
-     "derivative rows must be vectors of equal length"),
-    (lambda: WirtingerPair(np.eye(2), np.eye(2)), DimensionError,
-     "derivative rows must be vectors of equal length"),
+    (lambda: WirtingerPair([1.0], [1.0, 2.0]), DimensionError, "dzbar has length 2, expected 1"),
+    (lambda: WirtingerPair(np.eye(2), np.eye(2)), DimensionError, "dz must be a non-empty vector, got shape (2, 2)"),
     (lambda: JacobianPair(np.eye(2), np.eye(3)), DimensionError,
-     "jacobian blocks must share a shape"),
+     "jzbar must be a non-empty array of shape (2, 2), got shape (3, 3)"),
     (lambda: HessianQuad(np.eye(2), np.zeros(2)), DimensionError,
-     "curvature blocks must share an n x n or length-n shape"),
+     "hzbz must be a non-empty array of shape (2, 2), got shape (2,)"),
     (lambda: HessianQuad(np.ones((2, 3)), np.ones((2, 3))), DimensionError,
-     "curvature blocks must share an n x n or length-n shape"),
+     "hzz must be a non-empty array of shape (n,) or (n, n), got shape (2, 3)"),
     (lambda: HessianQuad(np.zeros((0, 0)), np.zeros((0, 0))), DimensionError,
-     "curvature blocks must not be empty"),
-    (lambda: HessianQuad([], []), DimensionError, "curvature blocks must not be empty"),
+     "hzz must be a non-empty array of shape (n,) or (n, n), got shape (0, 0)"),
+    (lambda: HessianQuad([], []), DimensionError,
+     "hzz must be a non-empty array of shape (n,) or (n, n), got shape (0,)"),
     (lambda: ComplexPoint(np.eye(2)), DimensionError, "z must be a non-empty vector, got shape (2, 2)"),
     (lambda: ComplexPoint([np.nan]), ValueError, "z must be finite"),
     (lambda: RealCoordinates([1.0, 2.0, 3.0]), DimensionError,
@@ -181,13 +184,13 @@ BAD_INPUTS = [
     (lambda: ConjugateCoordinates([1j, 1j]), InadmissibleVector,
      "conjugate pairing violated: residual 2.000e+00 exceeds tol 1.000e-09"),
     (lambda: MetricTensor(np.ones((2, 3))), DimensionError,
-     "expected a square matrix, got shape (2, 3)"),
+     "omega must be a non-empty array of shape (n, n), got shape (2, 3)"),
     (lambda: MetricTensor([[np.nan]]), ValueError, "metric must be finite"),
     (lambda: MetricTensor(_nonsym()), ValueError, "metric must be Hermitian"),
     (lambda: MetricTensor(-np.eye(2)), ValueError, "metric must be positive definite"),
     (lambda: Example1Problem(1.0, 0.5, []), DimensionError, "samples must be a non-empty vector, got shape (0,)"),
-    (lambda: Example1Problem(np.inf, 0.5, [1.0]), ValueError,
-     "model parameters and samples must be finite"),
+    (lambda: Example1Problem(np.inf, 0.5, [1.0]), ValueError, "alpha must be a finite complex number, got inf"),
+    (lambda: Example1Problem(1.0, 0.5, [np.inf]), ValueError, "samples must be finite"),
     (lambda: Example1Problem(1.0, 0.5, [1e200]), ValueError,
      "the squared moments of the model and samples must be finite"),
     (lambda: PolynomialParams([1.0, 2.0], [0.0], [0.0]), DimensionError,
@@ -197,7 +200,7 @@ BAD_INPUTS = [
     (lambda: SignalModel(2.0, np.eye(2), [1, 1j]), ValueError, "n must be an integer, got 2.0"),
     (lambda: SignalModel(True, np.eye(1), [1]), ValueError, "n must be an integer, got True"),
     (lambda: SignalModel(2, np.eye(3), np.zeros(2)), DimensionError,
-     "covariance has shape (3, 3), expected (2, 2)"),
+     "r_matrix must be a non-empty array of shape (2, 2), got shape (3, 3)"),
     (lambda: SignalModel(2, np.eye(2), np.zeros(3)), DimensionError,
      "p has length 3, expected 2"),
     (lambda: SignalModel(1, np.eye(1), np.zeros(1), noise_var=np.nan), ValueError,
@@ -209,9 +212,10 @@ BAD_INPUTS = [
      "the Wiener solution and its output power must be finite"),
     (lambda: SignalModel(1, np.eye(1), np.zeros(1), noise_var=-0.1), ValueError,
      "noise_var must be nonnegative"),
-    (lambda: _Weight(np.eye(3), 2), DimensionError, "weight has shape (3, 3), expected square of size 2"),
+    (lambda: _Weight(np.eye(3), 2), DimensionError,
+     "w must be a non-empty array of shape () or (2,) or (2, 2), got shape (3, 3)"),
     (lambda: _Weight(np.ones(3), 2), DimensionError,
-     "weight has shape (3,), expected (), (2,) or (2, 2)"),
+     "w must be a non-empty array of shape () or (2,) or (2, 2), got shape (3,)"),
     (lambda: _Weight(1j, 2), ValueError, "a scalar or diagonal weight must be real"),
     (lambda: _Weight([1.0, 0.0], 2), ValueError,
      "a scalar or diagonal weight must be finite and positive"),
@@ -267,17 +271,18 @@ def _inside(tree: ast.AST, names) -> set:
     return {id(node) for fn in found for node in ast.walk(fn)}
 
 
-def _workarounds(tree: ast.AST, exempt=("_number",), vectors=("_vector",)):
-    """Lines with object.__setattr__, a getattr of a private name given as a string, isinstance(..., bool) or atleast_1d.
+def _workarounds(tree: ast.AST, exempt=("_number",), arrays=("_array",)):
+    """Lines with object.__setattr__, a getattr of a private name as a string, isinstance(..., bool) or a coercion.
 
     The bool test is the count and real decision, which belongs to
     ``coords._number`` alone; the bodies of the ``exempt`` functions are
-    not scanned for it.  ``np.atleast_1d`` is the vector decision, which
-    belongs to ``coords._vector``; the ``vectors`` functions are not
-    scanned for it.
+    not scanned for it.  ``np.atleast_1d``, ``np.atleast_2d`` and an
+    ``np.asarray`` or ``np.array`` given a dtype are the array decision,
+    which belongs to ``coords._array``; the ``arrays`` functions are not
+    scanned for them.
     """
     inside = _inside(tree, exempt)
-    inside_vectors = _inside(tree, vectors)
+    inside_arrays = _inside(tree, arrays)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -290,8 +295,11 @@ def _workarounds(tree: ast.AST, exempt=("_number",), vectors=("_vector",)):
             and id(node) not in inside
         ):
             yield node.lineno, "isinstance(..., bool)"
-        if isinstance(fn, ast.Attribute) and fn.attr == "atleast_1d" and id(node) not in inside_vectors:
-            yield node.lineno, "atleast_1d"
+        if isinstance(fn, ast.Attribute) and id(node) not in inside_arrays:
+            if fn.attr in ("atleast_1d", "atleast_2d"):
+                yield node.lineno, fn.attr
+            if fn.attr in ("asarray", "array") and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords)):
+                yield node.lineno, f"{fn.attr} with a dtype"
         if (
             isinstance(fn, ast.Attribute)
             and fn.attr == "__setattr__"
@@ -315,11 +323,14 @@ def test_scan_finds_the_workarounds():
         'object.__setattr__(self, "x", 1)\ny = getattr(model, "_wiener")\nz = getattr(m, "n")\n'
         "ok = isinstance(n, bool)\nok = not isinstance(n, (int, bool))\nok = isinstance(n, int)\n"
         "def _number(value):\n    return isinstance(value, bool)\n"
-        "v = np.atleast_1d(x)\ndef _vector(value):\n    return np.atleast_1d(value)\n"
+        "v = np.atleast_1d(x)\ndef _array(value):\n    return np.atleast_1d(np.asarray(value, dtype=complex))\n"
         "class Pair:\n    def __init__(self, dz):\n        self.dz = np.atleast_1d(dz)\n"
+        "m = np.atleast_2d(x)\nm = np.asarray(x, dtype=complex)\nm = np.array(x, complex)\n"
+        "m = np.asarray(x)\nm = np.array([1.0, 2.0])\n"
     )
-    assert sorted(line for line, _ in _workarounds(ast.parse(src))) == [1, 2, 4, 5, 9, 14]
-    assert sorted(line for line, _ in _workarounds(ast.parse(src), vectors=("_vector", "Pair.__init__"))) == [1, 2, 4, 5, 9]
+    assert sorted(line for line, _ in _workarounds(ast.parse(src))) == [1, 2, 4, 5, 9, 14, 15, 16, 17]
+    flagged = _workarounds(ast.parse(src), arrays=("_array", "Pair.__init__"))
+    assert sorted(line for line, _ in flagged) == [1, 2, 4, 5, 9, 15, 16, 17]
 
 
 def test_package_has_no_setattr_or_private_getattr_workarounds():
@@ -328,12 +339,10 @@ def test_package_has_no_setattr_or_private_getattr_workarounds():
     # The CLI reads counts and reals through ``_number`` too; only its
     # complex and boolean parsers tell a JSON boolean apart themselves.
     exempt = {"cli.py": ("_parse_complex", "_parse_bool")}
-    # Types rebuilt on every iteration keep their own shape checks.
-    vectors = {
-        "coords.py": ("_vector",),
-        "hessian.py": ("HessianQuad.__init__",),
-        "lms.py": ("instantaneous_gradient",),
-        "wirtinger.py": ("WirtingerPair.__init__", "VectorField.__call__"),
+    # Outside the array rule, only what a field's callback returns is read with a dtype.
+    arrays = {
+        "coords.py": ("_array",),
+        "wirtinger.py": ("VectorField.__call__", "ScalarField._evaluate_stack"),
     }
     found = [
         f"{path.name}:{line}: {what}"
@@ -341,7 +350,7 @@ def test_package_has_no_setattr_or_private_getattr_workarounds():
         for line, what in _workarounds(
             ast.parse(path.read_text(), filename=str(path)),
             ("_number", *exempt.get(path.name, ())),
-            vectors.get(path.name, ()),
+            arrays.get(path.name, ()),
         )
     ]
     assert found == []
@@ -453,11 +462,12 @@ BOUNDARY_CHANGES = [
     (lambda: Example1Problem.synthesize(1, 0, 1, seed=None), "seed must be an integer, got None"),
     (lambda: SignalModel(2, np.eye(2), [1, 1j], seed=-1), "seed must be nonnegative"),
     (lambda: MetricTensor.identity(0), "n must be positive"),
-    (lambda: MetricTensor(np.zeros((0, 0))), "metric must not be empty"),
+    (lambda: MetricTensor(np.zeros((0, 0))), "omega must be a non-empty array of shape (n, n), got shape (0, 0)"),
     (lambda: SignalModel(0, np.zeros((0, 0)), np.zeros(0)), "n must be positive"),
     (lambda: VectorField(0, lambda z: z), "m must be positive"),
     (lambda: VectorField(-3, lambda z: z), "m must be positive"),
-    (lambda: _Weight(np.zeros((0, 0)), 0), "weight must not be empty"),
+    (lambda: _Weight(np.zeros((0, 0)), 0),
+     "w must be a non-empty array of shape () or (0,) or (0, 0), got shape (0, 0)"),
     (lambda: cogradients_fd(_LINEAR, [1.0], step="1"), "step must be a finite real number, got '1'"),
     (lambda: is_holomorphic(_SQUARE, center=[0.0], samples=-1), "samples must be nonnegative"),
     (lambda: minimize(_LINEAR, [1.0], QStrategy("newton", damping=10**400)),
@@ -480,9 +490,19 @@ def test_boundary_messages(call, message):
         call()
 
 
-_BOWL = ScalarField(lambda z: float(np.real(np.vdot(z, z))), name="bowl")
+def _quietly(fn):
+    """``fn`` under np.errstate(all="ignore"): a test field's arithmetic on NaN or inf is no package warning."""
+
+    def quiet(z):
+        with np.errstate(all="ignore"):
+            return fn(z)
+
+    return quiet
+
+
+_BOWL = ScalarField(_quietly(lambda z: float(np.real(np.vdot(z, z)))), name="bowl")
 _BOWL_ROW = ScalarField(_BOWL.fn, cogradient_fn=lambda z: WirtingerPair(np.conj(z), z), name="bowl with its row")
-_SUMSQ = VectorField(1, lambda z: np.array([np.sum(z * z)]), name="sum of squares")
+_SUMSQ = VectorField(1, _quietly(lambda z: np.array([np.sum(z * z)])), name="sum of squares")
 _FIT = LsqProblem(_SUMSQ, [1.0])
 _PAIR = JacobianPair(np.eye(2), np.zeros((2, 2)))
 
@@ -529,9 +549,9 @@ VECTORS = [
     ("conj_diag", "complex", (), 1, lambda v: PolynomialParams([2.0], v, [1.0])),
     ("linear", "complex", (), 1, lambda v: PolynomialParams([2.0], [0.5j], v)),
     ("p", "complex", (), 2, lambda v: SignalModel(2, np.eye(2), v)),
-    ("a_ref", "complex", (), 2, lambda v: SignalModel.from_reference(np.eye(2), v)),
+    ("a_ref", "complex", ("r_matrix",), 2, lambda v: SignalModel.from_reference(np.eye(2), v)),
     ("a_ref", "complex", (), None, SignalModel.white),
-    ("a_hat", "complex", (), 2, lambda v: instantaneous_gradient(v, [1.0, 1j], 0.5)),
+    ("a_hat", "complex", ("xi",), 2, lambda v: instantaneous_gradient(v, [1.0, 1j], 0.5)),
     ("a_ref", "complex or None", (), 2, lambda v: draw_signals(_MODEL, 3, a_ref=v)),
     ("a_ref", "complex or None", (), 2, lambda v: simulate(_MODEL, 3, 0.1, a_ref=v)),
     ("a0", "complex or None", (), 2, lambda v: simulate(_MODEL, 3, 0.1, a0=v)),
@@ -546,9 +566,10 @@ NOT_VECTORS = [
     [10**400], [1.0, -(10**400)], np.array([1.0], dtype=object), [1.0, [2.0, 3.0]], object(),
 ]
 
-#: Values it takes, each of length 1 to 3.
+#: Values it takes, each of length 1 to 3, finite or not.
 VECTOR_VALUES = st.one_of(
     st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False), min_size=1, max_size=3),
+    st.lists(st.sampled_from([np.nan, np.inf, -np.inf, complex(1.0, np.inf), 0.5]), min_size=1, max_size=3),
     st.lists(st.floats(-4, 4), min_size=1, max_size=3).map(np.array),
     st.sampled_from([2, 1.5, np.float32(0.5), np.array(0.5), (1.0, 2.0), np.arange(3), np.ones(2, dtype=np.uint8)]),
     st.sampled_from([np.array([1.0, 2j]), ComplexPoint([1j, 0.5])]),
@@ -599,9 +620,9 @@ VECTOR_MESSAGES = [
     (lambda: is_holomorphic(_SQUARE, [[]]), DimensionError, "points must be a non-empty vector, got shape (0,)"),
     (lambda: SignalModel.white([]), DimensionError, "a_ref must be a non-empty vector, got shape (0,)"),
     (lambda: SignalModel.from_reference(np.eye(2), [1.0]), DimensionError,
-     "a_ref has length 1, but the covariance has shape (2, 2)"),
+     "r_matrix must be a non-empty array of shape (1, 1), got shape (2, 2)"),
     (lambda: instantaneous_gradient([1.0], [1.0, 1j], 0.5), DimensionError,
-     "expected one input or a stack of inputs of a_hat's length 1, got (2,)"),
+     "xi must be a non-empty array of shape (1,) or (k, 1), got shape (2,)"),
     (lambda: LsqProblem(_SQUARE, [1.0, 2.0]), DimensionError, "y has length 2, expected 1"),
     (lambda: LsqProblem(_SQUARE, [np.nan]), ValueError, "y must be finite"),
     (lambda: second_order_predict(_BOWL, [1.0], [1.0, 2.0]), DimensionError, "delta_z has length 2, expected 1"),
@@ -613,5 +634,134 @@ VECTOR_MESSAGES = [
 
 @pytest.mark.parametrize("call, exc, message", VECTOR_MESSAGES, ids=[m[:80] for *_, m in VECTOR_MESSAGES])
 def test_vector_messages(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()
+
+
+#: Every block, matrix and complex scalar parameter of the library
+#: boundary: its name, a call taking its value, the shapes of values it
+#: takes (None for a complex number), whether it takes real numbers
+#: only, and values of a shape it refuses.
+ARRAYS = [
+    ("dz", lambda v: WirtingerPair(v, v), [(2,), ()], False, [np.eye(2)]),
+    ("dzbar", lambda v: WirtingerPair([1.0, 2.0], v), [(2,)], False, [[1.0], np.eye(2)]),
+    ("jz", lambda v: JacobianPair(v, v), [(2, 3)], False, [2.0, [1.0, 2.0]]),
+    ("jzbar", lambda v: JacobianPair(np.ones((2, 2)), v), [(2, 2)], False, [np.ones((2, 3)), np.ones(2)]),
+    ("hzz", lambda v: HessianQuad(v, v), [(2, 2), (2,), ()], False, [np.ones((2, 3))]),
+    ("hzbz", lambda v: HessianQuad(np.eye(2), v), [(2, 2)], False, [np.zeros(2), np.ones((2, 3))]),
+    ("hrr", complex_from_real, [(2, 2)], True, [np.ones(4), 1j * np.eye(2)]),
+    ("b", vector_residual, [(2,)], False, [np.eye(2)]),
+    ("b", is_admissible_vector, [(2,)], False, [np.eye(2)]),
+    ("m", matrix_residual, [(2, 2)], False, [np.ones(4), 2.0]),
+    ("m", is_admissible_matrix, [(2, 2)], False, [np.ones(4), 2.0]),
+    ("m", project_admissible, [(2, 2)], False, [np.ones(4), 2.0]),
+    ("omega", MetricTensor, [(2, 2)], False, [np.ones((2, 3)), np.ones(2), 2.0]),
+    ("a_matrix", lambda v: verify_transform_laws(v, [1.0, 2.0]), [(2, 2)], False, [np.eye(3), np.ones(2)]),
+    ("r_matrix", lambda v: SignalModel(2, v, [1.0, 1j]), [(2, 2)], False, [np.eye(3), np.ones(2)]),
+    ("r_matrix", lambda v: SignalModel.from_reference(v, [1.0, 1j]), [(2, 2)], False, [np.eye(3), np.ones(2)]),
+    ("xi", lambda v: instantaneous_gradient([1.0, 1j], v, 0.5), [(2,)], False, [[1.0], np.ones((2, 3))]),
+    ("eta", lambda v: instantaneous_gradient([1.0, 1j], [1.0, 2.0], v), [()], False, [[0.5, 0.5], np.zeros(1)]),
+    ("w", lambda v: _Weight(v, 2), [(), (2,), (2, 2)], False, [np.ones(3), np.eye(3)]),
+    ("w", lambda v: LsqProblem(_SUMSQ, [1.0], v), [(), (1,), (1, 1)], False, [np.ones(2), np.eye(2)]),
+    ("alpha", lambda v: Example1Problem(v, 0.5j, [1.0, 2j]), None, False, [[1.0], np.array(1.0)]),
+    ("beta", lambda v: Example1Problem(1.0, v, [1.0, 2j]), None, False, [[1.0], np.array(1.0)]),
+    ("alpha", lambda v: Example1Problem.synthesize(v, 0.5j, 2 - 1j, n_samples=5), None, False, [[1.0]]),
+    ("beta", lambda v: Example1Problem.synthesize(1.0, v, 2 - 1j, n_samples=5), None, False, [[1.0]]),
+    ("z_true", lambda v: Example1Problem.synthesize(1.0, 0.5j, v, n_samples=5), None, False, [[1.0], np.array(1.0)]),
+]
+ARRAY_IDS = [f"{i}-{name}" for i, (name, *_) in enumerate(ARRAYS)]
+
+#: Values every one of them refuses: text, None, bools, objects, ragged
+#: nestings, no entries, three dimensions and numbers numpy cannot hold.
+NOT_ARRAYS = [
+    "a", "1+1j", None, True, np.bool_(False), np.array([True, False]), object(), [1.0, [2.0, 3.0]],
+    [[1.0], [2.0, 3.0]], [], np.zeros(0), np.zeros((0, 0)), np.zeros((2, 2, 2)), 10**400, [10**400],
+    np.array([1.0], dtype=object),
+]
+
+
+def _taken(shapes, real):
+    """Finite values of one of ``shapes``, as nested lists or as integer, real or complex arrays; numbers for None."""
+    if shapes is None:
+        return st.one_of(
+            st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+            st.floats(-4, 4),
+            st.integers(-3, 3),
+            st.sampled_from([np.complex128(1 - 1j), np.float32(0.5), np.int64(2)]),
+        )
+    entry = st.floats(-4, 4) if real else st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+    return st.sampled_from(shapes).flatmap(
+        lambda shape: st.lists(entry, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))).flatmap(
+            lambda xs: st.sampled_from([np.reshape(xs, shape), np.reshape(xs, shape).tolist(), np.ones(shape, int)])
+        )
+    )
+
+
+@pytest.mark.parametrize("name, call, shapes, real, wrong", ARRAYS, ids=ARRAY_IDS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_array_boundary_gives_a_result_or_an_error_naming_the_parameter(name, call, shapes, real, wrong, data):
+    value = data.draw(st.one_of(st.sampled_from(NOT_ARRAYS + wrong), _taken(shapes, real)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # A weight of None is the identity.
+        if any(value is odd for odd in NOT_ARRAYS + wrong) and not (value is None and name == "w"):
+            with pytest.raises(ValueError, match=rf"\b{name}\b"):
+                call(value)
+        else:
+            # A value the rule takes may still fail a later gate: the package
+            # says so itself, never numpy or Python for it.
+            try:
+                call(value)
+            except (ValueError, CrcalcError) as exc:
+                assert Path(traceback.extract_tb(exc.__traceback__)[-1].filename).parent == PACKAGE, repr(exc)
+
+
+_INF_J = [1.0, complex(0.0, np.inf)]
+
+#: Blocks, matrices, complex scalars, steps and taps the rules now refuse: (call, exception type, exact message).
+ARRAY_MESSAGES = [
+    (lambda: WirtingerPair(None, None), ValueError, "dz must be a vector of complex numbers, got NoneType"),
+    (lambda: WirtingerPair(True, False), ValueError, "dz must be a vector of complex numbers, got bool"),
+    (lambda: JacobianPair([], []), DimensionError, "jz must be a non-empty array of shape (m, n), got shape (0,)"),
+    (lambda: JacobianPair([1.0, 2.0], [0.0, 0.0]), DimensionError,
+     "jz must be a non-empty array of shape (m, n), got shape (2,)"),
+    (lambda: JacobianPair(np.ones((1, 1, 1)), np.ones((1, 1, 1))), DimensionError,
+     "jz must be a non-empty array of shape (m, n), got shape (1, 1, 1)"),
+    (lambda: HessianQuad("a", "b"), ValueError, "hzz must be an array of complex numbers, got str"),
+    (lambda: HessianQuad(True, 0.0), ValueError, "hzz must be an array of complex numbers, got bool"),
+    (lambda: complex_from_real(1j * np.eye(2)), ValueError, "hrr must be an array of real numbers, got complex128"),
+    (lambda: vector_residual([]), DimensionError, "b must be a non-empty vector, got shape (0,)"),
+    (lambda: vector_residual(np.eye(2)), DimensionError, "b must be a non-empty vector, got shape (2, 2)"),
+    (lambda: is_admissible_vector("a"), ValueError, "b must be a vector of complex numbers, got str"),
+    (lambda: matrix_residual(np.ones(4)), DimensionError,
+     "m must be a non-empty array of shape (rows, cols), got shape (4,)"),
+    (lambda: MetricTensor([[1.0, 2.0], [3.0]]), ValueError, "omega must be an array of complex numbers, got list"),
+    (lambda: verify_transform_laws(np.eye(3), [1.0, 2.0]), DimensionError,
+     "a_matrix must be a non-empty array of shape (2, 2), got shape (3, 3)"),
+    (lambda: instantaneous_gradient([1.0], [1.0], [0.5, 0.5]), DimensionError,
+     "eta must be a non-empty array of shape (), got shape (2,)"),
+    (lambda: LsqProblem(_SUMSQ, [1.0], w=True), ValueError, "w must be an array of complex numbers, got bool"),
+    (lambda: Example1Problem.synthesize(None, 0, 1), ValueError, "alpha must be a finite complex number, got None"),
+    (lambda: Example1Problem(True, 0, [1.0]), ValueError, "alpha must be a finite complex number, got True"),
+    (lambda: Example1Problem("1+1j", 0, [1.0]), ValueError, "alpha must be a finite complex number, got '1+1j'"),
+    (lambda: Example1Problem(1.0, np.array(0.5), [1.0]), ValueError,
+     "beta must be a finite complex number, got array(0.5)"),
+    (lambda: Example1Problem.synthesize(1, 0, "2-1j"), ValueError,
+     "z_true must be a finite complex number, got '2-1j'"),
+    (lambda: from_conjugate([1.0, 2.0, 3.0]), DimensionError, "expected an even-length vector, got shape (3,)"),
+    (lambda: to_conjugate([np.inf]), ValueError, "c must be finite"),
+    (lambda: first_order_predict(_BOWL, [1.0], [np.inf]), ValueError, "delta_z must be finite"),
+    (lambda: differential(_PAIR, _INF_J), ValueError, "delta_z must be finite"),
+    (lambda: second_order_predict(_BOWL, [1.0], [np.nan]), ValueError, "delta_z must be finite"),
+    (lambda: instantaneous_gradient(_INF_J, [1.0, 1j], 0.5), ValueError, "a_hat must be finite"),
+    (lambda: SignalModel.from_reference(np.eye(2), _INF_J), ValueError, "a_ref must be finite"),
+    (lambda: draw_signals(_MODEL, 3, a_ref=_INF_J), ValueError, "a_ref must be finite"),
+    (lambda: simulate(_MODEL, 3, 0.1, a_ref=_INF_J), ValueError, "a_ref must be finite"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", ARRAY_MESSAGES, ids=[m[:80] for *_, m in ARRAY_MESSAGES])
+def test_array_messages(call, exc, message):
     with pytest.raises(exc, match=f"^{re.escape(message)}$"):
         call()
